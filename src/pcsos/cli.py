@@ -302,6 +302,10 @@ def _cmd_search(args) -> int:
         query = parse_poly(args.query, eqs.ring)
     except AlgebraError as exc:
         raise CliFormatError(str(exc)) from exc
+    if args.degree < 0:
+        raise CliFormatError(f"--degree must be nonnegative, got {args.degree}")
+    if query.degree > args.degree:
+        raise CliFormatError(f"query degree {query.degree} exceeds --degree {args.degree}")
     basis = pc_closure(eqs, args.degree, monomial_cap=args.cap)
     derivation = extract_derivation(basis, query)
     if derivation is None:

@@ -8,13 +8,26 @@ Membership in the span is equivalent to degree-d PC derivability, and
 each basis row carries a provenance record so a membership witness can
 be replayed into an explicit derivation that the checker accepts.
 
-Rows are kept in echelon form with graded-lex pivoting over the exact
-coefficient field (rationals or GF(p)).
+This is the Macaulay-matrix view of degree-bounded PC (Clegg, Edmonds and
+Impagliazzo, STOC 1996) with F4-style sparse rows (Faugere, JPAA 1999).
+The monomials of degree <= d over the closure's variables are numbered
+once, in graded-lex order, so column 0 is the leading monomial of the
+whole space and the lead of a row is its smallest column.  Each row is a
+sparse {column: coeff} dict over the exact coefficient field (rationals
+or GF(p)), and one pivot map {lead column: row id} grows as rows are
+appended.  A top-reduction step is therefore one min() over the vector
+and one dict lookup, and multiplying a row by a variable is a table
+lookup per term.  Candidates are inserted breadth-first and reduced
+against the rows before them; rows are never normalised or
+back-substituted.  The cost is one sparse row update per elimination
+step, dominated by coefficient arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations_with_replacement, groupby
 from math import comb
 
 from .algebra import EquationSet, Monomial, Polynomial, Ring
@@ -44,31 +57,94 @@ class BasisRow:
     reductions: tuple[tuple[object, int], ...]  # poly = raw - sum coeff*rows[i].poly
 
 
+def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int) -> list[Monomial]:
+    """All monomials of degree <= degree_bound over sorted variables, in
+    graded-lex order (Monomial.sort_key ascending).  Within one degree,
+    the sorted variable multisets from combinations_with_replacement come
+    out in exactly that lexicographic order."""
+    out = []
+    for d in range(degree_bound, -1, -1):
+        for combo in combinations_with_replacement(variables, d):
+            items = tuple((v, len(tuple(g))) for v, g in groupby(combo))
+            out.append(Monomial._make(items, d))
+    return out
+
+
 @dataclass
 class ClosureBasis:
     ring: Ring
     degree_bound: int
     variables: tuple[int, ...]
     axioms: EquationSet
-    rows: list[BasisRow]
+    columns: tuple[Monomial, ...]  # graded-lex; a row's lead is its smallest column
+    rows: list[BasisRow] = field(default_factory=list)
+    _column_of: dict = field(init=False, repr=False)
+    _vecs: list = field(default_factory=list, repr=False)  # row id -> {column: coeff}
+    _lead_inverses: list = field(default_factory=list, repr=False)
+    _pivots: dict = field(default_factory=dict, repr=False)  # lead column -> row id
+
+    def __post_init__(self):
+        self._column_of = {m: c for c, m in enumerate(self.columns)}
 
     def span_dimension(self) -> int:
         return len(self.rows)
 
+    def _vector(self, p: Polynomial) -> dict | None:
+        """p as {column: coeff}, or None if a monomial lies outside the columns."""
+        column_of = self._column_of
+        vec = {}
+        for m, c in p.terms.items():
+            col = column_of.get(m)
+            if col is None:
+                return None
+            vec[col] = c
+        return vec
+
+    def _eliminate(self, vec: dict) -> list[tuple[object, int]]:
+        """Top-reduce vec in place; return the (factor, row id) steps."""
+        pivots, vecs, inverses = self._pivots, self._vecs, self._lead_inverses
+        mod = self.ring.p
+        coerce = self.ring.coerce
+        used = []
+        while vec:
+            lead = min(vec)
+            rid = pivots.get(lead)
+            if rid is None:
+                break
+            factor = coerce(vec[lead] * inverses[rid])
+            get = vec.get
+            for col, coeff in vecs[rid].items():
+                value = get(col, 0) - factor * coeff
+                if mod is not None:
+                    value %= mod
+                elif type(value) is Fraction and value.denominator == 1:
+                    value = value.numerator  # integral entries stay on int arithmetic
+                if value:
+                    vec[col] = value
+                else:
+                    del vec[col]
+            used.append((factor, rid))
+        return used
+
+    def _polynomial(self, vec: dict) -> Polynomial:
+        columns = self.columns
+        return Polynomial(self.ring, {columns[c]: v for c, v in vec.items()})
+
+    def _append(self, vec: dict, source: RowSource, used: list) -> None:
+        lead = min(vec)
+        self._pivots[lead] = len(self.rows)
+        self._vecs.append(vec)
+        self._lead_inverses.append(self.ring.inv(vec[lead]))
+        row = BasisRow(self._polynomial(vec), self.columns[lead], source, tuple(used))
+        self.rows.append(row)
+
     def reduce(self, p: Polynomial):
         """Reduce p against the basis; returns (remainder, eliminations)."""
-        by_lead = {row.lead: i for i, row in enumerate(self.rows)}
-        used: list[tuple[object, int]] = []
-        while not p.is_zero:
-            lead = min(p.terms, key=lambda m: m.sort_key())
-            i = by_lead.get(lead)
-            if i is None:
-                break
-            row = self.rows[i]
-            factor = self.ring.mul(p.coefficient(lead), self.ring.inv(row.poly.coefficient(lead)))
-            p = p - row.poly.scale(factor)
-            used.append((factor, i))
-        return p, tuple(used)
+        vec = self._vector(p)
+        if vec is None:
+            return p, ()
+        used = self._eliminate(vec)
+        return self._polynomial(vec), tuple(used)
 
     def contains(self, p: Polynomial) -> bool:
         remainder, _ = self.reduce(p)
@@ -86,6 +162,8 @@ def pc_closure(
     Multiplication ranges over the variables occurring in the axioms plus
     any caller-supplied extras (a derivation may introduce fresh ones).
     """
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be nonnegative, got {degree_bound}")
     ring = axioms.ring
     variables = tuple(sorted(axioms.variables() | set(extra_variables)))
     count = comb(len(variables) + degree_bound, degree_bound) if variables else 1
@@ -93,43 +171,39 @@ def pc_closure(
         raise ClosureTooLarge(
             f"{count} monomials of degree <= {degree_bound} exceeds the cap {monomial_cap}"
         )
+    columns = _graded_lex_monomials(variables, degree_bound)
+    basis = ClosureBasis(ring, degree_bound, variables, axioms, tuple(columns))
+    column_of = basis._column_of
 
-    basis = ClosureBasis(ring, degree_bound, variables, axioms, [])
+    # shift[k][c - low] is the column of variables[k] * columns[c], defined
+    # for the columns of degree < d, which form the suffix starting at low
+    low = comb(len(variables) + degree_bound - 1, degree_bound) if degree_bound else count
+    var_monos = [Monomial._make(((v, 1),), 1) for v in variables]
+    shift = [[column_of[m.mul(x)] for m in columns[low:]] for x in var_monos]
 
-    def try_insert(raw: Polynomial, source: RowSource) -> int | None:
-        if raw.is_zero or raw.degree > degree_bound:
-            return None
-        remainder, used = basis.reduce(raw)
-        if remainder.is_zero:
-            return None
-        lead = min(remainder.terms, key=lambda m: m.sort_key())
-        basis.rows.append(BasisRow(remainder, lead, source, used))
-        return len(basis.rows) - 1
+    def insert(vec: dict, source: RowSource) -> None:
+        used = basis._eliminate(vec)
+        if vec:
+            basis._append(vec, source, used)
 
-    queue: list[int] = []
     for k, p in enumerate(axioms):
-        rid = try_insert(p, RowSource("axiom", index=k))
-        if rid is not None:
-            queue.append(rid)
-    if axioms.boolean_axioms:
-        for v in variables:
-            x = Polynomial.variable(ring, v)
-            rid = try_insert(x * x - x, RowSource("bool", var=v))
-            if rid is not None:
-                queue.append(rid)
+        if not p.is_zero and p.degree <= degree_bound:
+            insert(basis._vector(p), RowSource("axiom", index=k))
+    if axioms.boolean_axioms and degree_bound >= 2:
+        for k, v in enumerate(variables):
+            x = column_of[var_monos[k]]
+            insert({shift[k][x - low]: ring.one, x: ring.neg(ring.one)}, RowSource("bool", var=v))
 
-    head = 0
-    while head < len(queue):
-        rid = queue[head]
-        head += 1
-        row_poly = basis.rows[rid].poly
-        if row_poly.degree >= degree_bound:
-            continue
-        for v in variables:
-            product = row_poly * Polynomial.variable(ring, v)
-            new_id = try_insert(product, RowSource("mul", index=rid, var=v))
-            if new_id is not None:
-                queue.append(new_id)
+    # every appended row is queued, so the queue is the row list itself
+    rid = 0
+    while rid < len(basis.rows):
+        if basis.rows[rid].lead.degree < degree_bound:
+            vec = basis._vecs[rid]
+            for k, v in enumerate(variables):
+                table = shift[k]
+                product = {table[c - low]: coeff for c, coeff in vec.items()}
+                insert(product, RowSource("mul", index=rid, var=v))
+        rid += 1
     return basis
 
 

@@ -38,6 +38,7 @@ from .fol import (
     RingConst,
     RingEq,
     RingOp,
+    _pair,
     translate_formula,
 )
 from .lkr import LkrNode, Sequent
@@ -57,10 +58,6 @@ class FamilyInstance:
     certificate: object | None = None
     attachments: dict = field(default_factory=dict)
     registry: FunctionRegistry | None = None
-
-
-def _pair(i: int, j: int) -> int:
-    return (i + j) * (i + j + 1) // 2 + j
 
 
 def _x(ring: Ring, v: int) -> Polynomial:

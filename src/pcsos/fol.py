@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from .algebra import RATIONAL, EquationSet, Polynomial, Ring
@@ -43,9 +44,7 @@ def _pair(a: int, b: int) -> int:
 
 
 def _unpair(n: int) -> tuple[int, int]:
-    w = 0
-    while (w + 1) * (w + 2) // 2 <= n:
-        w += 1
+    w = (isqrt(8 * n + 1) - 1) // 2  # largest w with w(w+1)/2 <= n
     b = n - w * (w + 1) // 2
     return w - b, b
 

@@ -577,6 +577,13 @@ def _coeff_from_json(ring: Ring, value):
     raise ProofFormatError(f"bad coefficient {value!r}")
 
 
+def _index_from_json(value) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ProofFormatError(f"bad line or axiom index {value!r}, expected an integer") from exc
+
+
 def _var_from_json(name) -> int:
     if isinstance(name, str) and name.startswith("x") and name[1:].isdigit():
         return int(name[1:])
@@ -648,25 +655,25 @@ def derivation_from_json(obj: dict) -> Derivation:
             rule = entry["rule"]
             kind = rule["kind"]
             if kind == "axiom":
-                just: Justification = Axiom(int(rule["index"]))
+                just: Justification = Axiom(_index_from_json(rule["index"]))
             elif kind == "zero":
                 just = ZeroIntro()
             elif kind == "bool":
                 just = BoolAxiom(_var_from_json(rule["var"]))
             elif kind == "add":
                 just = Add(
-                    int(rule["i"]),
-                    int(rule["j"]),
+                    _index_from_json(rule["i"]),
+                    _index_from_json(rule["j"]),
                     _coeff_from_json(ring, rule["a"]),
                     _coeff_from_json(ring, rule["b"]),
                 )
             elif kind == "mul":
-                just = Mul(int(rule["i"]), _var_from_json(rule["var"]))
+                just = Mul(_index_from_json(rule["i"]), _var_from_json(rule["var"]))
             elif kind == "radical":
-                just = Radical(int(rule["i"]))
+                just = Radical(_index_from_json(rule["i"]))
             elif kind == "sos":
                 just = Sos(
-                    int(rule["i"]),
+                    _index_from_json(rule["i"]),
                     _poly_from_json(rule["p"], ring),
                     tuple(_poly_from_json(t, ring) for t in rule.get("squares", [])),
                 )
@@ -735,7 +742,8 @@ def ns_from_json(obj: dict) -> NsCertificate:
         cert = NsCertificate(
             axioms=axioms,
             multipliers=tuple(
-                (int(m["axiom"]), _poly_from_json(m["poly"], ring)) for m in obj.get("multipliers", [])
+                (_index_from_json(m["axiom"]), _poly_from_json(m["poly"], ring))
+                for m in obj.get("multipliers", [])
             ),
             target=_poly_from_json(obj["target"], ring),
         )

@@ -97,6 +97,16 @@ class TestCheckCommands:
         path = write(tmp_path, "ns.json", cert)
         assert main(["check-ns", path]) == 0
 
+    def test_non_integer_index_exit_two(self, tmp_path, capsys):
+        obj = derivation_to_json(refutation_proof())
+        obj["lines"][2]["rule"]["i"] = "a"
+        assert main(["check", write(tmp_path, "proof.json", obj)]) == 2
+        cert = {"axioms": ["x1"], "target": "x1", "multipliers": [{"axiom": "a", "poly": "1"}]}
+        assert main(["check-ns", write(tmp_path, "ns.json", cert)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["error", "error"]
+
 
 class TestTranslate:
     def test_pcplus_to_sos_pipeline(self, tmp_path, capsys):
@@ -209,6 +219,14 @@ class TestFolAndSearch:
     def test_search_not_derivable(self, tmp_path):
         eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("x1^2")])))
         assert main(["search", "closure", eqs, "--degree", "2", "--query", "x1"]) == 1
+
+    def test_search_bad_degree_exit_two(self, tmp_path, capsys):
+        eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("x1^2")])))
+        assert main(["search", "closure", eqs, "--degree", "2", "--query", "x1^5"]) == 2
+        assert main(["search", "closure", eqs, "--degree", "-1", "--query", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["error", "error"]
 
 
 class TestUnsupported:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, parse_poly
+from pcsos.algebra import GF, RATIONAL, Monomial, Polynomial, eqset, parse_poly
 from pcsos.degsearch import ClosureTooLarge, extract_derivation, pc_closure
+from pcsos.families import gen_chain, gen_fphp, gen_subset_sum
 from pcsos.proofcheck import DerivationBuilder, check_derivation
 
 
@@ -66,6 +67,70 @@ class TestClosure:
         eqs = eqset(RATIONAL, [sum_plus_one(40)])
         with pytest.raises(ClosureTooLarge):
             pc_closure(eqs, 10, monomial_cap=1000)
+
+
+class TestSpanDimension:
+    """Dimensions of the benchmark families' closures, pinned so that any
+    change to how rows are stored must leave the span itself unchanged."""
+
+    @pytest.mark.parametrize(
+        "n, dim", [(10, 78), (20, 253), (30, 528), (40, 903), (50, 1378), (60, 1953)]
+    )
+    def test_chain(self, n, dim):
+        eqs = gen_chain(n, with_proofs=False).equations
+        assert pc_closure(eqs, 2).span_dimension() == dim
+
+    @pytest.mark.parametrize("m, n, d, dim", [(3, 2, 2, 28), (4, 3, 3, 455)])
+    def test_fphp(self, m, n, d, dim):
+        assert pc_closure(gen_fphp(m, n).equations, d).span_dimension() == dim
+
+    @pytest.mark.parametrize(
+        "n, d, dim", [(10, 4, 671), (10, 3, 121), (12, 3, 169), (14, 3, 225), (20, 3, 441)]
+    )
+    def test_subset_sum(self, n, d, dim):
+        eqs = gen_subset_sum(n, refutation_cap=0).equations
+        assert pc_closure(eqs, d).span_dimension() == dim
+
+
+class TestClosureInvariants:
+    def test_random_systems(self):
+        rng = random.Random(29)
+        for trial in range(60):
+            ring = GF(5) if trial % 3 == 0 else RATIONAL
+            polys = [_random_poly(rng, ring) for _ in range(rng.randrange(1, 4))]
+            polys = [p for p in polys if not p.is_zero] or [Polynomial.variable(ring, 1)]
+            eqs = eqset(ring, polys, boolean_axioms=trial % 2 == 1)
+            d = rng.randrange(0, 4)
+            basis = pc_closure(eqs, d)
+            _assert_closed(basis, eqs, d)
+
+    def test_degree_zero(self):
+        basis = pc_closure(eqset(RATIONAL, [P("x1 + 1"), P("2")]), 0)
+        assert basis.span_dimension() == 1
+        assert basis.contains(P("1")) and not basis.contains(P("x1 + 1"))
+        assert check_derivation(extract_derivation(basis, P("1"))).refutation
+
+    def test_columns_in_graded_lex_order(self):
+        basis = pc_closure(eqset(RATIONAL, [P("x0*x3 - x5")]), 3)
+        assert len(basis.columns) == 20
+        assert list(basis.columns) == sorted(basis.columns, key=Monomial.sort_key)
+
+
+def _assert_closed(basis, eqs, d):
+    ring = basis.ring
+    leads = [row.lead for row in basis.rows]
+    assert len(set(leads)) == len(leads)
+    for row in basis.rows:
+        assert row.lead == min(row.poly.terms, key=Monomial.sort_key)
+        if row.poly.degree < d:
+            for v in basis.variables:
+                assert basis.contains(row.poly * Polynomial.variable(ring, v))
+    for p in eqs:
+        if p.degree <= d:
+            assert basis.contains(p)
+    absent = Polynomial.variable(ring, max(basis.variables, default=0) + 1)
+    assert not basis.contains(absent)
+    assert basis.reduce(absent)[0] == absent
 
 
 class TestExtraction:
@@ -151,11 +216,9 @@ class TestSubsetSumLowerBoundProperty:
             assert rep.valid and rep.uses_radical and rep.degree <= n + 2
 
 
-def _random_poly(rng):
-    from pcsos.algebra import Monomial
-
+def _random_poly(rng, ring=RATIONAL):
     terms = {}
     for _ in range(rng.randrange(1, 4)):
         mono = Monomial({rng.randrange(3): rng.randrange(1, 3) for _ in range(rng.randrange(0, 2))})
         terms[mono] = rng.randrange(-3, 4)
-    return Polynomial(RATIONAL, terms)
+    return Polynomial(ring, terms)

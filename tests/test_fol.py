@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -110,6 +111,16 @@ class TestIndexEvaluation:
                 seen.add(v)
                 assert REG.index_fns["fst"][1](v) == a
                 assert REG.index_fns["snd"][1](v) == b
+
+    def test_unpairing_huge_argument(self):
+        # unpairing is closed-form, so a 41-digit argument returns at once
+        pair, fst, snd = (REG.index_fns[name][1] for name in ("pair", "fst", "snd"))
+        n = 10**40
+        t0 = time.perf_counter()
+        a, b = fst(n), snd(n)
+        assert time.perf_counter() - t0 < 0.5
+        assert a >= 0 and b >= 0 and pair(a, b) == n
+        assert (fst(pair(n, 7)), snd(pair(n, 7))) == (n, 7)
 
     def test_tables_are_total(self):
         reg = FunctionRegistry.standard()
