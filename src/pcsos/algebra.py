@@ -74,8 +74,8 @@ class Ring:
             if self.p is not None:
                 raise AlgebraError("rational ring takes no modulus")
         elif self.kind == "gf":
-            if self.p is None or self.p > 2**31 or not _is_prime(self.p):
-                raise AlgebraError(f"gf modulus must be a prime <= 2**31, got {self.p}")
+            if type(self.p) is not int or self.p > 2**31 or not _is_prime(self.p):
+                raise AlgebraError(f"gf modulus must be a prime <= 2**31, got {self.p!r}")
         else:
             raise AlgebraError(f"unknown ring kind {self.kind!r}")
 
@@ -147,10 +147,11 @@ class Ring:
 
     @staticmethod
     def from_json(obj: dict) -> "Ring":
-        if obj.get("kind") == "rational":
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind == "rational":
             return RATIONAL
-        if obj.get("kind") == "gf":
-            return Ring("gf", int(obj["p"]))
+        if kind == "gf":
+            return Ring("gf", obj["p"])
         raise AlgebraError(f"bad ring descriptor {obj!r}")
 
 
@@ -159,6 +160,38 @@ RATIONAL = Ring("rational")
 
 def GF(p: int) -> Ring:
     return Ring("gf", p)
+
+
+def merge_exps(a: tuple, b: tuple) -> tuple:
+    """Exponent tuple of the product of two monomials' sorted exponent tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) == 1 and len(b) == 1:
+        (va, ea), (vb, eb) = a[0], b[0]
+        if va == vb:
+            return ((va, ea + eb),)
+        return (a[0], b[0]) if va < vb else (b[0], a[0])
+    # two-pointer merge of the sorted exponent tuples
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 class Monomial:
@@ -211,32 +244,7 @@ class Monomial:
             return self
         if not self.exps:
             return other
-        a, b = self.exps, other.exps
-        if len(a) == 1 and len(b) == 1:
-            (va, ea), (vb, eb) = a[0], b[0]
-            if va == vb:
-                return Monomial._make(((va, ea + eb),), ea + eb)
-            items = (a[0], b[0]) if va < vb else (b[0], a[0])
-            return Monomial._make(items, ea + eb)
-        # two-pointer merge of the sorted exponent tuples
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                out.append((va, ea + eb))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._make(tuple(out), self.degree + other.degree)
+        return Monomial._make(merge_exps(self.exps, other.exps), self.degree + other.degree)
 
     def sort_key(self):
         """Ascending-sort key that realizes descending graded-lex order."""

@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement, groupby
 from math import comb
 
 from .algebra import EquationSet, Monomial, Polynomial, Ring
-from .proofcheck import Derivation, DerivationBuilder
+from .proofcheck import Axiom, BoolAxiom, Derivation, DerivationBuilder, Justification, Mul, relabel
 
 DEFAULT_MONOMIAL_CAP = 200_000
 
@@ -40,21 +40,24 @@ class ClosureTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RowSource:
-    """How a row's raw polynomial arose: axiom k, Boolean axiom, or x*row."""
-
-    kind: str  # "axiom" | "bool" | "mul"
-    index: int = -1  # axiom index or parent row id
-    var: int = -1
-
-
 @dataclass
 class BasisRow:
-    poly: Polynomial
-    lead: Monomial
-    source: RowSource
+    """One closure row, kept once as its sparse {column: coeff} vector;
+    poly and lead are rebuilt from the basis's columns on each access."""
+
+    basis: "ClosureBasis" = field(repr=False, compare=False)
+    vec: dict  # {column: coeff}
+    lead_column: int
+    source: Justification  # how the raw row arose; a Mul cites its parent's row id
     reductions: tuple[tuple[object, int], ...]  # poly = raw - sum coeff*rows[i].poly
+
+    @property
+    def poly(self) -> Polynomial:
+        return self.basis._polynomial(self.vec)
+
+    @property
+    def lead(self) -> Monomial:
+        return self.basis.columns[self.lead_column]
 
 
 def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int) -> list[Monomial]:
@@ -79,7 +82,6 @@ class ClosureBasis:
     columns: tuple[Monomial, ...]  # graded-lex; a row's lead is its smallest column
     rows: list[BasisRow] = field(default_factory=list)
     _column_of: dict = field(init=False, repr=False)
-    _vecs: list = field(default_factory=list, repr=False)  # row id -> {column: coeff}
     _lead_inverses: list = field(default_factory=list, repr=False)
     _pivots: dict = field(default_factory=dict, repr=False)  # lead column -> row id
 
@@ -102,7 +104,7 @@ class ClosureBasis:
 
     def _eliminate(self, vec: dict) -> list[tuple[object, int]]:
         """Top-reduce vec in place; return the (factor, row id) steps."""
-        pivots, vecs, inverses = self._pivots, self._vecs, self._lead_inverses
+        pivots, rows, inverses = self._pivots, self.rows, self._lead_inverses
         mod = self.ring.p
         coerce = self.ring.coerce
         used = []
@@ -113,7 +115,7 @@ class ClosureBasis:
                 break
             factor = coerce(vec[lead] * inverses[rid])
             get = vec.get
-            for col, coeff in vecs[rid].items():
+            for col, coeff in rows[rid].vec.items():
                 value = get(col, 0) - factor * coeff
                 if mod is not None:
                     value %= mod
@@ -130,13 +132,11 @@ class ClosureBasis:
         columns = self.columns
         return Polynomial(self.ring, {columns[c]: v for c, v in vec.items()})
 
-    def _append(self, vec: dict, source: RowSource, used: list) -> None:
+    def _append(self, vec: dict, source: Justification, used: list) -> None:
         lead = min(vec)
         self._pivots[lead] = len(self.rows)
-        self._vecs.append(vec)
         self._lead_inverses.append(self.ring.inv(vec[lead]))
-        row = BasisRow(self._polynomial(vec), self.columns[lead], source, tuple(used))
-        self.rows.append(row)
+        self.rows.append(BasisRow(self, vec, lead, source, tuple(used)))
 
     def reduce(self, p: Polynomial):
         """Reduce p against the basis; returns (remainder, eliminations)."""
@@ -181,28 +181,29 @@ def pc_closure(
     var_monos = [Monomial._make(((v, 1),), 1) for v in variables]
     shift = [[column_of[m.mul(x)] for m in columns[low:]] for x in var_monos]
 
-    def insert(vec: dict, source: RowSource) -> None:
+    def insert(vec: dict, source: Justification) -> None:
         used = basis._eliminate(vec)
         if vec:
             basis._append(vec, source, used)
 
     for k, p in enumerate(axioms):
         if not p.is_zero and p.degree <= degree_bound:
-            insert(basis._vector(p), RowSource("axiom", index=k))
+            insert(basis._vector(p), Axiom(k))
     if axioms.boolean_axioms and degree_bound >= 2:
         for k, v in enumerate(variables):
             x = column_of[var_monos[k]]
-            insert({shift[k][x - low]: ring.one, x: ring.neg(ring.one)}, RowSource("bool", var=v))
+            insert({shift[k][x - low]: ring.one, x: ring.neg(ring.one)}, BoolAxiom(v))
 
     # every appended row is queued, so the queue is the row list itself
     rid = 0
     while rid < len(basis.rows):
-        if basis.rows[rid].lead.degree < degree_bound:
-            vec = basis._vecs[rid]
+        row = basis.rows[rid]
+        if row.lead.degree < degree_bound:
+            vec = row.vec
             for k, v in enumerate(variables):
                 table = shift[k]
                 product = {table[c - low]: coeff for c, coeff in vec.items()}
-                insert(product, RowSource("mul", index=rid, var=v))
+                insert(product, Mul(rid, v))
         rid += 1
     return basis
 
@@ -230,13 +231,7 @@ def extract_derivation(basis: ClosureBasis, target: Polynomial) -> Derivation | 
         if rid in emitted:
             return emitted[rid]
         row = basis.rows[rid]
-        if row.source.kind == "axiom":
-            line = builder.axiom(row.source.index)
-        elif row.source.kind == "bool":
-            line = builder.bool_axiom(row.source.var)
-        else:
-            parent = emit_row(row.source.index)
-            line = builder.mul_var(parent, row.source.var)
+        line = builder.derive(relabel(row.source, basis.ring, emit_row))
         for coeff, other in row.reductions:
             line = builder.add(line, emit_row(other), 1, basis.ring.neg(coeff))
         emitted[rid] = line

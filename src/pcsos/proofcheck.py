@@ -7,6 +7,13 @@ symbolic identity.  Degree accounting is exact: the degree of a derivation
 is the maximum degree of any line, and the degree of a certificate is the
 maximum degree of any summand.
 
+The three systems share one line format and differ only in the rules they
+admit, so each justification kind is defined once, in RULES, for the
+checker, the builder, the JSON codecs and the replays in degsearch and
+radical elimination.  The eps-simulation keeps its own case analysis: its
+cases are the simulation itself, and a per-rule hook for them here would
+make the kernel branch on one of its callers.
+
 Structural defects (bad indices, wrong ring, malformed witnesses) raise
 ProofStructureError; proofs that are well-formed but wrong yield an invalid
 CheckReport with the offending line and mismatch polynomial.
@@ -17,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import (
     MINUS_INF,
@@ -27,6 +35,7 @@ from .algebra import (
     Polynomial,
     Ring,
     four_square,
+    merge_exps,
     parse_poly,
 )
 
@@ -91,6 +100,185 @@ class Sos:
 Justification = Axiom | ZeroIntro | BoolAxiom | Add | Mul | Radical | Sos
 
 
+# -- the rule table ----------------------------------------------------
+
+
+def _index_from_json(value) -> int:
+    if type(value) is not int:  # bool is an int subclass, and not an index
+        raise ProofFormatError(f"bad line or axiom index {value!r}, expected an integer")
+    return value
+
+
+def _var_from_json(name) -> int:
+    if isinstance(name, str) and name.startswith("x") and name[1:].isdigit():
+        return int(name[1:])
+    raise ProofFormatError(f"bad variable name {name!r}, expected like 'x3'")
+
+
+def _coeff_from_json(ring: Ring, value):
+    if isinstance(value, (int, str)):
+        try:
+            return ring.coerce(Fraction(str(value)))
+        except (ValueError, ZeroDivisionError, AlgebraError) as exc:
+            raise ProofFormatError(f"bad coefficient {value!r}: {exc}") from exc
+    raise ProofFormatError(f"bad coefficient {value!r}")
+
+
+def _poly_from_json(text, ring: Ring) -> Polynomial:
+    if not isinstance(text, str):
+        raise ProofFormatError(f"expected polynomial text, got {text!r}")
+    try:
+        return parse_poly(text, ring)
+    except AlgebraError as exc:
+        raise ProofFormatError(str(exc)) from exc
+
+
+def _cite_line(lines, axioms: EquationSet, idx: int, ref: int) -> Polynomial:
+    if not (0 <= ref < idx):
+        raise ProofStructureError(f"line {idx} cites line {ref}, which is not earlier")
+    return lines[ref][0]
+
+
+def _cite_axiom(lines, axioms: EquationSet, idx: int, ref: int) -> Polynomial:
+    if not (0 <= ref < len(axioms)):
+        raise ProofStructureError(f"line {idx} cites axiom {ref} out of range")
+    return axioms[ref]
+
+
+@dataclass(frozen=True)
+class _Codec:
+    """One kind of justification field: its JSON form and what it cites."""
+
+    to_json: Callable  # value -> JSON value
+    from_json: Callable  # (ring, JSON value) -> value, or ProofFormatError
+    cite: Callable | None = None  # (lines, axioms, line index, value) -> cited polynomial
+    # (ring, line renumbering, value) -> the value in a derivation so renumbered
+    relabel: Callable = lambda ring, line_of, value: value
+
+
+LINE = _Codec(
+    int, lambda ring, v: _index_from_json(v), _cite_line, lambda ring, line_of, i: line_of(i)
+)
+AXIOM = _Codec(int, lambda ring, v: _index_from_json(v), _cite_axiom)
+VAR = _Codec(lambda v: f"x{v}", lambda ring, v: _var_from_json(v))
+COEFF = _Codec(str, _coeff_from_json, relabel=lambda ring, line_of, c: ring.coerce(c))
+POLY = _Codec(Polynomial.format, lambda ring, t: _poly_from_json(t, ring))
+POLYS = _Codec(
+    lambda ps: [p.format() for p in ps],
+    lambda ring, ts: tuple(_poly_from_json(t, ring) for t in ts),
+)
+
+
+@dataclass(frozen=True)
+class _Field:
+    key: str  # JSON key
+    codec: _Codec
+    attr: str = ""  # justification attribute, when it differs from key
+    default: object = None  # JSON value read when the key is absent; None: required
+
+    @property
+    def name(self) -> str:
+        return self.attr or self.key
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One justification kind, defined once for the checker, the builder and
+    the file format.
+
+    conclude(ring, just, premises, claimed) is the polynomial the rule
+    licenses from the polynomials its fields cite; claimed is the line's
+    own polynomial (for a radical step, the root it claims).  side(just,
+    premises, conclusion) returns a mismatch polynomial when a further
+    condition on the premises fails, else None.
+    """
+
+    kind: str  # JSON name
+    cls: type
+    fields: tuple[_Field, ...]
+    systems: tuple[str, ...]  # the systems that admit the rule
+    conclude: Callable
+    side: Callable | None = None
+    boolean: bool = False  # admitted only with the Boolean axioms
+
+
+def _bool_poly(ring: Ring, var: int) -> Polynomial:
+    x = Polynomial.variable(ring, var)
+    return x * x - x
+
+
+def _diff(a: Polynomial, b: Polynomial) -> Polynomial | None:
+    delta = a - b
+    return None if delta.is_zero else delta
+
+
+def _add_conclusion(ring: Ring, just: Add, premises, claimed) -> Polynomial:
+    p, q = premises
+    return p.scale(ring.coerce(just.a)) + q.scale(ring.coerce(just.b))
+
+
+def _sos_recomposition(just: Sos, premises, witness_square: Polynomial) -> Polynomial | None:
+    recomposed = witness_square
+    for q in just.squares:
+        recomposed = recomposed + q * q
+    return _diff(premises[0], recomposed)
+
+
+_I = _Field("i", LINE)
+
+RULES: dict[type, Rule] = {
+    rule.cls: rule
+    for rule in (
+        Rule("axiom", Axiom, (_Field("index", AXIOM),), SYSTEMS, lambda ring, just, ps, _: ps[0]),
+        Rule("zero", ZeroIntro, (), SYSTEMS, lambda ring, just, ps, _: Polynomial.zero(ring)),
+        Rule(
+            "bool", BoolAxiom, (_Field("var", VAR),), SYSTEMS,
+            lambda ring, just, ps, _: _bool_poly(ring, just.var), boolean=True,
+        ),
+        Rule(
+            "add", Add, (_I, _Field("j", LINE), _Field("a", COEFF), _Field("b", COEFF)),
+            SYSTEMS, _add_conclusion,
+        ),
+        Rule(
+            "mul", Mul, (_I, _Field("var", VAR)), SYSTEMS,
+            lambda ring, just, ps, _: ps[0] * Polynomial.variable(ring, just.var),
+        ),
+        Rule(
+            "radical", Radical, (_I,), (PC_RAD, PC_PLUS), lambda ring, just, ps, root: root,
+            side=lambda just, ps, root: _diff(ps[0], root * root),
+        ),
+        Rule(
+            "sos", Sos, (_I, _Field("p", POLY, "witness"), _Field("squares", POLYS, default=[])),
+            (PC_PLUS,), lambda ring, just, ps, _: just.witness * just.witness,
+            side=_sos_recomposition,
+        ),
+    )
+}
+_RULE_OF_KIND = {rule.kind: rule for rule in RULES.values()}
+
+
+def rule_of(just: Justification) -> Rule:
+    rule = RULES.get(type(just))
+    if rule is None:
+        raise ProofStructureError(f"unknown justification {just!r}")
+    return rule
+
+
+def _premises(rule: Rule, just, lines, axioms: EquationSet, idx: int) -> list[Polynomial]:
+    return [
+        f.codec.cite(lines, axioms, idx, getattr(just, f.name)) for f in rule.fields if f.codec.cite
+    ]
+
+
+def relabel(just: Justification, ring: Ring, line_of: Callable[[int], int]) -> Justification:
+    """just with every cited line k renumbered line_of(k) and every
+    coefficient in canonical form for ring."""
+    rule = rule_of(just)
+    return rule.cls(
+        **{f.name: f.codec.relabel(ring, line_of, getattr(just, f.name)) for f in rule.fields}
+    )
+
+
 @dataclass(frozen=True)
 class Derivation:
     system: str
@@ -142,51 +330,12 @@ class CheckReport:
         return None if self.degree == MINUS_INF else self.degree
 
 
-def _bool_poly(ring: Ring, var: int) -> Polynomial:
-    x = Polynomial.variable(ring, var)
-    return x * x - x
-
-
 # The static checkers accumulate the big identity keyed by raw exponent
-# tuples, so no Monomial objects are allocated for terms that cancel.
+# tuples, so no Monomial objects are allocated for terms that cancel.  Over
+# GF(p) the sums are reduced once, in _accumulated_poly.
 
 
-def _merge_exps(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) == 1 and len(b) == 1:
-        (va, ea), (vb, eb) = a[0], b[0]
-        if va == vb:
-            return ((va, ea + eb),)
-        return (a[0], b[0]) if va < vb else (b[0], a[0])
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def _accumulate_const(acc: dict, ring: Ring, value) -> None:
-    if value != 0:
-        acc[()] = acc.get((), 0) + ring.coerce(value)
-
-
-def _accumulate_product(acc: dict, ring: Ring, r: Polynomial, p: Polynomial):
+def _accumulate_product(acc: dict, r: Polynomial, p: Polynomial):
     """Add r*p into the exponent-tuple accumulator; returns the summand's
     exact degree (deg r + deg p over an integral domain, or the sentinel)."""
     if not r._terms or not p._terms:
@@ -197,65 +346,43 @@ def _accumulate_product(acc: dict, ring: Ring, r: Polynomial, p: Polynomial):
     d2 = p._degree
     if d2 is None:
         d2 = p.degree
-    rational = ring.p is None
     r_terms = r._terms
     if len(r_terms) == 1:
         ((m1, c1),) = r_terms.items()
         if not m1.exps:  # constant multiplier
-            if rational:
-                for m2, c2 in p._terms.items():
-                    e = m2.exps
-                    acc[e] = acc.get(e, 0) + c1 * c2
-            else:
-                q = ring.p
-                for m2, c2 in p._terms.items():
-                    e = m2.exps
-                    acc[e] = (acc.get(e, 0) + c1 * c2) % q
-            return d1 + d2
-    if rational:
-        for m1, c1 in r_terms.items():
-            e1 = m1.exps
             for m2, c2 in p._terms.items():
-                e = _merge_exps(e1, m2.exps)
+                e = m2.exps
                 acc[e] = acc.get(e, 0) + c1 * c2
-    else:
-        q = ring.p
-        for m1, c1 in r_terms.items():
-            e1 = m1.exps
-            for m2, c2 in p._terms.items():
-                e = _merge_exps(e1, m2.exps)
-                acc[e] = (acc.get(e, 0) + c1 * c2) % q
+            return d1 + d2
+    for m1, c1 in r_terms.items():
+        e1 = m1.exps
+        for m2, c2 in p._terms.items():
+            e = merge_exps(e1, m2.exps)
+            acc[e] = acc.get(e, 0) + c1 * c2
     return d1 + d2
 
 
-def _accumulate_square(acc: dict, ring: Ring, s: Polynomial):
+def _accumulate_square(acc: dict, s: Polynomial):
     """Add s^2 into the accumulator using the symmetry of the square."""
     if s.is_zero:
         return MINUS_INF
     items = [(m.exps, c) for m, c in s._terms.items()]
-    if ring.p is None:
-        for idx, (e1, c1) in enumerate(items):
-            e = _merge_exps(e1, e1)
-            acc[e] = acc.get(e, 0) + c1 * c1
-            for k in range(idx + 1, len(items)):
-                e2, c2 = items[k]
-                e = _merge_exps(e1, e2)
-                acc[e] = acc.get(e, 0) + 2 * c1 * c2
-    else:
-        q = ring.p
-        for idx, (e1, c1) in enumerate(items):
-            e = _merge_exps(e1, e1)
-            acc[e] = (acc.get(e, 0) + c1 * c1) % q
-            for k in range(idx + 1, len(items)):
-                e2, c2 = items[k]
-                e = _merge_exps(e1, e2)
-                acc[e] = (acc.get(e, 0) + 2 * c1 * c2) % q
+    for idx, (e1, c1) in enumerate(items):
+        e = merge_exps(e1, e1)
+        acc[e] = acc.get(e, 0) + c1 * c1
+        for k in range(idx + 1, len(items)):
+            e2, c2 = items[k]
+            e = merge_exps(e1, e2)
+            acc[e] = acc.get(e, 0) + 2 * c1 * c2
     return 2 * s.degree
 
 
 def _accumulated_poly(ring: Ring, acc: dict) -> Polynomial:
+    q = ring.p
     terms = {}
     for exps, c in acc.items():
+        if q is not None:
+            c %= q
         if c != 0:
             terms[Monomial._make(exps, sum(e for _, e in exps))] = c
     return Polynomial._raw(ring, terms)
@@ -293,55 +420,15 @@ def check_derivation(d: Derivation) -> CheckReport:
     return CheckReport(valid, degree, uses_radical, uses_sos, refutation, failure)
 
 
-def _earlier(d: Derivation, idx: int, ref: int) -> Polynomial:
-    if not (0 <= ref < idx):
-        raise ProofStructureError(f"line {idx} cites line {ref}, which is not earlier")
-    return d.lines[ref][0]
-
-
 def _check_line(d: Derivation, idx: int, poly: Polynomial, just) -> Polynomial | None:
     """Return the mismatch polynomial if the line fails, else None."""
-    ring = d.ring
-    if isinstance(just, Axiom):
-        if not (0 <= just.index < len(d.axioms)):
-            raise ProofStructureError(f"line {idx} cites axiom {just.index} out of range")
-        return _diff(poly, d.axioms[just.index])
-    if isinstance(just, ZeroIntro):
-        return None if poly.is_zero else poly
-    if isinstance(just, BoolAxiom):
-        if not d.boolean_axioms:
-            return poly  # boolean axioms not available in this derivation
-        return _diff(poly, _bool_poly(ring, just.var))
-    if isinstance(just, Add):
-        p = _earlier(d, idx, just.i)
-        q = _earlier(d, idx, just.j)
-        combo = p.scale(ring.coerce(just.a)) + q.scale(ring.coerce(just.b))
-        return _diff(poly, combo)
-    if isinstance(just, Mul):
-        p = _earlier(d, idx, just.i)
-        return _diff(poly, p * Polynomial.variable(ring, just.var))
-    if isinstance(just, Radical):
-        if d.system not in (PC_RAD, PC_PLUS):
-            return poly
-        src = _earlier(d, idx, just.i)
-        return _diff(src, poly * poly)
-    if isinstance(just, Sos):
-        if d.system != PC_PLUS:
-            return poly
-        src = _earlier(d, idx, just.i)
-        recomposed = just.witness * just.witness
-        for q in just.squares:
-            recomposed = recomposed + q * q
-        mismatch = _diff(src, recomposed)
-        if mismatch is not None:
-            return mismatch
-        return _diff(poly, just.witness * just.witness)
-    raise ProofStructureError(f"line {idx}: unknown justification {just!r}")
-
-
-def _diff(a: Polynomial, b: Polynomial) -> Polynomial | None:
-    delta = a - b
-    return None if delta.is_zero else delta
+    rule = rule_of(just)
+    premises = _premises(rule, just, d.lines, d.axioms, idx)
+    if d.system not in rule.systems or (rule.boolean and not d.boolean_axioms):
+        return poly  # the rule is not available in this derivation
+    conclusion = rule.conclude(d.ring, just, premises, poly)
+    mismatch = rule.side(just, premises, conclusion) if rule.side else None
+    return mismatch if mismatch is not None else _diff(poly, conclusion)
 
 
 # -- static checkers ---------------------------------------------------
@@ -355,17 +442,16 @@ def check_sos(c: SosCertificate) -> CheckReport:
     if c.constant < 0:
         raise ProofStructureError(f"negative certificate constant {c.constant}")
     ring = c.axioms.ring
-    acc: dict = {}
-    _accumulate_const(acc, ring, c.constant)
+    acc: dict = {(): ring.coerce(c.constant)} if c.constant else {}
     degree = MINUS_INF if c.constant == 0 else 0
     for k, r in c.multipliers:
         if not (0 <= k < len(c.axioms)):
             raise ProofStructureError(f"multiplier cites axiom {k} out of range")
-        degree = max(degree, _accumulate_product(acc, ring, r, c.axioms[k]))
+        degree = max(degree, _accumulate_product(acc, r, c.axioms[k]))
     for v, r in c.bool_multipliers:
-        degree = max(degree, _accumulate_product(acc, ring, r, _bool_poly(ring, v)))
+        degree = max(degree, _accumulate_product(acc, r, _bool_poly(ring, v)))
     for s in c.squares:
-        degree = max(degree, _accumulate_square(acc, ring, s))
+        degree = max(degree, _accumulate_square(acc, s))
     mismatch = _diff(_accumulated_poly(ring, acc), c.target)
     valid = mismatch is None
     refutation = valid and _is_negative_constant(c.target)
@@ -382,7 +468,7 @@ def check_nullstellensatz(c: NsCertificate) -> CheckReport:
     for k, r in c.multipliers:
         if not (0 <= k < len(c.axioms)):
             raise ProofStructureError(f"multiplier cites axiom {k} out of range")
-        degree = max(degree, _accumulate_product(acc, ring, r, c.axioms[k]))
+        degree = max(degree, _accumulate_product(acc, r, c.axioms[k]))
     mismatch = _diff(_accumulated_poly(ring, acc), c.target)
     valid = mismatch is None
     refutation = valid and c.target == Polynomial.const(ring, 1)
@@ -434,6 +520,8 @@ class DerivationBuilder:
 
     Every emit method returns the index of a line whose polynomial is known,
     so compilers can build on intermediate results without re-deriving them.
+    Each line's polynomial is the conclusion its rule licenses, computed by
+    the same table entry the checker replays.
     """
 
     def __init__(self, system: str, ring: Ring, axioms: EquationSet, boolean_axioms: bool = False):
@@ -443,7 +531,6 @@ class DerivationBuilder:
         self.boolean_axioms = boolean_axioms
         self._lines: list[tuple[Polynomial, Justification]] = []
         self._by_key: dict = {}
-        self.used_bool = False
 
     def __len__(self):
         return len(self._lines)
@@ -451,40 +538,36 @@ class DerivationBuilder:
     def poly(self, idx: int) -> Polynomial:
         return self._lines[idx][0]
 
-    def _emit(self, poly: Polynomial, just: Justification, cache_key=None) -> int:
-        idx = len(self._lines)
+    def _emit(self, poly: Polynomial, just: Justification) -> int:
         self._lines.append((poly, just))
-        if cache_key is not None:
-            self._by_key[cache_key] = idx
+        return len(self._lines) - 1
+
+    def derive(self, just: Justification, root: Polynomial | None = None) -> int:
+        """Index of a line concluded by just, emitted unless an equal step is
+        already there.  A radical step also names its root, since both roots
+        of the cited square qualify."""
+        key = just if root is None else (just, root)
+        idx = self._by_key.get(key)
+        if idx is None:
+            rule = rule_of(just)
+            premises = _premises(rule, just, self._lines, self.axioms, len(self._lines))
+            poly = rule.conclude(self.ring, just, premises, root)
+            if rule.side is not None and rule.side(just, premises, poly) is not None:
+                raise ProofStructureError(f"{rule.kind} step: its side condition fails")
+            idx = self._by_key[key] = self._emit(poly, just)
         return idx
 
     def axiom(self, index: int) -> int:
-        key = ("ax", index)
-        if key in self._by_key:
-            return self._by_key[key]
-        return self._emit(self.axioms[index], Axiom(index), key)
+        return self.derive(Axiom(index))
 
     def zero(self) -> int:
-        key = ("zero",)
-        if key in self._by_key:
-            return self._by_key[key]
-        return self._emit(Polynomial.zero(self.ring), ZeroIntro(), key)
+        return self.derive(ZeroIntro())
 
     def bool_axiom(self, var: int) -> int:
-        key = ("bool", var)
-        if key in self._by_key:
-            return self._by_key[key]
-        self.used_bool = True
-        return self._emit(_bool_poly(self.ring, var), BoolAxiom(var), key)
+        return self.derive(BoolAxiom(var))
 
     def add(self, i: int, j: int, a, b) -> int:
-        a = self.ring.coerce(a)
-        b = self.ring.coerce(b)
-        key = ("add", i, j, a, b)
-        if key in self._by_key:
-            return self._by_key[key]
-        poly = self.poly(i).scale(a) + self.poly(j).scale(b)
-        return self._emit(poly, Add(i, j, a, b), key)
+        return self.derive(Add(i, j, self.ring.coerce(a), self.ring.coerce(b)))
 
     def scale_line(self, i: int, a) -> int:
         a = self.ring.coerce(a)
@@ -493,32 +576,19 @@ class DerivationBuilder:
         return self.add(i, i, a, 0)
 
     def mul_var(self, i: int, var: int) -> int:
-        key = ("mul", i, var)
-        if key in self._by_key:
-            return self._by_key[key]
-        poly = self.poly(i) * Polynomial.variable(self.ring, var)
-        return self._emit(poly, Mul(i, var), key)
+        return self.derive(Mul(i, var))
 
     def radical_of(self, i: int, root: Polynomial) -> int:
-        key = ("rad", i, root)
-        if key in self._by_key:
-            return self._by_key[key]
-        if self.poly(i) != root * root:
-            raise ProofStructureError("radical_of: cited line is not the square of the root")
-        return self._emit(root, Radical(i), key)
+        return self.derive(Radical(i), root)
 
     def sos_step(self, i: int, witness: Polynomial, squares: tuple[Polynomial, ...]) -> int:
-        key = ("sos", i, witness, squares)
-        if key in self._by_key:
-            return self._by_key[key]
-        return self._emit(witness * witness, Sos(i, witness, squares), key)
+        return self.derive(Sos(i, witness, squares))
 
     def ensure_last(self, i: int) -> int:
         """Restate line i at the end of the derivation if it is not already there."""
         if i == len(self._lines) - 1:
             return i
-        poly = self.poly(i)
-        return self._emit(poly, Add(i, i, self.ring.one, self.ring.zero))
+        return self._emit(self.poly(i), Add(i, i, self.ring.one, self.ring.zero))
 
     def mul_monomial(self, i: int, mono: Monomial) -> int:
         for var, exp in mono.exps:
@@ -555,7 +625,7 @@ class DerivationBuilder:
         return Derivation(
             system=self.system,
             ring=self.ring,
-            boolean_axioms=self.boolean_axioms or self.used_bool,
+            boolean_axioms=self.boolean_axioms or any(rule_of(j).boolean for _, j in self._lines),
             axioms=self.axioms,
             lines=tuple(self._lines),
         )
@@ -564,73 +634,14 @@ class DerivationBuilder:
 # -- JSON file formats -------------------------------------------------
 
 
-def _coeff_to_json(ring: Ring, c):
-    return str(c)
-
-
-def _coeff_from_json(ring: Ring, value):
-    if isinstance(value, (int, str)):
-        try:
-            return ring.coerce(Fraction(str(value)))
-        except (ValueError, ZeroDivisionError, AlgebraError) as exc:
-            raise ProofFormatError(f"bad coefficient {value!r}: {exc}") from exc
-    raise ProofFormatError(f"bad coefficient {value!r}")
-
-
-def _index_from_json(value) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ProofFormatError(f"bad line or axiom index {value!r}, expected an integer") from exc
-
-
-def _var_from_json(name) -> int:
-    if isinstance(name, str) and name.startswith("x") and name[1:].isdigit():
-        return int(name[1:])
-    raise ProofFormatError(f"bad variable name {name!r}, expected like 'x3'")
-
-
-def _poly_from_json(text, ring: Ring) -> Polynomial:
-    if not isinstance(text, str):
-        raise ProofFormatError(f"expected polynomial text, got {text!r}")
-    try:
-        return parse_poly(text, ring)
-    except AlgebraError as exc:
-        raise ProofFormatError(str(exc)) from exc
-
-
 def derivation_to_json(d: Derivation) -> dict:
     lines = []
     for poly, just in d.lines:
-        rule: dict
-        if isinstance(just, Axiom):
-            rule = {"kind": "axiom", "index": just.index}
-        elif isinstance(just, ZeroIntro):
-            rule = {"kind": "zero"}
-        elif isinstance(just, BoolAxiom):
-            rule = {"kind": "bool", "var": f"x{just.var}"}
-        elif isinstance(just, Add):
-            rule = {
-                "kind": "add",
-                "i": just.i,
-                "j": just.j,
-                "a": _coeff_to_json(d.ring, just.a),
-                "b": _coeff_to_json(d.ring, just.b),
-            }
-        elif isinstance(just, Mul):
-            rule = {"kind": "mul", "i": just.i, "var": f"x{just.var}"}
-        elif isinstance(just, Radical):
-            rule = {"kind": "radical", "i": just.i}
-        elif isinstance(just, Sos):
-            rule = {
-                "kind": "sos",
-                "i": just.i,
-                "p": just.witness.format(),
-                "squares": [q.format() for q in just.squares],
-            }
-        else:
-            raise ProofStructureError(f"unknown justification {just!r}")
-        lines.append({"poly": poly.format(), "rule": rule})
+        rule = rule_of(just)
+        entry = {"kind": rule.kind}
+        for f in rule.fields:
+            entry[f.key] = f.codec.to_json(getattr(just, f.name))
+        lines.append({"poly": poly.format(), "rule": entry})
     return {
         "system": d.system,
         "ring": d.ring.to_json(),
@@ -652,34 +663,17 @@ def derivation_from_json(obj: dict) -> Derivation:
         lines = []
         for entry in obj["lines"]:
             poly = _poly_from_json(entry["poly"], ring)
-            rule = entry["rule"]
-            kind = rule["kind"]
-            if kind == "axiom":
-                just: Justification = Axiom(_index_from_json(rule["index"]))
-            elif kind == "zero":
-                just = ZeroIntro()
-            elif kind == "bool":
-                just = BoolAxiom(_var_from_json(rule["var"]))
-            elif kind == "add":
-                just = Add(
-                    _index_from_json(rule["i"]),
-                    _index_from_json(rule["j"]),
-                    _coeff_from_json(ring, rule["a"]),
-                    _coeff_from_json(ring, rule["b"]),
+            spec = entry["rule"]
+            rule = _RULE_OF_KIND.get(spec["kind"])
+            if rule is None:
+                raise ProofFormatError(f"unknown rule kind {spec['kind']!r}")
+            values = {
+                f.name: f.codec.from_json(
+                    ring, spec[f.key] if f.default is None else spec.get(f.key, f.default)
                 )
-            elif kind == "mul":
-                just = Mul(_index_from_json(rule["i"]), _var_from_json(rule["var"]))
-            elif kind == "radical":
-                just = Radical(_index_from_json(rule["i"]))
-            elif kind == "sos":
-                just = Sos(
-                    _index_from_json(rule["i"]),
-                    _poly_from_json(rule["p"], ring),
-                    tuple(_poly_from_json(t, ring) for t in rule.get("squares", [])),
-                )
-            else:
-                raise ProofFormatError(f"unknown rule kind {kind!r}")
-            lines.append((poly, just))
+                for f in rule.fields
+            }
+            lines.append((poly, rule.cls(**values)))
         derivation = Derivation(system, ring, axioms.boolean_axioms, axioms, tuple(lines))
     except (KeyError, TypeError, AlgebraError) as exc:
         raise ProofFormatError(f"malformed proof file: {exc}") from exc
@@ -711,7 +705,8 @@ def sos_from_json(obj: dict) -> SosCertificate:
             axioms=axioms,
             boolean=bool(obj.get("boolean", False)),
             multipliers=tuple(
-                (int(m["axiom"]), _poly_from_json(m["poly"], ring)) for m in obj.get("multipliers", [])
+                (AXIOM.from_json(ring, m["axiom"]), _poly_from_json(m["poly"], ring))
+                for m in obj.get("multipliers", [])
             ),
             bool_multipliers=tuple(
                 (_var_from_json(m["var"]), _poly_from_json(m["poly"], ring))
@@ -742,7 +737,7 @@ def ns_from_json(obj: dict) -> NsCertificate:
         cert = NsCertificate(
             axioms=axioms,
             multipliers=tuple(
-                (_index_from_json(m["axiom"]), _poly_from_json(m["poly"], ring))
+                (AXIOM.from_json(ring, m["axiom"]), _poly_from_json(m["poly"], ring))
                 for m in obj.get("multipliers", [])
             ),
             target=_poly_from_json(obj["target"], ring),

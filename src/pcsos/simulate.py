@@ -19,6 +19,13 @@ corresponding checker:
 Scaling a rational certificate by a positive non-square splits each
 square via the four-square identity, so scaled objects stay certificates
 over the rationals at unchanged degree.
+
+Radical elimination replays every other line through the kernel's rule
+table (proofcheck.RULES), so it branches only on the radical rule.  The
+eps-recursion keeps its own case analysis over the rule kinds: each case
+is that rule's translation into certificate parts, which is the simulation
+itself, and giving the kernel's table a per-rule hook for it would make the
+kernel branch on one of its callers.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ from .proofcheck import (
     ZeroIntro,
     check_derivation,
     check_sos,
+    relabel,
+    rule_of,
 )
 
 
@@ -169,12 +178,7 @@ def sos_to_pcplus(cert: SosCertificate) -> Derivation:
     squares = tuple(Polynomial.const(ring, a) for a in witness_parts[1:]) + tuple(
         s for s in cert.squares if not s.is_zero
     )
-    expected = witness * witness
-    for s in squares:
-        expected = expected + s * s
-    if builder.poly(u) != expected:
-        raise SimulationError("certificate identity does not recompose; cannot compile")
-    closing = builder.sos_step(u, witness, squares)
+    closing = builder.sos_step(u, witness, squares)  # checks that u recomposes
     if builder.poly(closing) != Polynomial.const(ring, 1):
         builder.scale_line(closing, Fraction(1) / (witness_parts[0] ** 2))
     return builder.build()
@@ -310,31 +314,22 @@ def eliminate_radical_char_p(d: Derivation, max_p: int = 31) -> Derivation:
         raise UnsupportedConstruct(f"p = {ring.p} exceeds the configured cap {max_p}")
     if not d.boolean_axioms:
         raise UnsupportedConstruct("radical elimination needs the Boolean axioms")
-    if any(isinstance(j, Sos) for _, j in d.lines):
-        raise UnsupportedConstruct("sum-of-squares steps are not supported here")
+    for _, just in d.lines:
+        rule = rule_of(just)
+        if PC not in rule.systems and rule.cls is not Radical:
+            raise UnsupportedConstruct(f"{rule.kind} steps are not supported here")
     report = check_derivation(d)
     if not report.valid:
         raise SimulationError("input derivation does not verify")
 
-    p = ring.p
     builder = DerivationBuilder(PC, ring, d.axioms, boolean_axioms=True)
     remap: dict[int, int] = {}
 
     for idx, (poly, just) in enumerate(d.lines):
-        if isinstance(just, Axiom):
-            remap[idx] = builder.axiom(just.index)
-        elif isinstance(just, ZeroIntro):
-            remap[idx] = builder.zero()
-        elif isinstance(just, BoolAxiom):
-            remap[idx] = builder.bool_axiom(just.var)
-        elif isinstance(just, Add):
-            remap[idx] = builder.add(remap[just.i], remap[just.j], just.a, just.b)
-        elif isinstance(just, Mul):
-            remap[idx] = builder.mul_var(remap[just.i], just.var)
-        elif isinstance(just, Radical):
+        if isinstance(just, Radical):
             remap[idx] = _expand_radical(builder, remap[just.i], poly)
         else:
-            raise SimulationError(f"unsupported justification {just!r}")
+            remap[idx] = builder.derive(relabel(just, ring, remap.__getitem__))
         assert builder.poly(remap[idx]) == poly, f"line {idx} replay mismatch"
     return builder.build()
 

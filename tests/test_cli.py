@@ -98,14 +98,33 @@ class TestCheckCommands:
         assert main(["check-ns", path]) == 0
 
     def test_non_integer_index_exit_two(self, tmp_path, capsys):
-        obj = derivation_to_json(refutation_proof())
-        obj["lines"][2]["rule"]["i"] = "a"
-        assert main(["check", write(tmp_path, "proof.json", obj)]) == 2
-        cert = {"axioms": ["x1"], "target": "x1", "multipliers": [{"axiom": "a", "poly": "1"}]}
-        assert main(["check-ns", write(tmp_path, "ns.json", cert)]) == 2
+        # fractional and boolean indices must not be truncated to a valid index
+        for line, key, value in [(2, "i", "a"), (0, "index", 0.7), (0, "index", True)]:
+            obj = derivation_to_json(refutation_proof())
+            obj["lines"][line]["rule"][key] = value
+            assert main(["check", write(tmp_path, "proof.json", obj)]) == 2
+        for index in ["a", 0.9]:
+            cert = {"axioms": ["x1"], "target": "x1", "multipliers": [{"axiom": index, "poly": "1"}]}
+            assert main(["check-ns", write(tmp_path, "ns.json", cert)]) == 2
+        cert = {"axioms": ["x1"], "target": "x1", "multipliers": [{"axiom": 0.9, "poly": "1"}]}
+        assert main(["check-sos", write(tmp_path, "sos.json", cert)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert [line.split(":")[0] for line in err.splitlines()] == ["error", "error"]
+        assert [line.split(":")[0] for line in err.splitlines()] == ["error"] * 6
+
+    def test_bad_ring_descriptor_exit_two(self, tmp_path, capsys):
+        # a non-integer GF modulus must not be truncated or raise a bare ValueError
+        for ring in [{"kind": "gf", "p": "abc"}, {"kind": "gf", "p": 7.5}, ["gf", 7]]:
+            obj = derivation_to_json(refutation_proof())
+            obj["ring"] = ring
+            assert main(["check", write(tmp_path, "proof.json", obj)]) == 2
+            cert = {"ring": ring, "axioms": ["x1"], "target": "x1", "multipliers": []}
+            assert main(["check-ns", write(tmp_path, "ns.json", cert)]) == 2
+            eqs = write(tmp_path, "eqs.json", {"ring": ring, "equations": ["x1"]})
+            assert main(["search", "closure", eqs, "--degree", "1", "--query", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["error"] * 9
 
 
 class TestTranslate:

@@ -1,5 +1,8 @@
 import random
+import re
+import typing
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +13,10 @@ from pcsos.proofcheck import (
     BoolAxiom,
     Derivation,
     DerivationBuilder,
+    Justification,
     Mul,
     NsCertificate,
+    RULES,
     ProofStructureError,
     Radical,
     Sos,
@@ -65,6 +70,13 @@ class TestCheckDerivation:
         for system in ("pc", "pc_rad"):
             bad = check_derivation(lines_derivation(system, [P("x1^2 + x2^2")], lines))
             assert not bad.valid
+        # the witness and squares must recompose the cited line
+        lines[1] = (P("x1^2"), Sos(0, P("x1"), ()))
+        bad = check_derivation(lines_derivation("pc_plus", [P("x1^2 + x2^2")], lines))
+        assert bad.failure == (1, P("x2^2"))
+        b = DerivationBuilder("pc_plus", RATIONAL, eqset(RATIONAL, [P("x1^2 + x2^2")]))
+        with pytest.raises(ProofStructureError):
+            b.sos_step(b.axiom(0), P("x1"), ())
 
     def test_bool_requires_flag(self):
         lines = [(P("x1^2 - x1"), BoolAxiom(1))]
@@ -271,8 +283,23 @@ class TestBuilder:
         assert a1 == a2 and m1 == m2 and len(b) == 2
 
 
+class TestRuleTable:
+    def test_one_entry_per_justification(self):
+        members = typing.get_args(Justification)
+        assert len(members) == len(RULES) and set(members) == set(RULES)
+        assert all(rule.cls is cls for cls, rule in RULES.items())
+        assert len({rule.kind for rule in RULES.values()}) == len(RULES)
+
+    def test_readme_lists_the_table_kinds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("Rule kinds")[1].split("\n\n")[0]
+        assert set(re.findall(r"`([a-z_]+)`", paragraph)) == {r.kind for r in RULES.values()}
+
+
 class TestJsonRoundTrips:
     def test_derivation_round_trip(self):
+        # every rule kind, Boolean axioms and fractional coefficients; the
+        # expected file form is pinned literally
         axioms = [P("x1^2 + x2^2"), P("x1 - 1")]
         d = lines_derivation(
             "pc_plus",
@@ -281,13 +308,38 @@ class TestJsonRoundTrips:
                 (P("x1^2 + x2^2"), Axiom(0)),
                 (P("x1^2"), Sos(0, P("x1"), (P("x2"),))),
                 (P("x1"), Radical(1)),
+                (P("x1^2"), Mul(2, 1)),
+                (P("x1^2 - x1"), BoolAxiom(1)),
+                (P("0"), ZeroIntro()),
                 (P("x1 - 1"), Axiom(1)),
-                (P("1"), Add(2, 3, 1, -1)),
+                (P("x1"), Add(3, 4, 1, -1)),
+                (P("1/2"), Add(7, 6, Fraction(1, 2), Fraction(-1, 2))),
+                (P("1"), Add(8, 5, 2, 1)),
             ],
             boolean=True,
         )
+        assert {type(j) for _, j in d.lines} == set(RULES)
         assert check_derivation(d).refutation
-        again = derivation_from_json(derivation_to_json(d))
+        obj = derivation_to_json(d)
+        assert obj == {
+            "system": "pc_plus",
+            "ring": {"kind": "rational"},
+            "boolean_axioms": True,
+            "axioms": ["x1^2 + x2^2", "x1 - 1"],
+            "lines": [
+                {"poly": "x1^2 + x2^2", "rule": {"kind": "axiom", "index": 0}},
+                {"poly": "x1^2", "rule": {"kind": "sos", "i": 0, "p": "x1", "squares": ["x2"]}},
+                {"poly": "x1", "rule": {"kind": "radical", "i": 1}},
+                {"poly": "x1^2", "rule": {"kind": "mul", "i": 2, "var": "x1"}},
+                {"poly": "x1^2 - x1", "rule": {"kind": "bool", "var": "x1"}},
+                {"poly": "0", "rule": {"kind": "zero"}},
+                {"poly": "x1 - 1", "rule": {"kind": "axiom", "index": 1}},
+                {"poly": "x1", "rule": {"kind": "add", "i": 3, "j": 4, "a": "1", "b": "-1"}},
+                {"poly": "1/2", "rule": {"kind": "add", "i": 7, "j": 6, "a": "1/2", "b": "-1/2"}},
+                {"poly": "1", "rule": {"kind": "add", "i": 8, "j": 5, "a": "2", "b": "1"}},
+            ],
+        }
+        again = derivation_from_json(obj)
         assert again == d
 
     def test_sos_round_trip(self):
