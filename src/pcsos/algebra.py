@@ -13,6 +13,7 @@ printing and for indexing in linear algebra, never semantically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -509,34 +510,17 @@ def _format_term(ring: Ring, m: Monomial, c) -> str:
 # -- parsing ----------------------------------------------------------
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# one token: an ASCII number or any single non-space character
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
+_DIGITS = frozenset("0123456789")
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str | None:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise PolyParseError("unexpected end of input", self.pos)
-        self.pos += 1
-        return ch
-
-    def expect_nat(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PolyParseError("expected a number", start)
-        return int(self.text[start : self.pos])
+def _parse_error(text: str, message: str, k: int) -> PolyParseError:
+    """Error at the k-th token of text, or at its end if there is none."""
+    for n, match in enumerate(_TOKEN.finditer(text)):
+        if n == k:
+            return PolyParseError(message, match.start(1))
+    return PolyParseError(message, len(text))
 
 
 def parse_poly(text: str, ring: Ring) -> Polynomial:
@@ -547,75 +531,91 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     factors := factor ('*' factor)*
     factor  := var ['^' nat]         var := 'x' nat
     coeff   := int | int '/' posnat  (reduced mod p over gf(p))
+
+    Numbers are ASCII digits; whitespace may separate any two tokens.
     """
-    toks = _Tokens(text)
-    result = Polynomial.zero(ring)
-    negate = False
-    if toks.peek() == "-":
-        toks.take()
-        negate = True
-    while True:
-        term = _parse_term(toks, ring)
-        result = result + (-term if negate else term)
-        ch = toks.peek()
-        if ch is None:
-            return result
-        if ch == "+":
-            toks.take()
-            negate = False
-        elif ch == "-":
-            toks.take()
-            negate = True
-        else:
-            raise PolyParseError(f"unexpected character {ch!r}", toks.pos)
-
-
-def _parse_term(toks: _Tokens, ring: Ring) -> Polynomial:
-    ch = toks.peek()
-    if ch is None:
-        raise PolyParseError("expected a term", toks.pos)
-    coeff = ring.one
-    have_coeff = False
-    if ch.isdigit():
-        start = toks.pos
-        num = toks.expect_nat()
-        if toks.peek() == "/":
-            toks.take()
-            den = toks.expect_nat()
-            if den == 0:
-                raise PolyParseError("zero denominator", start)
-            frac = Fraction(num, den)
-        else:
-            frac = Fraction(num)
-        try:
-            coeff = ring.coerce(frac)
-        except AlgebraError as exc:
-            raise PolyParseError(str(exc), start) from exc
-        have_coeff = True
-        if toks.peek() != "*":
-            return Polynomial.const(ring, coeff)
-        toks.take()
-    mono = _parse_factors(toks, ring, allow_leading_coeff=not have_coeff)
-    return mono.scale(coeff)
-
-
-def _parse_factors(toks: _Tokens, ring: Ring, allow_leading_coeff: bool) -> Polynomial:
-    exps: dict[int, int] = {}
-    while True:
-        ch = toks.peek()
-        if ch != "x":
-            raise PolyParseError("expected a variable like x1", toks.pos)
-        toks.take()
-        var = toks.expect_nat()
-        exp = 1
-        if toks.peek() == "^":
-            toks.take()
-            exp = toks.expect_nat()
-        exps[var] = exps.get(var, 0) + exp
-        if toks.peek() == "*":
-            toks.take()
-            continue
-        return Polynomial(ring, {Monomial(exps): ring.one})
+    toks = _TOKEN.findall(text)
+    end = len(toks)
+    add, neg = ring.add, ring.neg
+    acc: dict = {}  # exponent tuple -> nonzero coefficient, in order of appearance
+    degrees: dict = {}
+    negate = end > 0 and toks[0] == "-"
+    k = 1 if negate else 0
+    try:
+        while True:
+            if k == end:
+                raise _parse_error(text, "expected a term", k)
+            coeff, more = 1, True
+            if toks[k][0] in _DIGITS:
+                start = k
+                coeff = int(toks[k])
+                k += 1
+                if k < end and toks[k] == "/":
+                    k += 1
+                    if k == end or toks[k][0] not in _DIGITS:
+                        raise _parse_error(text, "expected a number", k)
+                    den = int(toks[k])
+                    if not den:
+                        raise _parse_error(text, "zero denominator", start)
+                    k += 1
+                    coeff = Fraction(coeff, den)
+                try:
+                    coeff = ring.coerce(coeff)
+                except AlgebraError as exc:
+                    raise _parse_error(text, str(exc), start) from exc
+                more = k < end and toks[k] == "*"
+                if more:
+                    k += 1
+            key: tuple = ()  # sorted (var, exp > 0) pairs
+            degree = 0
+            while more:
+                if k == end or toks[k] != "x":
+                    raise _parse_error(text, "expected a variable like x1", k)
+                k += 1
+                if k == end or toks[k][0] not in _DIGITS:
+                    raise _parse_error(text, "expected a number", k)
+                var = int(toks[k])
+                k += 1
+                exp = 1
+                if k < end and toks[k] == "^":
+                    k += 1
+                    if k == end or toks[k][0] not in _DIGITS:
+                        raise _parse_error(text, "expected a number", k)
+                    exp = int(toks[k])
+                    k += 1
+                if exp:
+                    key = merge_exps(key, ((var, exp),))
+                    degree += exp
+                if k == end or toks[k] != "*":
+                    break
+                k += 1
+            if coeff:
+                if negate:
+                    coeff = neg(coeff)
+                prev = acc.get(key)
+                if prev is not None:
+                    coeff = add(prev, coeff)
+                degrees[key] = degree
+                if coeff:
+                    acc[key] = coeff
+                else:  # a cancelled term leaves, and goes to the end if it returns
+                    del acc[key]
+            if k == end:
+                break
+            if toks[k] == "+":
+                negate = False
+            elif toks[k] == "-":
+                negate = True
+            else:
+                raise _parse_error(text, f"unexpected character {toks[k][0]!r}", k)
+            k += 1
+    except PolyParseError:
+        raise
+    except ValueError as exc:  # int() refuses numbers past the interpreter's digit limit
+        raise _parse_error(text, "number too long", k) from exc
+    # constant terms share ONE_MONOMIAL, as in Polynomial.const
+    terms = {Monomial._make(key, degrees[key]) if key else ONE_MONOMIAL: c for key, c in acc.items()}
+    return Polynomial._raw(ring, terms)
 
 
 # -- equation sets ----------------------------------------------------

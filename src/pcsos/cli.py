@@ -90,7 +90,7 @@ def _assignment(pairs) -> dict[str, int]:
     out = {}
     for pair in pairs or []:
         name, _, value = pair.partition("=")
-        if not value.isdigit():
+        if not (value.isascii() and value.isdigit()):
             raise CliFormatError(f"bad assignment {pair!r}; expected name=nat")
         out[name] = int(value)
     return out
@@ -101,6 +101,8 @@ def _registry(path) -> FunctionRegistry:
     if path is None:
         return reg
     obj = load_json(path)
+    if not isinstance(obj, dict):
+        raise CliFormatError("malformed registry file: expected a JSON object")
     try:
         for name, spec in obj.get("index_tables", {}).items():
             table = {tuple(args): value for args, value in spec.get("entries", [])}
@@ -249,9 +251,29 @@ def _load_formula(args, reg):
     if text is None:
         if args.formula_file is None:
             raise CliFormatError("provide --formula or --formula-file")
-        with open(args.formula_file, "r", encoding="ascii") as fh:
-            text = fh.read()
+        try:
+            with open(args.formula_file, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CliFormatError(f"cannot read {args.formula_file}: {exc}") from exc
     return fol.parse_formula(text, reg, scope=set(_assignment(args.assign)))
+
+
+def _oracle(path, ring: Ring) -> dict:
+    """Variable values from a JSON list, or an object keyed by variable index."""
+    if path is None:
+        raise CliFormatError("fol eval needs --oracle")
+    raw = load_json(path)
+    if isinstance(raw, list):
+        items = enumerate(raw)
+    elif isinstance(raw, dict):
+        items = raw.items()
+    else:
+        raise CliFormatError("malformed oracle file: expected a JSON list or object")
+    try:
+        return {int(k): ring.coerce(Fraction(str(v))) for k, v in items}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliFormatError(f"malformed oracle file: {exc}") from exc
 
 
 def _cmd_fol(args) -> int:
@@ -268,12 +290,7 @@ def _cmd_fol(args) -> int:
             dump_json(eqset_to_json(eqs), args.output)
         _summary(args, {"valid": True, "equations": len(eqs)})
         return EXIT_OK
-    oracle_raw = load_json(args.oracle)
-    if isinstance(oracle_raw, list):
-        oracle = {k: args.ring.coerce(Fraction(str(v))) for k, v in enumerate(oracle_raw)}
-    else:
-        oracle = {int(k): args.ring.coerce(Fraction(str(v))) for k, v in oracle_raw.items()}
-    truth = fol.eval_formula(phi, alpha, oracle, reg, args.ring)
+    truth = fol.eval_formula(phi, alpha, _oracle(args.oracle, args.ring), reg, args.ring)
     _summary(args, {"valid": bool(truth)})
     return EXIT_OK if truth else EXIT_INVALID
 

@@ -283,7 +283,7 @@ _IOPS = ("+", "*", "monus")
 
 def parse_index_term(sexp, reg: FunctionRegistry, scope: set[str]) -> IndexTerm:
     if isinstance(sexp, str):
-        if sexp.isdigit():
+        if sexp.isascii() and sexp.isdigit():
             return IdxLit(int(sexp))
         if sexp in scope:
             return IdxVar(sexp)

@@ -110,7 +110,7 @@ def _index_from_json(value) -> int:
 
 
 def _var_from_json(name) -> int:
-    if isinstance(name, str) and name.startswith("x") and name[1:].isdigit():
+    if isinstance(name, str) and name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
         return int(name[1:])
     raise ProofFormatError(f"bad variable name {name!r}, expected like 'x3'")
 
@@ -651,7 +651,14 @@ def derivation_to_json(d: Derivation) -> dict:
     }
 
 
+def _require_object(obj, what: str) -> None:
+    """Reject a file whose top level is not a JSON object."""
+    if not isinstance(obj, dict):
+        raise ProofFormatError(f"malformed {what} file: expected a JSON object, got {type(obj).__name__}")
+
+
 def derivation_from_json(obj: dict) -> Derivation:
+    _require_object(obj, "proof")
     try:
         ring = Ring.from_json(obj["ring"])
         system = obj["system"]
@@ -693,6 +700,7 @@ def sos_to_json(c: SosCertificate) -> dict:
 
 
 def sos_from_json(obj: dict) -> SosCertificate:
+    _require_object(obj, "certificate")
     ring = RATIONAL
     try:
         axioms = EquationSet(
@@ -731,6 +739,7 @@ def ns_to_json(c: NsCertificate) -> dict:
 
 
 def ns_from_json(obj: dict) -> NsCertificate:
+    _require_object(obj, "certificate")
     try:
         ring = Ring.from_json(obj.get("ring", {"kind": "rational"}))
         axioms = EquationSet(ring, tuple(_poly_from_json(t, ring) for t in obj["axioms"]))
@@ -756,6 +765,7 @@ def eqset_to_json(eqs: EquationSet) -> dict:
 
 
 def eqset_from_json(obj: dict) -> EquationSet:
+    _require_object(obj, "equation set")
     try:
         ring = Ring.from_json(obj.get("ring", {"kind": "rational"}))
         return EquationSet(
@@ -771,7 +781,7 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProofFormatError(f"cannot read {path}: {exc}") from exc
 
 

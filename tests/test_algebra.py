@@ -21,6 +21,40 @@ def P(text, ring=RATIONAL):
     return parse_poly(text, ring)
 
 
+# (text, ring, str(error), error.position) for malformed polynomial text,
+# pinned from the character-at-a-time reader this one replaced
+MALFORMED = [
+    ("", RATIONAL, "expected a term (at position 0)", 0),
+    ("   ", RATIONAL, "expected a term (at position 3)", 3),
+    ("-", RATIONAL, "expected a term (at position 1)", 1),
+    ("x1 - ", RATIONAL, "expected a term (at position 5)", 5),
+    ("x", RATIONAL, "expected a number (at position 1)", 1),
+    ("x1*x", RATIONAL, "expected a number (at position 4)", 4),
+    ("x1 ^ ", RATIONAL, "expected a number (at position 5)", 5),
+    ("2*x1^y", RATIONAL, "expected a number (at position 5)", 5),
+    ("1/", RATIONAL, "expected a number (at position 2)", 2),
+    ("3/x1", RATIONAL, "expected a number (at position 2)", 2),
+    ("1/0", RATIONAL, "zero denominator (at position 0)", 0),
+    ("x1 + 2 / 0 * x2", RATIONAL, "zero denominator (at position 5)", 5),
+    ("1/3", GF(3), "1/3 has no inverse modulo 3 (at position 0)", 0),
+    ("x1 + 6/9*x2", GF(3), "2/3 has no inverse modulo 3 (at position 5)", 5),
+    ("x1 @ x2", RATIONAL, "unexpected character '@' (at position 3)", 3),
+    ("1 22", RATIONAL, "unexpected character '2' (at position 2)", 2),
+    ("x1 x2", RATIONAL, "unexpected character 'x' (at position 3)", 3),
+    ("x1^2^3", RATIONAL, "unexpected character '^' (at position 4)", 4),
+    ("x1 ²", RATIONAL, "unexpected character '²' (at position 3)", 3),
+    ("y1", RATIONAL, "expected a variable like x1 (at position 0)", 0),
+    ("--x1", RATIONAL, "expected a variable like x1 (at position 1)", 1),
+    ("x1 + - x2", RATIONAL, "expected a variable like x1 (at position 5)", 5),
+    ("+x1", RATIONAL, "expected a variable like x1 (at position 0)", 0),
+    ("x1*", RATIONAL, "expected a variable like x1 (at position 3)", 3),
+    ("2*", RATIONAL, "expected a variable like x1 (at position 2)", 2),
+    ("x1 * ", RATIONAL, "expected a variable like x1 (at position 5)", 5),
+    ("1*2", RATIONAL, "expected a variable like x1 (at position 2)", 2),
+    ("x1 +\t@", RATIONAL, "expected a variable like x1 (at position 5)", 5),
+]
+
+
 class TestParsing:
     def test_direct_reading(self):
         p = P("x1^2 - x1")
@@ -37,6 +71,55 @@ class TestParsing:
         with pytest.raises(PolyParseError) as err:
             P("x1 + @")
         assert err.value.position == 5
+
+    @pytest.mark.parametrize("text, ring, message, position", MALFORMED)
+    def test_malformed_message_and_position(self, text, ring, message, position):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, ring)
+        assert (str(err.value), err.value.position) == (message, position)
+
+    def test_digits_are_ascii(self):
+        # "²" and "٣" pass str.isdigit; neither is a digit of the grammar
+        for text, position in [("x²", 1), ("x1^²", 3), ("²", 0), ("x٣", 1), ("1/²", 2)]:
+            with pytest.raises(PolyParseError) as err:
+                P(text)
+            assert err.value.position == position
+
+    def test_number_past_digit_limit(self):
+        with pytest.raises(PolyParseError) as err:
+            P("x1 + x" + "1" * 5000)
+        assert err.value.position == 6
+
+    def test_whitespace_between_any_two_tokens(self):
+        assert P("x 1") == P("x1")
+        assert P(" 1 / 2 * x3 ") == P("1/2*x3")
+        assert P("-\tx1 ^ 2\n+ x2 * x1") == P("-x1^2 + x1*x2")
+        assert P("x1\u00a0+\u2003x2") == P("x1 + x2")
+
+    def test_cancelled_terms_drop(self):
+        assert P("x1 - x1").is_zero
+        assert P("x1 + x2 - x1") == P("x2")
+        assert P("1/2*x1 + 1/2*x1 - x1 + 3") == P("3")
+        assert P("x1 + x1 + x1", GF(3)).is_zero
+        assert P("0*x1 + 0") == Polynomial.zero(RATIONAL)
+
+    def test_fuzz_parse_or_parse_error(self):
+        # any string is a polynomial or a PolyParseError, and accepted text
+        # round-trips through format()
+        rng = random.Random(2024)
+        alphabet = "x0123456789+-*/^ \t@²"
+        accepted = 0
+        for ring in (RATIONAL, GF(3)):
+            for _ in range(4000):
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(14)))
+                try:
+                    p = parse_poly(text, ring)
+                except PolyParseError:
+                    continue
+                accepted += 1
+                assert isinstance(p, Polynomial)
+                assert parse_poly(p.format(), ring) == p
+        assert accepted > 200
 
     def test_repeated_factor_merges(self):
         assert P("x1*x1") == P("x1^2")

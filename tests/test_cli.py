@@ -127,6 +127,75 @@ class TestCheckCommands:
         assert [line.split(":")[0] for line in err.splitlines()] == ["error"] * 9
 
 
+def assert_format_errors(capsys, count):
+    """Each of count commands exited 2 with a single error: line."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.split(":")[0] for line in err.splitlines()] == ["error"] * count
+
+
+class TestMalformedFiles:
+    def test_unicode_digits_exit_two(self, tmp_path, capsys):
+        # "²" passes str.isdigit but not int(); it is not a digit of the grammar
+        proof = derivation_to_json(refutation_proof())
+        proof["axioms"][0] = "x²"
+        assert main(["check", write(tmp_path, "proof.json", proof)]) == 2
+        sos = {"axioms": ["x²"], "target": "1", "squares": []}
+        assert main(["check-sos", write(tmp_path, "sos.json", sos)]) == 2
+        ns = {"axioms": ["x1"], "target": "x1^²", "multipliers": []}
+        assert main(["check-ns", write(tmp_path, "ns.json", ns)]) == 2
+        eqs = write(tmp_path, "eqs.json", {"equations": ["²"]})
+        assert main(["search", "closure", eqs, "--degree", "1", "--query", "1"]) == 2
+        eqs = write(tmp_path, "eqs.json", {"equations": ["x1"]})
+        assert main(["search", "closure", eqs, "--degree", "2", "--query", "x1^²"]) == 2
+        assert_format_errors(capsys, 5)
+
+    def test_unicode_digits_outside_polynomials_exit_two(self, tmp_path, capsys):
+        proof = derivation_to_json(refutation_proof())
+        proof["lines"].append({"poly": "x1^2 - x1", "rule": {"kind": "bool", "var": "x²"}})
+        assert main(["check", write(tmp_path, "proof.json", proof)]) == 2
+        formula = "(forall i n (= (X i) (rat 0)))"
+        assert main(["fol", "translate", "--formula", formula, "--assign", "n=²"]) == 2
+        assert main(["fol", "classify", "--formula", "(= (X ²) (rat 1))"]) == 2
+        assert_format_errors(capsys, 3)
+
+    def test_non_ascii_bytes_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        path = str(path)
+        assert main(["check", path]) == 2
+        assert main(["check-sos", path]) == 2
+        assert main(["check-ns", path]) == 2
+        assert main(["search", "closure", path, "--degree", "1", "--query", "1"]) == 2
+        assert main(["lkr", "check", path]) == 2
+        assert main(["fol", "classify", "--formula-file", path]) == 2
+        assert_format_errors(capsys, 6)
+
+    def test_deeply_nested_json_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["check", str(path)]) == 2
+        assert_format_errors(capsys, 1)
+
+    def test_top_level_array_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "array.json", [])
+        assert main(["check", path]) == 2
+        assert main(["check-sos", path]) == 2
+        assert main(["check-ns", path]) == 2
+        assert main(["search", "closure", path, "--degree", "1", "--query", "1"]) == 2
+        assert_format_errors(capsys, 4)
+
+    def test_malformed_fol_side_files_exit_two(self, tmp_path, capsys):
+        formula = "(= (X 0) (rat 1))"
+        registry = write(tmp_path, "registry.json", [])
+        assert main(["fol", "classify", "--formula", formula, "--registry", registry]) == 2
+        for oracle in [5, ["abc"]]:
+            path = write(tmp_path, "oracle.json", oracle)
+            assert main(["fol", "eval", "--formula", formula, "--oracle", path]) == 2
+        assert main(["fol", "eval", "--formula", formula]) == 2
+        assert_format_errors(capsys, 4)
+
+
 class TestTranslate:
     def test_pcplus_to_sos_pipeline(self, tmp_path, capsys):
         proof = write(tmp_path, "proof.json", derivation_to_json(refutation_proof()))
