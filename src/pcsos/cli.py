@@ -206,6 +206,26 @@ def _cert_path(base: str) -> str:
     return base[:-5] + ".cert.json" if base.endswith(".json") else base + ".cert.json"
 
 
+def _graph_spec(graph) -> tuple[list, list, int, int]:
+    """(h, p, pigeons, holes) of a bphp-graph file; every number is a JSON integer."""
+    if not isinstance(graph, dict):
+        raise CliFormatError("malformed graph file: expected a JSON object")
+    try:
+        h, p, m, n = (graph[k] for k in ("h", "p", "pigeons", "holes"))
+    except KeyError as exc:
+        raise CliFormatError(f"malformed graph file: missing {exc}") from exc
+
+    def ints(values):
+        return isinstance(values, list) and all(type(v) is int for v in values)  # not bool
+
+    if not (ints([m, n]) and isinstance(h, list) and isinstance(p, list) and all(map(ints, h + p))):
+        raise CliFormatError(
+            "malformed graph file: pigeons and holes must be JSON integers, "
+            "and h and p lists of lists of JSON integers"
+        )
+    return h, p, m, n
+
+
 def _cmd_gen(args) -> int:
     certificate_obj = None
     if args.family == "fphp":
@@ -216,13 +236,7 @@ def _cmd_gen(args) -> int:
                 cert = normalize_refutation(cert)
             certificate_obj = sos_to_json(cert)
     elif args.family == "bphp-graph":
-        graph = load_json(args.graph)
-        try:
-            instance = gen_bphp_graph(
-                graph["h"], graph["p"], int(graph["pigeons"]), int(graph["holes"])
-            )
-        except (KeyError, TypeError) as exc:
-            raise CliFormatError(f"malformed graph file: {exc}") from exc
+        instance = gen_bphp_graph(*_graph_spec(load_json(args.graph)))
     elif args.family == "subset-sum":
         instance = gen_subset_sum(args.n)
         if args.with_cert:

@@ -163,6 +163,10 @@ def gen_bphp_graph(holes_of, pigeons_of, m: int, n: int, ring: Ring = RATIONAL) 
     degrees = {len(row) for row in list(holes_of) + list(pigeons_of)}
     if len(degrees) != 1 or 0 in degrees:
         raise FamilyError("adjacency lists must all have the same positive length")
+    if any(not 0 <= hole < n for row in holes_of for hole in row) or any(
+        not 0 <= pigeon < m for row in pigeons_of for pigeon in row
+    ):
+        raise FamilyError(f"h must list holes in 0..{n - 1} and p pigeons in 0..{m - 1}")
     d = degrees.pop()
     reg = graph_registry(holes_of, pigeons_of, m, n)
 

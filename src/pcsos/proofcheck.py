@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable
 
 from .algebra import (
@@ -34,7 +35,6 @@ from .algebra import (
     Monomial,
     Polynomial,
     Ring,
-    four_square,
     merge_exps,
     parse_poly,
 )
@@ -299,7 +299,12 @@ class Derivation:
 
 @dataclass(frozen=True)
 class SosCertificate:
-    """Static witness for  sum_i r_i p_i + sum_v b_v (x_v^2-x_v) + sum_j s_j^2 + const == target."""
+    """Static witness for  sum_i r_i p_i + sum_v b_v (x_v^2-x_v) + sum_j w_j s_j^2 + const == target.
+
+    Each square s_j carries a positive rational weight w_j (the weighted
+    form sum_j w_j s_j^2 of a Gram matrix); an empty weights tuple means
+    every weight is 1.
+    """
 
     axioms: EquationSet
     boolean: bool
@@ -308,6 +313,11 @@ class SosCertificate:
     target: Polynomial
     bool_multipliers: tuple[tuple[int, Polynomial], ...] = ()
     constant: Fraction = Fraction(0)
+    weights: tuple[Fraction, ...] = ()
+
+    def weighted_squares(self):
+        """(square, weight) pairs; every weight is 1 when weights is empty."""
+        return zip(self.squares, self.weights or repeat(1))
 
 
 @dataclass(frozen=True)
@@ -362,18 +372,25 @@ def _accumulate_product(acc: dict, r: Polynomial, p: Polynomial):
     return d1 + d2
 
 
-def _accumulate_square(acc: dict, s: Polynomial):
-    """Add s^2 into the accumulator using the symmetry of the square."""
+def _accumulate_square(acc: dict, s: Polynomial, w=1):
+    """Add w*s^2 into the accumulator using the symmetry of the square.
+
+    A weighted square is expanded once on its own, in the coefficients of s
+    (often integers), and each monomial of s^2 is then scaled by w."""
     if s.is_zero:
         return MINUS_INF
+    square = acc if w == 1 else {}
     items = [(m.exps, c) for m, c in s._terms.items()]
     for idx, (e1, c1) in enumerate(items):
         e = merge_exps(e1, e1)
-        acc[e] = acc.get(e, 0) + c1 * c1
+        square[e] = square.get(e, 0) + c1 * c1
         for k in range(idx + 1, len(items)):
             e2, c2 = items[k]
             e = merge_exps(e1, e2)
-            acc[e] = acc.get(e, 0) + 2 * c1 * c2
+            square[e] = square.get(e, 0) + 2 * c1 * c2
+    if square is not acc:
+        for e, c in square.items():
+            acc[e] = acc.get(e, 0) + w * c
     return 2 * s.degree
 
 
@@ -441,6 +458,11 @@ def check_sos(c: SosCertificate) -> CheckReport:
         raise ProofStructureError("bool multipliers present but boolean flag is false")
     if c.constant < 0:
         raise ProofStructureError(f"negative certificate constant {c.constant}")
+    if c.weights and len(c.weights) != len(c.squares):
+        raise ProofStructureError(f"{len(c.weights)} weights for {len(c.squares)} squares")
+    for w in c.weights:
+        if w <= 0:
+            raise ProofStructureError(f"non-positive square weight {w}")
     ring = c.axioms.ring
     acc: dict = {(): ring.coerce(c.constant)} if c.constant else {}
     degree = MINUS_INF if c.constant == 0 else 0
@@ -450,8 +472,9 @@ def check_sos(c: SosCertificate) -> CheckReport:
         degree = max(degree, _accumulate_product(acc, r, c.axioms[k]))
     for v, r in c.bool_multipliers:
         degree = max(degree, _accumulate_product(acc, r, _bool_poly(ring, v)))
-    for s in c.squares:
-        degree = max(degree, _accumulate_square(acc, s))
+    for s, w in c.weighted_squares():
+        # an integral weight as an int keeps integer squares off Fraction arithmetic
+        degree = max(degree, _accumulate_square(acc, s, ring.coerce(w)))
     mismatch = _diff(_accumulated_poly(ring, acc), c.target)
     valid = mismatch is None
     refutation = valid and _is_negative_constant(c.target)
@@ -481,9 +504,8 @@ def check_nullstellensatz(c: NsCertificate) -> CheckReport:
 def normalize_refutation(c: SosCertificate) -> SosCertificate:
     """Rescale a target -c refutation (c > 0) to the standard target -1.
 
-    Every component is multiplied by 1/c; each scaled square (1/c) s^2 is
-    split into at most four rational squares via the four-square identity,
-    so the certificate degree is unchanged.
+    Every multiplier, the constant and every square weight is multiplied
+    by 1/c; the squares themselves, and so the degree, are unchanged.
     """
     report = check_sos(c)
     if not report.valid or not report.refutation:
@@ -496,19 +518,15 @@ def normalize_refutation(c: SosCertificate) -> SosCertificate:
 def scale_certificate(c: SosCertificate, scale: Fraction, target: Polynomial) -> SosCertificate:
     if scale <= 0:
         raise ProofStructureError("certificate scale must be positive")
-    squares: list[Polynomial] = []
-    for s in c.squares:
-        for a in four_square(scale):
-            if a != 0:
-                squares.append(s.scale(a))
     return SosCertificate(
         axioms=c.axioms,
         boolean=c.boolean,
         multipliers=tuple((k, r.scale(scale)) for k, r in c.multipliers),
         bool_multipliers=tuple((v, r.scale(scale)) for v, r in c.bool_multipliers),
-        squares=tuple(squares),
+        squares=c.squares,
         constant=c.constant * scale,
         target=target,
+        weights=tuple(w * scale for _, w in c.weighted_squares()),
     )
 
 
@@ -688,7 +706,7 @@ def derivation_from_json(obj: dict) -> Derivation:
 
 
 def sos_to_json(c: SosCertificate) -> dict:
-    return {
+    obj = {
         "boolean": c.boolean,
         "axioms": [p.format() for p in c.axioms],
         "target": c.target.format(),
@@ -697,6 +715,22 @@ def sos_to_json(c: SosCertificate) -> dict:
         "squares": [s.format() for s in c.squares],
         "constant": str(c.constant),
     }
+    if any(w != 1 for w in c.weights):  # so unweighted files keep their old bytes
+        obj["weights"] = [str(w) for w in c.weights]
+    return obj
+
+
+def _weights_from_json(obj: dict, squares: int) -> tuple[Fraction, ...]:
+    if "weights" not in obj:
+        return ()
+    values = obj["weights"]
+    if not isinstance(values, list) or len(values) != squares:
+        raise ProofFormatError(f"weights must be a list of {squares} positive rationals, one per square")
+    weights = tuple(Fraction(_coeff_from_json(RATIONAL, v)) for v in values)
+    for value, w in zip(values, weights):
+        if w <= 0:
+            raise ProofFormatError(f"square weight {value!r} is not positive")
+    return weights
 
 
 def sos_from_json(obj: dict) -> SosCertificate:
@@ -709,6 +743,7 @@ def sos_from_json(obj: dict) -> SosCertificate:
             bool(obj.get("boolean", False)),
         )
         constant = Fraction(str(obj.get("constant", 0)))
+        squares = tuple(_poly_from_json(t, ring) for t in obj.get("squares", []))
         cert = SosCertificate(
             axioms=axioms,
             boolean=bool(obj.get("boolean", False)),
@@ -720,11 +755,12 @@ def sos_from_json(obj: dict) -> SosCertificate:
                 (_var_from_json(m["var"]), _poly_from_json(m["poly"], ring))
                 for m in obj.get("bool_multipliers", [])
             ),
-            squares=tuple(_poly_from_json(t, ring) for t in obj.get("squares", [])),
+            squares=squares,
             constant=constant,
             target=_poly_from_json(obj["target"], ring),
+            weights=_weights_from_json(obj, len(squares)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ProofFormatError(f"malformed certificate file: {exc}") from exc
     return cert
 

@@ -16,9 +16,10 @@ corresponding checker:
   followed by explicit Boolean reductions of each x^(dp) back to x^d,
   leaving a radical-free PC derivation.
 
-Scaling a rational certificate by a positive non-square splits each
-square via the four-square identity, so scaled objects stay certificates
-over the rationals at unchanged degree.
+Squares are kept in the weighted form sum_j w_j s_j^2 with rational
+w_j > 0 (the Gram form), so scaling a certificate scales weights and
+repeated squares merge into one; the four-square identity is needed only
+where the PC+ sum-of-squares rule wants plain squares, in sos_to_pcplus.
 
 Radical elimination replays every other line through the kernel's rule
 table (proofcheck.RULES), so it branches only on the radical rule.  The
@@ -52,6 +53,7 @@ from .proofcheck import (
     check_sos,
     relabel,
     rule_of,
+    scale_certificate,
 )
 
 
@@ -62,68 +64,47 @@ class SimulationError(ValueError):
 # -- internal certificate accumulator ----------------------------------
 
 
-@dataclass
 class _Parts:
-    """Mutable summands of an SoS+Bool identity, combined and scaled freely."""
+    """Summands of an SoS+Bool identity, with the squares in weighted form.
 
-    multipliers: dict[int, Polynomial]
-    bool_multipliers: dict[int, Polynomial]
-    squares: list[Polynomial]
-    constant: Fraction
+    A square t*s that is a nonzero rational multiple of a square s already
+    held adds t^2 w to the weight of s instead of becoming a new square, so
+    s and -s merge too.  The first square seen stays the representative.
+    """
 
-    @staticmethod
-    def empty() -> "_Parts":
-        return _Parts({}, {}, [], Fraction(0))
-
-    def copy(self) -> "_Parts":
-        return _Parts(
-            dict(self.multipliers),
-            dict(self.bool_multipliers),
-            list(self.squares),
-            self.constant,
-        )
+    def __init__(self, ring):
+        self.ring = ring
+        self.multipliers: dict[int, list[Polynomial]] = {}
+        self.bool_multipliers: dict[int, list[Polynomial]] = {}
+        # monic form -> [first square s, its leading coefficient, weight of s^2]
+        self.squares: dict[Polynomial, list] = {}
+        self.constant = Fraction(0)
 
     def add_multiplier(self, axiom: int, poly: Polynomial):
-        prev = self.multipliers.get(axiom)
-        self.multipliers[axiom] = poly if prev is None else prev + poly
+        self.multipliers.setdefault(axiom, []).append(poly)
 
     def add_bool(self, var: int, poly: Polynomial):
-        prev = self.bool_multipliers.get(var)
-        self.bool_multipliers[var] = poly if prev is None else prev + poly
+        self.bool_multipliers.setdefault(var, []).append(poly)
 
-    def merge(self, other: "_Parts"):
-        for k, r in other.multipliers.items():
-            self.add_multiplier(k, r)
-        for v, r in other.bool_multipliers.items():
-            self.add_bool(v, r)
-        self.squares.extend(other.squares)
-        self.constant += other.constant
-
-    def scaled(self, factor: Fraction) -> "_Parts":
-        if factor <= 0:
-            raise SimulationError("certificate scale must be positive")
-        squares: list[Polynomial] = []
-        weights = [a for a in four_square(factor) if a != 0]
-        for s in self.squares:
-            squares.extend(s.scale(a) for a in weights)
-        return _Parts(
-            {k: r.scale(factor) for k, r in self.multipliers.items()},
-            {v: r.scale(factor) for v, r in self.bool_multipliers.items()},
-            squares,
-            self.constant * factor,
-        )
+    def add_square(self, s: Polynomial, weight: Fraction):
+        if s.is_zero:
+            return
+        lead = Fraction(s.sorted_terms()[0][1])
+        entry = self.squares.setdefault(s.scale(1 / lead), [s, lead, Fraction(0)])
+        entry[2] += weight * (lead / entry[1]) ** 2
 
     def certificate(self, axioms: EquationSet, target: Polynomial) -> SosCertificate:
+        def summed(polys: dict[int, list[Polynomial]]):
+            sums = ((k, Polynomial.sum(self.ring, ps)) for k, ps in sorted(polys.items()))
+            return tuple((k, r) for k, r in sums if not r.is_zero)
+
         return SosCertificate(
             axioms=axioms,
             boolean=True,
-            multipliers=tuple(
-                (k, r) for k, r in sorted(self.multipliers.items()) if not r.is_zero
-            ),
-            bool_multipliers=tuple(
-                (v, r) for v, r in sorted(self.bool_multipliers.items()) if not r.is_zero
-            ),
-            squares=tuple(s for s in self.squares if not s.is_zero),
+            multipliers=summed(self.multipliers),
+            bool_multipliers=summed(self.bool_multipliers),
+            squares=tuple(s for s, _, _ in self.squares.values()),
+            weights=tuple(w for _, _, w in self.squares.values()),
             constant=self.constant,
             target=target,
         )
@@ -143,8 +124,10 @@ def sos_to_pcplus(cert: SosCertificate) -> Derivation:
     """Degree-preserving compilation of an SoS refutation into PC+.
 
     Derives u := -(sum of multiplier terms), which by the certificate
-    identity equals c + kappa + (sum of squares), then closes with one
-    sum-of-squares step on a constant witness and a final rescale to 1.
+    identity equals c + kappa + (sum of weighted squares), then closes with
+    one sum-of-squares step on a constant witness and a final rescale to 1.
+    The sum-of-squares rule takes plain squares, so a square s of weight w
+    enters as a*s for the (up to four) rationals a with sum a^2 = w.
     """
     report = check_sos(cert)
     if not report.valid:
@@ -175,10 +158,11 @@ def sos_to_pcplus(cert: SosCertificate) -> Derivation:
 
     witness_parts = [a for a in four_square(c + cert.constant) if a != 0]
     witness = Polynomial.const(ring, witness_parts[0])
-    squares = tuple(Polynomial.const(ring, a) for a in witness_parts[1:]) + tuple(
-        s for s in cert.squares if not s.is_zero
-    )
-    closing = builder.sos_step(u, witness, squares)  # checks that u recomposes
+    squares = [Polynomial.const(ring, a) for a in witness_parts[1:]]
+    for s, w in cert.weighted_squares():
+        if not s.is_zero:
+            squares.extend(s.scale(a) for a in four_square(w) if a != 0)
+    closing = builder.sos_step(u, witness, tuple(squares))  # checks that u recomposes
     if builder.poly(closing) != Polynomial.const(ring, 1):
         builder.scale_line(closing, Fraction(1) / (witness_parts[0] ** 2))
     return builder.build()
@@ -191,9 +175,15 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
     """Approximate simulation: from a derivation of r = 0, a certificate of
     eps - r^2 >= 0 at degree at most twice the derivation degree.
 
-    Mirrors the structural recursion case by case; the eps budget is split
+    Follows the structural recursion case by case; the eps budget is split
     as eps/4a^2 and eps/4b^2 at additions and becomes eps^2 at radicals,
-    all in exact rational arithmetic.
+    all in exact rational arithmetic.  The certificate of a line at budget
+    eps is its own summands plus positive multiples of the certificates of
+    the lines it cites, so the whole certificate is the sum of every
+    (line, eps) node's own summands times its factor: the sum over the
+    recursion's paths to the node of the products of the multiples on them.
+    Lines cite only earlier lines, so one pass from the last line down
+    settles each node's factor before the node is expanded, once.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -207,93 +197,83 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
         raise SimulationError("empty derivation")
 
     ring = d.ring
-    memo: dict[tuple[int, Fraction], _Parts] = {}
-
-    def certify(idx: int, eps: Fraction) -> _Parts:
-        """Parts summing exactly to eps - r_idx^2."""
-        key = (idx, eps)
-        if key in memo:
-            return memo[key].copy()
-        poly, just = d.lines[idx]
-        out = _Parts.empty()
-        if isinstance(just, Axiom):
-            out.add_multiplier(just.index, -poly)
-            out.constant = eps
-        elif isinstance(just, ZeroIntro):
-            out.constant = eps
-        elif isinstance(just, BoolAxiom):
-            out.add_bool(just.var, -poly)
-            out.constant = eps
-        elif isinstance(just, Mul):
-            src = d.lines[just.i][0]
-            out = certify(just.i, eps)
-            x = Polynomial.variable(ring, just.var)
-            out.squares.append(src - x * src)
-            out.add_bool(just.var, (src * src).scale(-2))
-        elif isinstance(just, Add):
-            a, b = Fraction(just.a), Fraction(just.b)
-            ri = d.lines[just.i][0]
-            rj = d.lines[just.j][0]
-            if a == 0 and b == 0:
-                out.constant = eps
-            elif b == 0:
-                out = certify(just.i, eps / (4 * a * a)).scaled(2 * a * a)
-                out.squares.append(ri.scale(a))
-                out.constant += eps / 2
-            elif a == 0:
-                out = certify(just.j, eps / (4 * b * b)).scaled(2 * b * b)
-                out.squares.append(rj.scale(b))
-                out.constant += eps / 2
-            else:
-                out = certify(just.i, eps / (4 * a * a)).scaled(2 * a * a)
-                out.merge(certify(just.j, eps / (4 * b * b)).scaled(2 * b * b))
-                out.squares.append(ri.scale(a) - rj.scale(b))
-        elif isinstance(just, Radical):
-            src = d.lines[just.i][0]  # src == poly^2
-            out = certify(just.i, eps * eps)
-            out.squares.append(Polynomial.const(ring, eps) - src)
-            out = out.scaled(Fraction(1, 2) / eps)
-        elif isinstance(just, Sos):
-            out = certify(just.i, eps)
-            p = just.witness
-            sum_squares = Polynomial.zero(ring)
-            for q in just.squares:
-                out.squares.extend((p * q, p * q))  # 2 p^2 q^2 split as two squares
-                sum_squares = sum_squares + q * q
-            out.squares.append(sum_squares)
-        else:
-            raise SimulationError(f"line {idx}: unsupported justification {just!r}")
-        memo[key] = out
-        return out.copy()
-
+    out = _Parts(ring)
     last = len(d.lines) - 1
+    factors: list[dict[Fraction, Fraction]] = [{} for _ in d.lines]  # per line: eps -> factor
+    factors[last][epsilon] = Fraction(1)
+
+    def cite(i: int, eps: Fraction, factor: Fraction):
+        pending = factors[i]
+        pending[eps] = pending.get(eps, 0) + factor
+
+    for idx in range(last, -1, -1):
+        poly, just = d.lines[idx]
+        for eps, f in factors[idx].items():  # this node's summands, times f
+            if isinstance(just, Axiom):
+                out.add_multiplier(just.index, poly.scale(-f))
+                out.constant += f * eps
+            elif isinstance(just, ZeroIntro):
+                out.constant += f * eps
+            elif isinstance(just, BoolAxiom):
+                out.add_bool(just.var, poly.scale(-f))
+                out.constant += f * eps
+            elif isinstance(just, Mul):
+                src = d.lines[just.i][0]
+                cite(just.i, eps, f)
+                x = Polynomial.variable(ring, just.var)
+                out.add_square(src - x * src, f)
+                out.add_bool(just.var, (src * src).scale(-2 * f))
+            elif isinstance(just, Add):
+                a, b = Fraction(just.a), Fraction(just.b)
+                ri = d.lines[just.i][0]
+                rj = d.lines[just.j][0]
+                if a == 0 and b == 0:
+                    out.constant += f * eps
+                elif b == 0:
+                    cite(just.i, eps / (4 * a * a), f * 2 * a * a)
+                    out.add_square(ri.scale(a), f)
+                    out.constant += f * eps / 2
+                elif a == 0:
+                    cite(just.j, eps / (4 * b * b), f * 2 * b * b)
+                    out.add_square(rj.scale(b), f)
+                    out.constant += f * eps / 2
+                else:
+                    cite(just.i, eps / (4 * a * a), f * 2 * a * a)
+                    cite(just.j, eps / (4 * b * b), f * 2 * b * b)
+                    out.add_square(ri.scale(a) - rj.scale(b), f)
+            elif isinstance(just, Radical):
+                src = d.lines[just.i][0]  # src == poly^2
+                g = f / (2 * eps)
+                cite(just.i, eps * eps, g)
+                out.add_square(Polynomial.const(ring, eps) - src, g)
+            elif isinstance(just, Sos):
+                cite(just.i, eps, f)
+                p = just.witness
+                sum_squares = Polynomial.zero(ring)
+                for q in just.squares:
+                    out.add_square(p * q, 2 * f)
+                    sum_squares = sum_squares + q * q
+                out.add_square(sum_squares, f)
+            else:
+                raise SimulationError(f"line {idx}: unsupported justification {just!r}")
+
     r = d.lines[last][0]
-    parts = certify(last, epsilon)
     target = Polynomial.const(ring, epsilon) - r * r
-    cert = parts.certificate(d.axioms, target)
-    return EpsDerivation(epsilon, r, cert)
+    return EpsDerivation(epsilon, r, out.certificate(d.axioms, target))
 
 
 def pcplus_refutation_to_sos(d: Derivation) -> SosCertificate:
     """SoS+Bool refutation of the same axioms, degree at most doubled.
 
     Runs the eps-recursion at eps = 1/2 on the final line 1 = 0, giving a
-    certificate of -1/2 >= 0, then doubles every component.
+    certificate of -1/2 >= 0, then doubles every multiplier, the constant
+    and every square weight.
     """
     report = check_derivation(d)
     if not report.valid or not report.refutation:
         raise SimulationError("input is not a valid refutation (final line must be 1)")
-    eps = Fraction(1, 2)
-    approx = pcplus_to_sos_eps(d, eps)
-    parts = _Parts(
-        dict(approx.certificate.multipliers),
-        dict(approx.certificate.bool_multipliers),
-        list(approx.certificate.squares),
-        approx.certificate.constant,
-    )
-    doubled = parts.scaled(Fraction(2))
-    target = Polynomial.const(d.ring, -1)
-    return doubled.certificate(d.axioms, target)
+    approx = pcplus_to_sos_eps(d, Fraction(1, 2))
+    return scale_certificate(approx.certificate, Fraction(2), Polynomial.const(d.ring, -1))
 
 
 # -- radical elimination in positive characteristic ---------------------

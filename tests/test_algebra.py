@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,14 @@ class TestFourSquare:
 
     def test_half(self):
         assert four_square(Fraction(1, 2)) == (Fraction(1, 2), Fraction(1, 2), 0, 0)
+
+    def test_factors_of_four_stripped(self):
+        # the search runs on 7 and the result is doubled 20 times
+        t0 = time.perf_counter()
+        parts = four_square(7 * 4**20)
+        assert time.perf_counter() - t0 < 1.0
+        assert parts == (2 * 2**20, 2**20, 2**20, 2**20)
+        assert four_square(Fraction(3, 16)) == tuple(Fraction(a, 4) for a in four_square(3))
 
     def test_negative_rejected(self):
         with pytest.raises(AlgebraError):

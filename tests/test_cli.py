@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
+import pcsos
 from pcsos.algebra import RATIONAL, eqset, parse_poly
 from pcsos.cli import main
 from pcsos.lkr import node_to_json
@@ -8,6 +13,8 @@ from pcsos.proofcheck import (
     Axiom,
     Derivation,
     Radical,
+    check_derivation,
+    derivation_from_json,
     derivation_to_json,
     dump_json,
     eqset_to_json,
@@ -127,6 +134,44 @@ class TestCheckCommands:
         assert [line.split(":")[0] for line in err.splitlines()] == ["error"] * 9
 
 
+def weighted_certificate():
+    # -(x1^2 + 3*x2^2 + 1) + 1/4*(2*x1)^2 + 3*x2^2 == -1
+    return {
+        "axioms": ["x1^2 + 3*x2^2 + 1"],
+        "target": "-1",
+        "multipliers": [{"axiom": 0, "poly": "-1"}],
+        "squares": ["2*x1", "x2"],
+        "weights": ["1/4", 3],
+    }
+
+
+class TestWeightedCertificates:
+    def test_weighted_file_checks(self, tmp_path, capsys):
+        path = write(tmp_path, "cert.json", weighted_certificate())
+        assert main(["check-sos", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["refutation"]
+
+    def test_malformed_weights_exit_two(self, tmp_path, capsys):
+        bad = [["1/4"], ["1/4", 3, 1], [0, 3], ["-1/2", 3], [True, 3], [None, 3], ["abc", 3], ["1/0", 3], "1/4"]
+        for weights in bad:
+            cert = dict(weighted_certificate(), weights=weights)
+            assert main(["check-sos", write(tmp_path, "cert.json", cert)]) == 2, weights
+        cert = dict(weighted_certificate(), constant="1/0")
+        assert main(["check-sos", write(tmp_path, "cert.json", cert)]) == 2
+        assert_format_errors(capsys, len(bad) + 1)
+
+    def test_changed_weight_is_invalid(self, tmp_path, capsys):
+        cert = dict(weighted_certificate(), weights=["1/4", 2])
+        assert main(["check-sos", write(tmp_path, "cert.json", cert), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+
+    def test_weighted_file_to_pcplus(self, tmp_path):
+        path = write(tmp_path, "cert.json", weighted_certificate())
+        out = str(tmp_path / "proof.json")
+        assert main(["translate", "sos-to-pcplus", path, "-o", out]) == 0
+        assert check_derivation(derivation_from_json(load_json(out))).valid
+
+
 def assert_format_errors(capsys, count):
     """Each of count commands exited 2 with a single error: line."""
     err = capsys.readouterr().err
@@ -222,6 +267,21 @@ class TestTranslate:
         assert main(["translate", "sos-to-pcplus", cert_path, "-o", back]) == 0
         assert main(["check", back]) == 0
 
+    def test_subset_sum_radical_refutation_to_sos(self, tmp_path, capsys):
+        # the eps-recursion squares its budget at each radical step; with
+        # squares split four ways per scaling this ran for minutes
+        instance = str(tmp_path / "ss.json")
+        assert main(["gen", "subset-sum", "--n", "3", "--with-cert", "-o", instance]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "ss.sos.json")
+        t0 = time.perf_counter()
+        code = main(["translate", "pcplus-to-sos", str(tmp_path / "ss.cert.json"), "-o", out, "--json"])
+        elapsed = time.perf_counter() - t0
+        assert code == 0 and json.loads(capsys.readouterr().out)["refutation"]
+        report = check_sos(sos_from_json(load_json(out)))
+        assert report.valid and report.refutation
+        assert elapsed < 10.0, f"{elapsed:.1f}s"
+
     def test_elim_radical_requires_gf(self, tmp_path):
         proof = write(tmp_path, "proof.json", derivation_to_json(valid_pc_rad_proof()))
         assert main(["translate", "elim-radical", proof]) == 3
@@ -275,6 +335,26 @@ class TestGen:
         )
         out = str(tmp_path / "bphp.json")
         assert main(["gen", "bphp-graph", "--graph", graph, "-o", out]) == 0
+
+    def test_gen_bphp_graph_bad_numbers_exit_two(self, tmp_path, capsys):
+        good = {"pigeons": 2, "holes": 2, "h": [[0], [1]], "p": [[0], [1]]}
+        bad = [{"pigeons": "a"}, {"pigeons": 2.7}, {"holes": True}, {"h": [["a"], [1]]}, {"p": [[0], 1]}, {"h": 3}]
+        bad += [{"h": [[2], [1]]}, {"p": [[0], [-1]]}]  # outside 0..holes-1 and 0..pigeons-1
+        out = str(tmp_path / "bphp.json")
+        for change in bad:
+            graph = write(tmp_path, "graph.json", dict(good, **change))
+            assert main(["gen", "bphp-graph", "--graph", graph, "-o", out]) == 2, change
+        assert_format_errors(capsys, len(bad))
+
+
+def test_python_m_pcsos_help():
+    src = os.path.dirname(os.path.dirname(pcsos.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "pcsos", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "check-sos" in done.stdout
 
 
 class TestFolAndSearch:

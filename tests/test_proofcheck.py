@@ -1,6 +1,7 @@
 import random
 import re
 import typing
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,63 @@ class TestCheckSos:
         assert nrep.valid and nrep.refutation
         assert norm.target == P("-1")
         assert nrep.degree == check_sos(const_cert).degree
+
+
+def weighted_refutation():
+    # -(x1^2 + 3*x2^2 + 1) + 1/4*(2*x1)^2 + 3*x2^2 == -1
+    return SosCertificate(
+        axioms=eqset(RATIONAL, [P("x1^2 + 3*x2^2 + 1")]),
+        boolean=False,
+        multipliers=((0, P("-1")),),
+        squares=(P("2*x1"), P("x2")),
+        target=P("-1"),
+        weights=(Fraction(1, 4), Fraction(3)),
+    )
+
+
+class TestWeightedSquares:
+    def test_identity_counts_each_weight(self):
+        cert = weighted_refutation()
+        rep = check_sos(cert)
+        assert rep.valid and rep.refutation and rep.degree == 2
+        for weights in [(), (Fraction(1, 4), 2), (Fraction(1, 2), 3)]:
+            assert not check_sos(replace(cert, weights=weights)).valid
+
+    def test_non_positive_or_misaligned_weights_rejected(self):
+        cert = weighted_refutation()
+        for weights in [(0, 3), (Fraction(-1, 2), 3), (Fraction(1, 4),), (1, 1, 1)]:
+            with pytest.raises(ProofStructureError):
+                check_sos(replace(cert, weights=weights))
+
+    def test_json_round_trip(self):
+        cert = weighted_refutation()
+        obj = sos_to_json(cert)
+        assert obj["weights"] == ["1/4", "3"]
+        again = sos_from_json(obj)
+        assert again == cert
+        assert check_sos(again).valid
+
+    def test_unit_weights_are_not_written(self):
+        cert = SosCertificate(
+            axioms=eqset(RATIONAL, [P("x1^2 + x2^2 + 1")]),
+            boolean=False,
+            multipliers=((0, P("-1")),),
+            squares=(P("x1"), P("x2")),
+            target=P("-1"),
+        )
+        obj = sos_to_json(cert)
+        assert "weights" not in obj
+        assert sos_to_json(replace(cert, weights=(Fraction(1), 1))) == obj
+
+    def test_normalization_rescales_weights(self):
+        cert = replace(weighted_refutation(), multipliers=((0, P("-3")),), target=P("-3"), weights=(Fraction(3, 4), 9))
+        assert check_sos(cert).refutation
+        norm = normalize_refutation(cert)
+        assert norm.squares == cert.squares
+        assert norm.weights == (Fraction(1, 4), 3)
+        assert norm.multipliers == ((0, P("-1")),)
+        rep = check_sos(norm)
+        assert rep.valid and rep.refutation and norm.target == P("-1")
 
 
 class TestCheckNullstellensatz:

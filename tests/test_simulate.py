@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, parse_poly
+from pcsos.families import gen_fphp_sos
 from pcsos.proofcheck import (
     Add,
     Axiom,
@@ -104,6 +105,22 @@ class TestSosToPcplus:
         rep = check_derivation(out)
         assert rep.valid and rep.refutation and rep.degree == 2
 
+    def test_weighted_squares_expand_into_plain_squares(self):
+        # -(x1^2 + 3*x2^2 + 1) + 1/4*(2*x1)^2 + 3*x2^2 == -1; weight 3 needs three squares
+        cert = SosCertificate(
+            axioms=eqset(RATIONAL, [P("x1^2 + 3*x2^2 + 1")]),
+            boolean=False,
+            multipliers=((0, P("-1")),),
+            squares=(P("2*x1"), P("x2")),
+            target=P("-1"),
+            weights=(Fraction(1, 4), Fraction(3)),
+        )
+        out = sos_to_pcplus(cert)
+        rep = check_derivation(out)
+        assert rep.valid and rep.refutation and rep.degree == 2
+        (sos_step,) = [j for _, j in out.lines if isinstance(j, Sos)]
+        assert P("x1") in sos_step.squares and sos_step.squares.count(P("x2")) == 3
+
     def test_rejects_non_refutation(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, []),
@@ -191,6 +208,21 @@ class TestPcplusToSosEps:
             degrees.add(rep.degree)
         assert len(degrees) == 1
         assert degrees.pop() <= 2 * in_degree
+
+    def test_squares_distinct_up_to_scale(self):
+        # the sum-of-squares step emits 2 (p*q)^2 as one square of weight 2
+        for d in (radical_sos_refutation(), sos_to_pcplus(gen_fphp_sos(4, 3))):
+            for eps in (Fraction(1, 2), Fraction(1, 7)):
+                cert = pcplus_to_sos_eps(d, eps).certificate
+                assert check_sos(cert).valid
+                assert len(cert.weights) == len(cert.squares)
+                assert all(w > 0 for w in cert.weights)
+                monic = {s.scale(1 / Fraction(s.sorted_terms()[0][1])) for s in cert.squares}
+                assert len(monic) == len(cert.squares)
+
+    def test_weights_deterministic(self):
+        d = sos_to_pcplus(gen_fphp_sos(4, 3))
+        assert pcplus_refutation_to_sos(d) == pcplus_refutation_to_sos(d)
 
     def test_rejects_bad_eps(self):
         d = radical_sos_refutation()
