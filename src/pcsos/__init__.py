@@ -6,7 +6,6 @@ from .algebra import (
     MINUS_INF,
     RATIONAL,
     EquationSet,
-    Monomial,
     Polynomial,
     Ring,
     eqset,

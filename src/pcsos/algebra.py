@@ -6,9 +6,17 @@ from monomials to nonzero coefficients; all arithmetic is exact.  The degree
 of the zero polynomial is the sentinel MINUS_INF, never 0, so degree caps
 treat it as always admissible.
 
+A monomial is its exponent tuple ((var, exp), ...): the variables strictly
+increasing, every exponent positive, and () for the constant monomial.  A
+tuple is hashable and compared by value, so it keys a polynomial's term
+dict directly, and merge_exps multiplies two of them.  Callers that build
+term dicts by hand must keep this canonical form, or equal polynomials
+compare unequal.
+
 Monomials are ordered graded-lexicographically (higher total degree first,
-then lexicographic with x0 heaviest).  The order is used only for canonical
-printing and for indexing in linear algebra, never semantically.
+then lexicographic with x0 heaviest); graded_lex_key realizes the order.
+It is used only for canonical printing and for indexing in linear algebra,
+never semantically.
 """
 
 from __future__ import annotations
@@ -20,12 +28,6 @@ from functools import lru_cache
 from math import isqrt
 
 MINUS_INF = float("-inf")
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-# terminator for lexicographic monomial keys; larger than any variable index
-_VAR_SENTINEL = 1 << 62
 
 
 class AlgebraError(ValueError):
@@ -84,14 +86,6 @@ class Ring:
     def is_rational(self) -> bool:
         return self.kind == "rational"
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def coerce(self, value):
         """Normalize an int/Fraction into a canonical coefficient of this ring.
 
@@ -131,17 +125,6 @@ class Ring:
         if a % self.p == 0:
             raise AlgebraError(f"0 has no inverse modulo {self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def parse_coeff(self, text: str):
-        """Parse a signed 'int' or 'int/posnat' coefficient literal."""
-        text = text.strip()
-        try:
-            return self.coerce(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise AlgebraError(f"bad coefficient {text!r}: {exc}") from exc
-
-    def format_coeff(self, c) -> str:
-        return str(c)
 
     def to_json(self) -> dict:
         return {"kind": "rational"} if self.is_rational else {"kind": "gf", "p": self.p}
@@ -195,77 +178,15 @@ def merge_exps(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-class Monomial:
-    """Product of variable powers, stored as a sorted tuple of (var, exp>0)."""
-
-    __slots__ = ("exps", "degree", "_hash")
-
-    def __init__(self, exps=()):
-        items = tuple(sorted((int(v), int(e)) for v, e in dict(exps).items() if e))
-        for v, e in items:
-            if v < 0 or e < 0:
-                raise AlgebraError(f"bad monomial entry ({v}, {e})")
-        object.__setattr__(self, "exps", items)
-        object.__setattr__(self, "degree", sum(e for _, e in items))
-        object.__setattr__(self, "_hash", hash(items))
-
-    @staticmethod
-    def _make(items: tuple, degree: int) -> "Monomial":
-        # internal: items already sorted with positive exponents
-        mono = Monomial.__new__(Monomial)
-        object.__setattr__(mono, "exps", items)
-        object.__setattr__(mono, "degree", degree)
-        object.__setattr__(mono, "_hash", hash(items))
-        return mono
-
-    def __setattr__(self, *a):
-        raise AttributeError("Monomial is immutable")
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Monomial) and self.exps == other.exps)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Monomial({self.exps!r})"
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.exps
-
-    def variables(self) -> set[int]:
-        return {v for v, _ in self.exps}
-
-    def exponent(self, var: int) -> int:
-        return dict(self.exps).get(var, 0)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        if not other.exps:
-            return self
-        if not self.exps:
-            return other
-        return Monomial._make(merge_exps(self.exps, other.exps), self.degree + other.degree)
-
-    def sort_key(self):
-        """Ascending-sort key that realizes descending graded-lex order."""
-        return (-self.degree, tuple((v, -e) for v, e in self.exps) + ((_VAR_SENTINEL, 0),))
-
-
-ONE_MONOMIAL = Monomial()
-
-
-def monomial(*pairs) -> Monomial:
-    return Monomial(pairs)
-
-
-@lru_cache(maxsize=65536)
-def _variable_cached(ring: Ring, var: int):
-    return Polynomial(ring, {Monomial({var: 1}): ring.one})
+def graded_lex_key(m: tuple):
+    """Ascending-sort key of an exponent tuple that realizes descending
+    graded-lex order.  Two monomials of one degree differ at a position
+    that both reach, so the lexicographic part needs no terminator."""
+    return (-sum([e for _, e in m]), [(v, -e) for v, e in m])
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms maps Monomial -> nonzero coefficient."""
+    """Immutable sparse polynomial; terms maps exponent tuple -> nonzero coefficient."""
 
     __slots__ = ("ring", "_terms", "_hash", "_degree")
 
@@ -273,7 +194,7 @@ class Polynomial:
         canon = {}
         for m, c in (terms or {}).items():
             c = ring.coerce(c)
-            if c != ring.zero:
+            if c != 0:
                 canon[m] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", canon)
@@ -288,8 +209,7 @@ class Polynomial:
     @staticmethod
     def _make(ring: Ring, terms: dict) -> "Polynomial":
         # internal: coefficients already canonical; drop zeros only
-        zero = ring.zero
-        return Polynomial._raw(ring, {m: c for m, c in terms.items() if c != zero})
+        return Polynomial._raw(ring, {m: c for m, c in terms.items() if c != 0})
 
     @staticmethod
     def _raw(ring: Ring, terms: dict) -> "Polynomial":
@@ -307,11 +227,11 @@ class Polynomial:
 
     @staticmethod
     def const(ring: Ring, value) -> "Polynomial":
-        return Polynomial(ring, {ONE_MONOMIAL: value})
+        return Polynomial(ring, {(): value})
 
     @staticmethod
     def variable(ring: Ring, var: int) -> "Polynomial":
-        return _variable_cached(ring, var)
+        return Polynomial._raw(ring, {((var, 1),): 1})
 
     @staticmethod
     def sum(ring: Ring, polys) -> "Polynomial":
@@ -333,7 +253,7 @@ class Polynomial:
         return dict(self._terms)
 
     def sorted_terms(self) -> list:
-        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
+        return sorted(self._terms.items(), key=lambda mc: graded_lex_key(mc[0]))
 
     @property
     def is_zero(self) -> bool:
@@ -341,29 +261,26 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return all(m.is_constant for m in self._terms)
+        return self._terms.keys() <= {()}
 
     def constant_value(self):
         if not self.is_constant:
             raise AlgebraError("not a constant polynomial")
-        return self._terms.get(ONE_MONOMIAL, self.ring.zero)
+        return self._terms.get((), 0)
 
     @property
     def degree(self):
         d = self._degree
         if d is None:
-            d = max(m.degree for m in self._terms) if self._terms else MINUS_INF
+            d = max(sum([e for _, e in m]) for m in self._terms) if self._terms else MINUS_INF
             object.__setattr__(self, "_degree", d)
         return d
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self._terms:
-            out |= m.variables()
-        return out
+        return {v for m in self._terms for v, _ in m}
 
-    def coefficient(self, m: Monomial):
-        return self._terms.get(m, self.ring.zero)
+    def coefficient(self, m: tuple):
+        return self._terms.get(m, 0)
 
     def __eq__(self, other):
         return (
@@ -391,10 +308,9 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         out = dict(self._terms)
-        zero = self.ring.zero
         add = self.ring.add
         for m, c in other._terms.items():
-            out[m] = add(out.get(m, zero), c)
+            out[m] = add(out.get(m, 0), c)
         return Polynomial._make(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
@@ -404,10 +320,9 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         out = dict(self._terms)
-        zero = self.ring.zero
         sub = self.ring.sub
         for m, c in other._terms.items():
-            out[m] = sub(out.get(m, zero), c)
+            out[m] = sub(out.get(m, 0), c)
         return Polynomial._make(self.ring, out)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -419,14 +334,14 @@ class Polynomial:
         if len(a) == 1:
             # single-term factor over a field: injective shift, no new zeros
             ((m1, c1),) = a.items()
-            if not m1.exps:
+            if not m1:
                 return Polynomial._raw(self.ring, {m: mul(c1, c) for m, c in b.items()})
-            return Polynomial._raw(self.ring, {m1.mul(m): mul(c1, c) for m, c in b.items()})
+            return Polynomial._raw(self.ring, {merge_exps(m1, m): mul(c1, c) for m, c in b.items()})
         out: dict = {}
         add = self.ring.add
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = m1.mul(m2)
+                m = merge_exps(m1, m2)
                 c = mul(c1, c2)
                 prev = out.get(m)
                 out[m] = c if prev is None else add(prev, c)
@@ -434,13 +349,13 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.coerce(c)
-        if c == self.ring.zero:
+        if c == 0:
             return Polynomial.zero(self.ring)
         mul = self.ring.mul
         return Polynomial._raw(self.ring, {m: mul(v, c) for m, v in self._terms.items()})
 
-    def mul_monomial(self, mono: Monomial) -> "Polynomial":
-        return Polynomial._raw(self.ring, {m.mul(mono): c for m, c in self._terms.items()})
+    def mul_monomial(self, mono: tuple) -> "Polynomial":
+        return Polynomial._raw(self.ring, {merge_exps(m, mono): c for m, c in self._terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -459,10 +374,10 @@ class Polynomial:
         missing = self.variables() - set(assignment)
         if missing:
             raise AlgebraError(f"assignment missing variables {sorted(missing)}")
-        total = self.ring.zero
+        total = 0
         for m, c in self._terms.items():
             val = c
-            for v, e in m.exps:
+            for v, e in m:
                 base = self.ring.coerce(assignment[v])
                 for _ in range(e):
                     val = self.ring.mul(val, base)
@@ -473,7 +388,7 @@ class Polynomial:
         """Collapse every exponent >= 1 to 1; agrees on all 0/1 points."""
         out: dict = {}
         for m, c in self._terms.items():
-            flat = Monomial._make(tuple((v, 1) for v, _ in m.exps), len(m.exps))
+            flat = tuple((v, 1) for v, _ in m)
             prev = out.get(flat)
             out[flat] = c if prev is None else self.ring.add(prev, c)
         return Polynomial._make(self.ring, out)
@@ -488,7 +403,7 @@ class Polynomial:
             sign = ""
             if self.ring.is_rational and c < 0:
                 sign, c = "-", -c
-            body = _format_term(self.ring, m, c)
+            body = _format_term(m, c)
             if i == 0:
                 parts.append(f"-{body}" if sign else body)
             else:
@@ -496,15 +411,13 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _format_term(ring: Ring, m: Monomial, c) -> str:
-    factors = []
-    for v, e in m.exps:
-        factors.append(f"x{v}" if e == 1 else f"x{v}^{e}")
+def _format_term(m: tuple, c) -> str:
+    factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in m]
     if not factors:
-        return ring.format_coeff(c)
-    if c == ring.one:
+        return str(c)
+    if c == 1:
         return "*".join(factors)
-    return "*".join([ring.format_coeff(c)] + factors)
+    return "*".join([str(c)] + factors)
 
 
 # -- parsing ----------------------------------------------------------
@@ -538,7 +451,6 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     end = len(toks)
     add, neg = ring.add, ring.neg
     acc: dict = {}  # exponent tuple -> nonzero coefficient, in order of appearance
-    degrees: dict = {}
     negate = end > 0 and toks[0] == "-"
     k = 1 if negate else 0
     try:
@@ -567,7 +479,6 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
                 if more:
                     k += 1
             key: tuple = ()  # sorted (var, exp > 0) pairs
-            degree = 0
             while more:
                 if k == end or toks[k] != "x":
                     raise _parse_error(text, "expected a variable like x1", k)
@@ -585,7 +496,6 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
                     k += 1
                 if exp:
                     key = merge_exps(key, ((var, exp),))
-                    degree += exp
                 if k == end or toks[k] != "*":
                     break
                 k += 1
@@ -595,7 +505,6 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
                 prev = acc.get(key)
                 if prev is not None:
                     coeff = add(prev, coeff)
-                degrees[key] = degree
                 if coeff:
                     acc[key] = coeff
                 else:  # a cancelled term leaves, and goes to the end if it returns
@@ -613,9 +522,7 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
         raise
     except ValueError as exc:  # int() refuses numbers past the interpreter's digit limit
         raise _parse_error(text, "number too long", k) from exc
-    # constant terms share ONE_MONOMIAL, as in Polynomial.const
-    terms = {Monomial._make(key, degrees[key]) if key else ONE_MONOMIAL: c for key, c in acc.items()}
-    return Polynomial._raw(ring, terms)
+    return Polynomial._raw(ring, acc)
 
 
 # -- equation sets ----------------------------------------------------
@@ -679,7 +586,7 @@ class EquationSet:
         return out
 
     def vanishes_at(self, assignment: dict) -> bool:
-        return all(p.evaluate(assignment) == self.ring.zero for p in self.members)
+        return all(p.evaluate(assignment) == 0 for p in self.members)
 
 
 def eqset(ring: Ring, polys, boolean_axioms: bool = False) -> EquationSet:

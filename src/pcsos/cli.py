@@ -47,6 +47,7 @@ from .proofcheck import (
     load_json,
     normalize_refutation,
     ns_from_json,
+    rule_of,
     sos_from_json,
     sos_to_json,
 )
@@ -123,14 +124,26 @@ def _summary(args, payload: dict):
         sys.stdout.write(" ".join(parts) + "\n")
 
 
-def _report_payload(report: CheckReport) -> dict:
-    return {
+def _report_payload(report: CheckReport, derivation=None) -> dict:
+    """Summary of a kernel verdict.  A rejected proof also says where and
+    why: the failing line and its rule kind (null for a static
+    certificate) and the mismatch polynomial."""
+    payload = {
         "valid": report.valid,
         "degree": report.degree_or_none(),
         "refutation": report.refutation,
         "uses_radical": report.uses_radical,
         "uses_sos_rule": report.uses_sos_rule,
     }
+    if not report.valid and report.failure is not None:
+        line, mismatch = report.failure
+        static = derivation is None or line < 0
+        payload["failure"] = {
+            "line": None if static else line,
+            "rule": None if static else rule_of(derivation.lines[line][1]).kind,
+            "mismatch": mismatch.format(),
+        }
+    return payload
 
 
 # -- command handlers ------------------------------------------------------
@@ -139,7 +152,7 @@ def _report_payload(report: CheckReport) -> dict:
 def _cmd_check(args) -> int:
     derivation = derivation_from_json(load_json(args.input))
     report = check_derivation(derivation)
-    _summary(args, _report_payload(report))
+    _summary(args, _report_payload(report, derivation))
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -180,14 +193,14 @@ def _cmd_translate(args) -> int:
         report = check_derivation(derivation)
         if args.output:
             dump_json(derivation_to_json(derivation), args.output)
-        _summary(args, _report_payload(report))
+        _summary(args, _report_payload(report, derivation))
         return EXIT_OK if report.valid else EXIT_INVALID
     derivation = derivation_from_json(load_json(args.input))
     out = eliminate_radical_char_p(derivation, max_p=args.max_p)
     report = check_derivation(out)
     if args.output:
         dump_json(derivation_to_json(out), args.output)
-    _summary(args, _report_payload(report))
+    _summary(args, _report_payload(report, out))
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -323,7 +336,7 @@ def _cmd_lkr(args) -> int:
     report = check_derivation(derivation)
     if args.output:
         dump_json(derivation_to_json(derivation), args.output)
-    _summary(args, _report_payload(report))
+    _summary(args, _report_payload(report, derivation))
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -347,7 +360,7 @@ def _cmd_search(args) -> int:
         dump_json(derivation_to_json(derivation), args.output)
     _summary(
         args,
-        {**_report_payload(report), "derivable": True, "dimension": basis.span_dimension()},
+        {**_report_payload(report, derivation), "derivable": True, "dimension": basis.span_dimension()},
     )
     return EXIT_OK if report.valid else EXIT_INVALID
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 from math import comb
 
-from .algebra import EquationSet, Monomial, Polynomial, Ring
+from .algebra import EquationSet, Polynomial, Ring, merge_exps
 from .proofcheck import Axiom, BoolAxiom, Derivation, DerivationBuilder, Justification, Mul, relabel
 
 DEFAULT_MONOMIAL_CAP = 200_000
@@ -56,20 +56,19 @@ class BasisRow:
         return self.basis._polynomial(self.vec)
 
     @property
-    def lead(self) -> Monomial:
+    def lead(self) -> tuple:
         return self.basis.columns[self.lead_column]
 
 
-def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int) -> list[Monomial]:
+def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int) -> list[tuple]:
     """All monomials of degree <= degree_bound over sorted variables, in
-    graded-lex order (Monomial.sort_key ascending).  Within one degree,
+    graded-lex order (graded_lex_key ascending).  Within one degree,
     the sorted variable multisets from combinations_with_replacement come
     out in exactly that lexicographic order."""
     out = []
     for d in range(degree_bound, -1, -1):
         for combo in combinations_with_replacement(variables, d):
-            items = tuple((v, len(tuple(g))) for v, g in groupby(combo))
-            out.append(Monomial._make(items, d))
+            out.append(tuple((v, len(tuple(g))) for v, g in groupby(combo)))
     return out
 
 
@@ -79,7 +78,7 @@ class ClosureBasis:
     degree_bound: int
     variables: tuple[int, ...]
     axioms: EquationSet
-    columns: tuple[Monomial, ...]  # graded-lex; a row's lead is its smallest column
+    columns: tuple[tuple, ...]  # graded-lex; a row's lead is its smallest column
     rows: list[BasisRow] = field(default_factory=list)
     _column_of: dict = field(init=False, repr=False)
     _lead_inverses: list = field(default_factory=list, repr=False)
@@ -95,7 +94,7 @@ class ClosureBasis:
         """p as {column: coeff}, or None if a monomial lies outside the columns."""
         column_of = self._column_of
         vec = {}
-        for m, c in p.terms.items():
+        for m, c in p._terms.items():
             col = column_of.get(m)
             if col is None:
                 return None
@@ -130,7 +129,7 @@ class ClosureBasis:
 
     def _polynomial(self, vec: dict) -> Polynomial:
         columns = self.columns
-        return Polynomial(self.ring, {columns[c]: v for c, v in vec.items()})
+        return Polynomial._raw(self.ring, {columns[c]: v for c, v in vec.items()})
 
     def _append(self, vec: dict, source: Justification, used: list) -> None:
         lead = min(vec)
@@ -178,8 +177,8 @@ def pc_closure(
     # shift[k][c - low] is the column of variables[k] * columns[c], defined
     # for the columns of degree < d, which form the suffix starting at low
     low = comb(len(variables) + degree_bound - 1, degree_bound) if degree_bound else count
-    var_monos = [Monomial._make(((v, 1),), 1) for v in variables]
-    shift = [[column_of[m.mul(x)] for m in columns[low:]] for x in var_monos]
+    var_monos = [((v, 1),) for v in variables]
+    shift = [[column_of[merge_exps(m, x)] for m in columns[low:]] for x in var_monos]
 
     def insert(vec: dict, source: Justification) -> None:
         used = basis._eliminate(vec)
@@ -192,13 +191,13 @@ def pc_closure(
     if axioms.boolean_axioms and degree_bound >= 2:
         for k, v in enumerate(variables):
             x = column_of[var_monos[k]]
-            insert({shift[k][x - low]: ring.one, x: ring.neg(ring.one)}, BoolAxiom(v))
+            insert({shift[k][x - low]: 1, x: ring.neg(1)}, BoolAxiom(v))
 
     # every appended row is queued, so the queue is the row list itself
     rid = 0
     while rid < len(basis.rows):
         row = basis.rows[rid]
-        if row.lead.degree < degree_bound:
+        if row.lead_column >= low:  # lead of degree < d
             vec = row.vec
             for k, v in enumerate(variables):
                 table = shift[k]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import RATIONAL, EquationSet, Monomial, Polynomial, Ring
+from .algebra import RATIONAL, EquationSet, Polynomial, Ring
 from .fol import (
     And,
     ForallIdx,
@@ -78,20 +78,16 @@ def gen_fphp(m: int, n: int, ring: Ring = RATIONAL) -> FamilyInstance:
     """
     if m < 1 or n < 1:
         raise FamilyError("fphp needs at least one pigeon and one hole")
-    from .algebra import ONE_MONOMIAL
-
-    one = ring.one
     members = []
     for i in range(m):
-        terms = {Monomial._make(((_pair(i, j), 1),), 1): one for j in range(n)}
-        terms[ONE_MONOMIAL] = ring.neg(one)
+        terms = {((_pair(i, j), 1),): 1 for j in range(n)}
+        terms[()] = ring.neg(1)
         members.append(Polynomial._raw(ring, terms))
     for j in range(n):
         for i1 in range(m):
             for i2 in range(i1 + 1, m):
                 v1, v2 = sorted((_pair(i1, j), _pair(i2, j)))
-                pair = Monomial._make(((v1, 1), (v2, 1)), 2)
-                members.append(Polynomial._raw(ring, {pair: one}))
+                members.append(Polynomial._raw(ring, {((v1, 1), (v2, 1)): 1}))
     return FamilyInstance(
         name="fphp",
         params={"pigeons": m, "holes": n},
@@ -107,8 +103,6 @@ def gen_fphp_sos(m: int, n: int) -> SosCertificate:
     """
     if m <= n:
         raise FamilyError("the pigeonhole certificate requires more pigeons than holes")
-    from .algebra import ONE_MONOMIAL
-
     instance = gen_fphp(m, n)
     ring = instance.equations.ring
     plus_one = _const(ring, 1)
@@ -126,8 +120,8 @@ def gen_fphp_sos(m: int, n: int) -> SosCertificate:
     bool_multipliers = tuple((_pair(i, j), minus_one) for i in range(m) for j in range(n))
     squares = []
     for j in range(n):
-        terms = {Monomial._make(((_pair(i, j), 1),), 1): ring.one for i in range(m)}
-        terms[ONE_MONOMIAL] = ring.neg(ring.one)
+        terms = {((_pair(i, j), 1),): 1 for i in range(m)}
+        terms[()] = ring.neg(1)
         squares.append(Polynomial._raw(ring, terms))
     return SosCertificate(
         axioms=instance.equations,
@@ -306,14 +300,14 @@ def subset_sum_refutation(n: int, ring: Ring = RATIONAL) -> Derivation:
             # subtract h * (x_var^2 - x_var) where h collects the squared part
             h_terms = {}
             for mono, coeff in m_v.terms.items():
-                if mono.exponent(var) == 1:
-                    h_terms[Monomial({w: e for w, e in mono.exps if w != var})] = coeff
+                if (var, 1) in mono:
+                    h_terms[tuple((w, e) for w, e in mono if w != var)] = coeff
             h = Polynomial(ring, h_terms)
             if not h.is_zero:
                 correction = builder.mul_poly(builder.bool_axiom(var), h)
                 line = builder.add(line, correction, 1, -1)
             reduced_lines.append(line)
-        parts = [(line, ring.one) for line in reduced_lines]
+        parts = [(line, 1) for line in reduced_lines]
         parts.append((a_line, ring.coerce(-v)))
         parts.append((ell_line, ring.coerce(c_v)))
         a_line = builder.combination(parts)

@@ -242,17 +242,26 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+# Deepest parenthesis nesting read.  The parser, classifier, translator and
+# evaluator recurse up to three Python frames per level (an and/or level:
+# the call plus its generator), so a formula at this depth stays well
+# inside the interpreter's default limit of 1000 frames.
+MAX_SEXP_DEPTH = 200
+
+
 class _SexpReader:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
 
-    def read(self):
+    def read(self, depth: int = 0):
         if self.pos >= len(self.tokens):
             raise FolParseError("unexpected end of expression")
         tok = self.tokens[self.pos]
         self.pos += 1
         if tok == "(":
+            if depth == MAX_SEXP_DEPTH:
+                raise FolParseError(f"expression nested deeper than {MAX_SEXP_DEPTH} levels")
             items = []
             while True:
                 if self.pos >= len(self.tokens):
@@ -260,7 +269,7 @@ class _SexpReader:
                 if self.tokens[self.pos] == ")":
                     self.pos += 1
                     return items
-                items.append(self.read())
+                items.append(self.read(depth + 1))
         if tok == ")":
             raise FolParseError("unexpected closing parenthesis")
         return tok
@@ -611,7 +620,7 @@ def eval_ring_term(term: RingTerm, alpha, oracle, reg: FunctionRegistry, ring: R
             return ring.add(a, b) if op == "+" else ring.sub(a, b) if op == "-" else ring.mul(a, b)
         case BigSum(var, bound, body):
             n = eval_index(bound, alpha, reg)
-            total = ring.zero
+            total = 0
             for j in range(n):
                 total = ring.add(total, eval_ring_term(body, {**alpha, var: j}, oracle, reg, ring))
             return total

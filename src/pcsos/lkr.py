@@ -228,7 +228,7 @@ class _SymbolicContext:
     def _body_key(self, var: str, body: RingTerm):
         canonical = substitute_index(body, var, IdxVar("#bound"))
         poly = self.poly(canonical)
-        return tuple(sorted((m.exps, c) for m, c in poly.terms.items()))
+        return tuple(sorted(poly.terms.items()))
 
 
 def ring_identity(s: RingTerm, t: RingTerm, reg: FunctionRegistry) -> bool:
@@ -762,7 +762,7 @@ class _Compiler:
             member = translate_formula(eq, alpha, self.reg, self.ring).members[0]
             if member.is_zero or h_poly.is_zero:
                 continue
-            parts.append((self.builder.mul_poly(asm[member], h_poly), self.ring.one))
+            parts.append((self.builder.mul_poly(asm[member], h_poly), 1))
         line = self.builder.combination(parts)
         if self.builder.poly(line) != target * w:
             raise CompileError("equality witness does not reproduce the succedent translation")

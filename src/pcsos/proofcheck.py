@@ -32,7 +32,6 @@ from .algebra import (
     RATIONAL,
     AlgebraError,
     EquationSet,
-    Monomial,
     Polynomial,
     Ring,
     merge_exps,
@@ -340,8 +339,8 @@ class CheckReport:
         return None if self.degree == MINUS_INF else self.degree
 
 
-# The static checkers accumulate the big identity keyed by raw exponent
-# tuples, so no Monomial objects are allocated for terms that cancel.  Over
+# The static checkers accumulate the big identity in one plain dict keyed by
+# exponent tuples, and build a polynomial only from what survives.  Over
 # GF(p) the sums are reduced once, in _accumulated_poly.
 
 
@@ -359,15 +358,13 @@ def _accumulate_product(acc: dict, r: Polynomial, p: Polynomial):
     r_terms = r._terms
     if len(r_terms) == 1:
         ((m1, c1),) = r_terms.items()
-        if not m1.exps:  # constant multiplier
+        if not m1:  # constant multiplier
             for m2, c2 in p._terms.items():
-                e = m2.exps
-                acc[e] = acc.get(e, 0) + c1 * c2
+                acc[m2] = acc.get(m2, 0) + c1 * c2
             return d1 + d2
     for m1, c1 in r_terms.items():
-        e1 = m1.exps
         for m2, c2 in p._terms.items():
-            e = merge_exps(e1, m2.exps)
+            e = merge_exps(m1, m2)
             acc[e] = acc.get(e, 0) + c1 * c2
     return d1 + d2
 
@@ -380,7 +377,7 @@ def _accumulate_square(acc: dict, s: Polynomial, w=1):
     if s.is_zero:
         return MINUS_INF
     square = acc if w == 1 else {}
-    items = [(m.exps, c) for m, c in s._terms.items()]
+    items = list(s._terms.items())
     for idx, (e1, c1) in enumerate(items):
         e = merge_exps(e1, e1)
         square[e] = square.get(e, 0) + c1 * c1
@@ -401,7 +398,7 @@ def _accumulated_poly(ring: Ring, acc: dict) -> Polynomial:
         if q is not None:
             c %= q
         if c != 0:
-            terms[Monomial._make(exps, sum(e for _, e in exps))] = c
+            terms[exps] = c
     return Polynomial._raw(ring, terms)
 
 
@@ -589,7 +586,7 @@ class DerivationBuilder:
 
     def scale_line(self, i: int, a) -> int:
         a = self.ring.coerce(a)
-        if a == self.ring.one:
+        if a == 1:
             return i
         return self.add(i, i, a, 0)
 
@@ -606,10 +603,10 @@ class DerivationBuilder:
         """Restate line i at the end of the derivation if it is not already there."""
         if i == len(self._lines) - 1:
             return i
-        return self._emit(self.poly(i), Add(i, i, self.ring.one, self.ring.zero))
+        return self._emit(self.poly(i), Add(i, i, 1, 0))
 
-    def mul_monomial(self, i: int, mono: Monomial) -> int:
-        for var, exp in mono.exps:
+    def mul_monomial(self, i: int, mono: tuple) -> int:
+        for var, exp in mono:
             for _ in range(exp):
                 i = self.mul_var(i, var)
         return i
@@ -632,7 +629,7 @@ class DerivationBuilder:
             nxt = []
             for k in range(0, len(layer) - 1, 2):
                 (i, a), (j, b) = layer[k], layer[k + 1]
-                nxt.append((self.add(i, j, a, b), self.ring.one))
+                nxt.append((self.add(i, j, a, b), 1))
             if len(layer) % 2:
                 nxt.append(layer[-1])
             layer = nxt

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import EquationSet, Monomial, Polynomial, four_square
+from .algebra import EquationSet, Polynomial, four_square, merge_exps
 from .errors import UnsupportedConstruct
 from .proofcheck import (
     PC,
@@ -330,15 +330,13 @@ def _expand_radical(builder: DerivationBuilder, square_line: int, f: Polynomial)
 
     # freshman's dream: f^p = sum_j c_j m_j^p; reduce x^(p e) back to x^e
     for mono, coeff in f.sorted_terms():
-        for var, exp in mono.exps:
+        for var, exp in mono:
             # telescoping cofactor: (x^2 - x) * sum_{k=e-1}^{pe-2} x^k = x^(pe) - x^e
-            rest = {v: (e if v < var else p * e) for v, e in mono.exps if v != var}
+            rest = tuple((v, e if v < var else p * e) for v, e in mono if v != var)
             bool_line = builder.bool_axiom(var)
             for k in range(p * exp - 2, exp - 2, -1):
-                step = dict(rest)
-                if k:
-                    step[var] = k
-                correction = builder.mul_monomial(bool_line, Monomial(step))
+                step = merge_exps(rest, ((var, k),)) if k else rest
+                correction = builder.mul_monomial(bool_line, step)
                 line = builder.add(line, correction, 1, ring.neg(coeff))
     assert builder.poly(line) == f
     return line

@@ -9,7 +9,6 @@ from pcsos.algebra import (
     MINUS_INF,
     RATIONAL,
     AlgebraError,
-    Monomial,
     PolyParseError,
     Polynomial,
     eqset,
@@ -59,7 +58,7 @@ MALFORMED = [
 class TestParsing:
     def test_direct_reading(self):
         p = P("x1^2 - x1")
-        assert p.terms == {Monomial({1: 2}): Fraction(1), Monomial({1: 1}): Fraction(-1)}
+        assert p.terms == {((1, 2),): Fraction(1), ((1, 1),): Fraction(-1)}
 
     def test_characteristic_three_cancellation(self):
         assert P("2*x1 + x1", GF(3)).is_zero
@@ -284,9 +283,8 @@ class TestFourSquare:
 def _random_poly(rng, ring, max_terms=4, max_var=3, max_exp=2):
     terms = {}
     for _ in range(rng.randrange(0, max_terms + 1)):
-        mono = Monomial(
-            {rng.randrange(max_var): rng.randrange(1, max_exp + 1) for _ in range(rng.randrange(0, 3))}
-        )
+        exps = {rng.randrange(max_var): rng.randrange(1, max_exp + 1) for _ in range(rng.randrange(0, 3))}
+        mono = tuple(sorted(exps.items()))
         if ring.is_rational:
             coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
         else:

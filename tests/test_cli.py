@@ -5,6 +5,7 @@ import sys
 import time
 
 import pcsos
+from pcsos import fol
 from pcsos.algebra import RATIONAL, eqset, parse_poly
 from pcsos.cli import main
 from pcsos.lkr import node_to_json
@@ -145,6 +146,49 @@ def weighted_certificate():
     }
 
 
+class TestFailureReport:
+    def test_valid_summary_unchanged(self, tmp_path, capsys):
+        path = write(tmp_path, "proof.json", derivation_to_json(valid_pc_rad_proof()))
+        assert main(["check", path, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"degree": 2, "refutation": false, "uses_radical": true, "uses_sos_rule": false, "valid": true}\n'
+        )
+
+    def test_altered_line_reports_line_and_rule(self, tmp_path, capsys):
+        for proof, line, text, rule in [
+            (refutation_proof(), 2, "2", "add"),
+            (valid_pc_rad_proof(), 1, "x1 + 1", "radical"),
+        ]:
+            obj = derivation_to_json(proof)
+            obj["lines"][line]["poly"] = text
+            assert main(["check", write(tmp_path, "bad.json", obj), "--json"]) == 1
+            failure = json.loads(capsys.readouterr().out)["failure"]
+            assert (failure["line"], failure["rule"]) == (line, rule)
+            expected = check_derivation(derivation_from_json(obj)).failure
+            assert expected[0] == line and P(failure["mismatch"]) == expected[1]
+
+    def test_altered_certificate_reports_mismatch(self, tmp_path, capsys):
+        cert = {
+            "axioms": ["x0 - 1", "x1 - 1", "x0*x1"],
+            "target": "-1",
+            "multipliers": [
+                {"axiom": 2, "poly": "-1"},
+                {"axiom": 0, "poly": "x1"},
+                {"axiom": 1, "poly": "2"},
+            ],
+            "squares": ["x0 - x1"],
+        }
+        assert main(["check-sos", write(tmp_path, "cert.json", cert), "--json"]) == 1
+        failure = json.loads(capsys.readouterr().out)["failure"]
+        assert failure["line"] is None and failure["rule"] is None
+        expected = check_sos(sos_from_json(cert)).failure[1]
+        assert not expected.is_zero and P(failure["mismatch"]) == expected
+        ns = {"axioms": ["x1", "1 - x1"], "target": "1", "multipliers": [{"axiom": 0, "poly": "x1"}]}
+        assert main(["check-ns", write(tmp_path, "ns.json", ns), "--json"]) == 1
+        failure = json.loads(capsys.readouterr().out)["failure"]
+        assert failure == {"line": None, "rule": None, "mismatch": "x1^2 - 1"}
+
+
 class TestWeightedCertificates:
     def test_weighted_file_checks(self, tmp_path, capsys):
         path = write(tmp_path, "cert.json", weighted_certificate())
@@ -239,6 +283,41 @@ class TestMalformedFiles:
             assert main(["fol", "eval", "--formula", formula, "--oracle", path]) == 2
         assert main(["fol", "eval", "--formula", formula]) == 2
         assert_format_errors(capsys, 4)
+
+
+def _nested(kind, levels):
+    """A formula whose parentheses nest levels + 2 deep."""
+    atom = "(= (X 0) (rat 0))"
+    if kind == "ring":
+        return "(= " + "(+ " * levels + "(X 0)" + " (rat 1))" * levels + " (rat 0))"
+    return f"({kind} " * levels + atom + ")" * levels
+
+
+class TestFormulaNesting:
+    def run_all(self, tmp_path, text):
+        path = tmp_path / "formula.txt"
+        path.write_text(text)
+        path, oracle = str(path), write(tmp_path, "oracle.json", {"0": 0})
+        return [
+            main(["fol", "classify", "--formula-file", path]),
+            main(["fol", "translate", "--formula-file", path, "-o", str(tmp_path / "eqs.json")]),
+            main(["fol", "eval", "--formula-file", path, "--oracle", oracle]),
+        ]
+
+    def test_formula_at_the_limit_runs(self, tmp_path, capsys):
+        levels = fol.MAX_SEXP_DEPTH - 2
+        # classify, translate, eval: a negation over the oracle is outside
+        # the translatable class; x0 + levels = 0 fails at x0 = 0
+        assert self.run_all(tmp_path, _nested("not", levels)) == [1, 3, 0]
+        assert self.run_all(tmp_path, _nested("and", levels)) == [0, 0, 0]
+        assert self.run_all(tmp_path, _nested("ring", levels)) == [0, 0, 1]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_formula_past_the_limit_exit_two(self, tmp_path, capsys):
+        for kind in ("not", "and", "ring"):
+            assert self.run_all(tmp_path, _nested(kind, fol.MAX_SEXP_DEPTH - 1)) == [2, 2, 2]
+        assert self.run_all(tmp_path, _nested("not", 3000)) == [2, 2, 2]
+        assert_format_errors(capsys, 12)
 
 
 class TestTranslate:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pcsos.algebra import GF, RATIONAL, Monomial, Polynomial, eqset, parse_poly
+from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, graded_lex_key, parse_poly
 from pcsos.degsearch import ClosureTooLarge, extract_derivation, pc_closure
 from pcsos.families import gen_chain, gen_fphp, gen_subset_sum
 from pcsos.proofcheck import DerivationBuilder, check_derivation
@@ -113,7 +113,7 @@ class TestClosureInvariants:
     def test_columns_in_graded_lex_order(self):
         basis = pc_closure(eqset(RATIONAL, [P("x0*x3 - x5")]), 3)
         assert len(basis.columns) == 20
-        assert list(basis.columns) == sorted(basis.columns, key=Monomial.sort_key)
+        assert list(basis.columns) == sorted(basis.columns, key=graded_lex_key)
 
 
 def _assert_closed(basis, eqs, d):
@@ -121,7 +121,7 @@ def _assert_closed(basis, eqs, d):
     leads = [row.lead for row in basis.rows]
     assert len(set(leads)) == len(leads)
     for row in basis.rows:
-        assert row.lead == min(row.poly.terms, key=Monomial.sort_key)
+        assert row.lead == min(row.poly.terms, key=graded_lex_key)
         if row.poly.degree < d:
             for v in basis.variables:
                 assert basis.contains(row.poly * Polynomial.variable(ring, v))
@@ -219,6 +219,6 @@ class TestSubsetSumLowerBoundProperty:
 def _random_poly(rng, ring=RATIONAL):
     terms = {}
     for _ in range(rng.randrange(1, 4)):
-        mono = Monomial({rng.randrange(3): rng.randrange(1, 3) for _ in range(rng.randrange(0, 2))})
+        mono = tuple(sorted({rng.randrange(3): rng.randrange(1, 3) for _ in range(rng.randrange(0, 2))}.items()))
         terms[mono] = rng.randrange(-3, 4)
     return Polynomial(ring, terms)
