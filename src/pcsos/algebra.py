@@ -357,18 +357,6 @@ class Polynomial:
     def mul_monomial(self, mono: tuple) -> "Polynomial":
         return Polynomial._raw(self.ring, {merge_exps(m, mono): c for m, c in self._terms.items()})
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise AlgebraError("negative polynomial power")
-        result = Polynomial.const(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def evaluate(self, assignment: dict):
         """Exact evaluation; assignment must cover every variable."""
         missing = self.variables() - set(assignment)

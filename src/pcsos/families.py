@@ -249,7 +249,8 @@ def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> F
 
     Bundles a radical-using refutation for n up to the cap, plus the
     two-line radical derivation of the linear target used by the
-    degree-closure regression checks.
+    degree-closure regression checks.  Over GF(p) with p <= n + 1 the
+    instance is satisfiable and comes without a refutation.
     """
     if n < 1:
         raise FamilyError("subset sum needs n >= 1")
@@ -263,7 +264,8 @@ def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> F
     builder.radical_of(square, ell)
     target_derivation = builder.build()
 
-    certificate = subset_sum_refutation(n, ring) if n <= refutation_cap else None
+    refutable = n <= refutation_cap and _subset_sum_unsatisfiable(n, ring)
+    certificate = subset_sum_refutation(n, ring) if refutable else None
     return FamilyInstance(
         name="subset_sum",
         params={"n": n},
@@ -273,14 +275,26 @@ def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> F
     )
 
 
+def _subset_sum_unsatisfiable(n: int, ring: Ring) -> bool:
+    """Whether 1 + x1 + ... + xn = 0 has no 0/1 root.  Over GF(p) with
+    p <= n + 1, setting p - 1 variables to 1 is a root."""
+    return ring.is_rational or ring.p > n + 1
+
+
 def subset_sum_refutation(n: int, ring: Ring = RATIONAL) -> Derivation:
     """Radical step to the linear form, then the falling product collapse.
 
     Maintains A_v = ml((l-1)...(l-v)) - c_v with c_v = (-1)^v v!; each step
     multiplies by every variable, Boolean-reduces the squares immediately,
-    and recombines.  A_{n+1} is the nonzero constant -c_{n+1}, which
-    rescales to 1.  Every line stays within degree n + 1.
+    and recombines.  A_{n+1} is the constant -c_{n+1}, nonzero whenever the
+    instance is unsatisfiable, which rescales to 1.  Every line stays within
+    degree n + 1.
     """
+    if not _subset_sum_unsatisfiable(n, ring):
+        raise FamilyError(
+            f"subset sum n = {n} is satisfiable over GF({ring.p}): "
+            f"{ring.p - 1} variables set to 1 are a root"
+        )
     instance_members = [_x(ring, v) * _x(ring, v) - _x(ring, v) for v in range(1, n + 1)]
     ell = _sum_plus_one(ring, n)
     instance_members.append(ell * ell)

@@ -12,8 +12,9 @@ corresponding checker:
   most doubles and is independent of eps.  Setting eps = 1/2 and doubling
   turns a refutation into a target -1 certificate.
 * eliminate_radical_char_p: over GF(p) with the Boolean axioms, every
-  radical step f^2 = 0 |- f = 0 unfolds into multiplications reaching f^p
-  followed by explicit Boolean reductions of each x^(dp) back to x^d,
+  radical step f^2 = 0 |- f = 0 unfolds into a multiplication of f^2 by
+  the multilinear form h of f^(p-2), which agrees with f^p and so with f
+  on the 0/1 cube, followed by Boolean multiples that take f^2 h to f,
   leaving a radical-free PC derivation.
 
 Squares are kept in the weighted form sum_j w_j s_j^2 with rational
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import EquationSet, Polynomial, four_square, merge_exps
+from .algebra import EquationSet, Polynomial, four_square
 from .errors import UnsupportedConstruct
 from .proofcheck import (
     PC,
@@ -282,10 +283,12 @@ def pcplus_refutation_to_sos(d: Derivation) -> SosCertificate:
 def eliminate_radical_char_p(d: Derivation, max_p: int = 31) -> Derivation:
     """Replace every radical step by an explicit PC derivation over GF(p).
 
-    From the line f^2 = 0, multiplication by the monomials of f^(p-2)
-    reaches f^p, which by the freshman's dream equals f with every
-    exponent scaled by p; Boolean reductions then walk each x^(dp) back
-    down to x^d.  Output degree is at most p * deg(f) + 2 per step.
+    From the line f^2 = 0, multiplication by h, the multilinear form of
+    f^(p-2), gives f^2 h.  On every 0/1 point f^2 h equals f^p, which is f
+    by Fermat's little theorem, so f^2 h - f = sum_v (x_v^2 - x_v) q_v and
+    subtracting those Boolean multiples lands on f.  A step has degree at
+    most 2 deg(f) + min((p-2) deg(f), |vars(f)|) <= p deg(f), and h has at
+    most 2^|vars(f)| terms.
     """
     ring = d.ring
     if ring.is_rational:
@@ -315,28 +318,38 @@ def eliminate_radical_char_p(d: Derivation, max_p: int = 31) -> Derivation:
 
 
 def _expand_radical(builder: DerivationBuilder, square_line: int, f: Polynomial) -> int:
-    ring = builder.ring
-    p = ring.p
     if f.is_zero:
         return builder.zero()
-
-    # f^(p-2) * f^2 = f^p, built monomial by monomial from the square line
-    power = f ** (p - 2)
-    parts = [
-        (builder.mul_monomial(square_line, mono), coeff) for mono, coeff in power.sorted_terms()
-    ]
+    h = Polynomial.const(builder.ring, 1)  # becomes ml(f^(p-2))
+    for _ in range(builder.ring.p - 2):
+        h = (h * f).multilinearize()
+    line = builder.mul_poly(square_line, h)
+    parts = [(line, 1)]
+    cofactors = _boolean_cofactors(builder.poly(line) - f)
+    for var, q in sorted(cofactors.items()):
+        parts.append((builder.mul_poly(builder.bool_axiom(var), q), -1))
     line = builder.combination(parts)
-    assert builder.poly(line) == f**p
-
-    # freshman's dream: f^p = sum_j c_j m_j^p; reduce x^(p e) back to x^e
-    for mono, coeff in f.sorted_terms():
-        for var, exp in mono:
-            # telescoping cofactor: (x^2 - x) * sum_{k=e-1}^{pe-2} x^k = x^(pe) - x^e
-            rest = tuple((v, e if v < var else p * e) for v, e in mono if v != var)
-            bool_line = builder.bool_axiom(var)
-            for k in range(p * exp - 2, exp - 2, -1):
-                step = merge_exps(rest, ((var, k),)) if k else rest
-                correction = builder.mul_monomial(bool_line, step)
-                line = builder.add(line, correction, 1, ring.neg(coeff))
     assert builder.poly(line) == f
     return line
+
+
+def _boolean_cofactors(g: Polynomial) -> dict[int, Polynomial]:
+    """Cofactors q_v with g - ml(g) = sum_v (x_v^2 - x_v) q_v.
+
+    Each monomial is walked down one variable at a time: with the monomial
+    r * x^e and e >= 2, r x^e - r x = (x^2 - x) r (1 + x + ... + x^(e-2)).
+    """
+    ring = g.ring
+    acc: dict[int, dict] = {}
+    for mono, coeff in g.terms.items():
+        for k, (var, exp) in enumerate(mono):
+            if exp < 2:
+                continue
+            head = tuple((v, 1) for v, _ in mono[:k])  # already walked down
+            tail = mono[k + 1 :]
+            terms = acc.setdefault(var, {})
+            for j in range(exp - 1):
+                m = head + ((var, j),) + tail if j else head + tail
+                prev = terms.get(m)
+                terms[m] = coeff if prev is None else ring.add(prev, coeff)
+    return {var: Polynomial(ring, terms) for var, terms in acc.items()}

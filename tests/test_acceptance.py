@@ -166,6 +166,8 @@ def radical_fixtures():
             ),
         )
         out.extend([(p, one_step), (p, two_step), (p, three_step)])
+    # a 9-variable root, where a dense expansion of f^p takes seconds
+    out.append((11, gen_subset_sum(8, GF(11)).certificate))
     return out
 
 
@@ -245,7 +247,7 @@ def test_criterion_05_radical_elimination():
         assert rep.valid and not rep.uses_radical
         assert out.final_polynomial() == derivation.final_polynomial()
         assert rep.degree <= p * in_rep.degree + 2
-    report(5, "radical elimination over GF(3) and GF(5) verifies within degree p*d + 2")
+    report(5, "radical elimination over GF(3), GF(5) and GF(11) verifies within degree p*d + 2")
 
 
 def test_criterion_06_subset_sum_lower_bound_property():

@@ -6,8 +6,9 @@ import time
 
 import pcsos
 from pcsos import fol
-from pcsos.algebra import RATIONAL, eqset, parse_poly
+from pcsos.algebra import GF, RATIONAL, eqset, parse_poly
 from pcsos.cli import main
+from pcsos.families import gen_subset_sum
 from pcsos.lkr import node_to_json
 from pcsos.proofcheck import (
     Add,
@@ -434,6 +435,21 @@ def test_python_m_pcsos_help():
     )
     assert done.returncode == 0, done.stderr
     assert "check-sos" in done.stdout
+
+
+def test_elim_radical_output_ignores_hash_seed(tmp_path):
+    src = os.path.dirname(os.path.dirname(pcsos.__file__))
+    proof = tmp_path / "ss5.json"
+    dump_json(derivation_to_json(gen_subset_sum(5, GF(11)).certificate), proof)
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"flat{seed}.json"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        argv = [sys.executable, "-m", "pcsos", "translate", "elim-radical", str(proof), "-o", str(out)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 class TestFolAndSearch:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pcsos.algebra import RATIONAL, parse_poly
+from pcsos.algebra import GF, RATIONAL, parse_poly
 from pcsos.families import (
     FamilyError,
     chain_pc_refutation,
@@ -154,6 +154,18 @@ class TestSubsetSum:
 
     def test_unsatisfiable(self):
         assert not exhaustive_01_satisfiable(gen_subset_sum(3).equations)
+
+    def test_small_fields_are_satisfiable(self):
+        # over GF(p) with p <= n + 1, p - 1 ones make 1 + x1 + ... + xn vanish
+        for n, p in ((3, 3), (4, 3), (5, 5), (6, 7)):
+            inst = gen_subset_sum(n, GF(p))
+            assert inst.certificate is None
+            root = {v: int(v < p) for v in range(1, n + 1)}
+            assert inst.equations.vanishes_at(root)
+            with pytest.raises(FamilyError, match="satisfiable"):
+                subset_sum_refutation(n, GF(p))
+        rep = check_derivation(gen_subset_sum(5, GF(7)).certificate)
+        assert rep.valid and rep.refutation
 
 
 class TestChain:

@@ -50,7 +50,7 @@ DIGESTS = {
     "ss.cert.json": "e2ba3e78e3f7c60c267d24c41dbb8868cc09f70d41fb558f4e9d353bada01a2a",
     "ss.json": "86763ee02488d47c4cf879996f1248888191d93bc527d4c6759f90e44479eba7",
     "ss.sos.json": "2e679406967a450d07325f5201712ac6460d9b9aa52182177cc7e05e7da79311",
-    "ss7.flat.json": "cebd8c05773a6b79d6b765b8b8e5230515b42a6d2a183800f78c185554b0dd5a",
+    "ss7.flat.json": "e9cd4f15d18fffea4dfa58ee9d9c62f19e9a19828146d33aa579aad0d371d1f6",
 }
 
 

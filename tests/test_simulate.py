@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, parse_poly
-from pcsos.families import gen_fphp_sos
+from pcsos.families import gen_fphp_sos, gen_subset_sum
 from pcsos.proofcheck import (
     Add,
     Axiom,
@@ -254,7 +255,54 @@ class TestRefutationToSos:
             pcplus_refutation_to_sos(d)
 
 
+def random_root(rng, ring):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        variables = sorted(rng.sample(range(1, 5), rng.randint(0, 3)))
+        terms[tuple((v, rng.randint(1, 2)) for v in variables)] = rng.randint(1, ring.p - 1)
+    return Polynomial(ring, terms)
+
+
+def radical_chain(ring, f, depth):
+    """Derivation from the axiom f^(2^depth) down to f by depth radical steps."""
+    powers = [f]
+    for _ in range(depth):
+        powers.append(powers[-1] * powers[-1])
+    lines = [(powers[-1], Axiom(0))]
+    lines += [(root, Radical(k)) for k, root in enumerate(reversed(powers[:-1]))]
+    axioms = eqset(ring, [powers[-1]], boolean_axioms=True)
+    return Derivation("pc_rad", ring, True, axioms, tuple(lines)), powers[:-1]
+
+
+def expansion_bound(root):
+    return 2 * root.degree + len(root.variables())
+
+
 class TestEliminateRadical:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_random_roots(self, p):
+        g = GF(p)
+        rng = random.Random(p)
+        roots = [P(t, g) for t in ("x1^2 + x2", "2", "x1^2 - x1", "x1 + x2 + x3 + x4 + 1")]
+        roots += [random_root(rng, g) for _ in range(12)]
+        for k, f in enumerate(roots):
+            d, radical_roots = radical_chain(g, f, 1 + k % 2)
+            in_degree = check_derivation(d).degree
+            out = eliminate_radical_char_p(d)
+            rep = check_derivation(out)
+            assert rep.valid and not rep.uses_radical, f.format()
+            assert out.final_polynomial() == f
+            assert rep.degree <= p * in_degree + 2
+            # the axiom line aside, every line comes from one expansion
+            assert rep.degree <= max([in_degree] + [expansion_bound(r) for r in radical_roots])
+
+    @pytest.mark.parametrize(("p", "lines", "terms"), [(7, 673, 7179), (11, 670, 7137)])
+    def test_subset_sum_output_size(self, p, lines, terms):
+        out = eliminate_radical_char_p(gen_subset_sum(5, GF(p)).certificate)
+        assert check_derivation(out).valid
+        assert len(out.lines) == lines
+        assert sum(len(poly.terms) for poly, _ in out.lines) == terms
+
     def test_single_variable_gf3(self):
         g = GF(3)
         axioms = eqset(g, [P("x1^2", g)], boolean_axioms=True)
