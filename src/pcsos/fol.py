@@ -9,6 +9,11 @@ disjunction becomes the set product, a bounded universal becomes the
 union of its instances, and an oracle-free subformula collapses to
 {0 = 0} or {1 = 0} by evaluation.
 
+Ring terms have one interpreter, `ring_value`, parameterised by the model
+it lands in: `Model` gives ring values under an oracle (evaluation),
+`PolyModel` polynomials over the oracle variables (translation), and the
+sequent checker's subclass polynomials over opaque atoms.
+
 Function symbols live in a finite registry of total computable functions
 (built-ins plus user tables with a default), standing in for the paper-
 style "every function" signature, which no tool can materialize.
@@ -16,8 +21,10 @@ style "every function" signature, which no tool can materialize.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Callable
 
@@ -446,92 +453,57 @@ def mentions_oracle(node) -> bool:
     match node:
         case OracleAt():
             return True
-        case RingOp(_, l, r):
-            return mentions_oracle(l) or mentions_oracle(r)
-        case BigSum(_, _, body):
-            return mentions_oracle(body)
-        case RingEq(l, r):
+        case RingOp(_, l, r) | RingEq(l, r):
             return mentions_oracle(l) or mentions_oracle(r)
         case And(parts) | Or(parts):
             return any(mentions_oracle(p) for p in parts)
-        case Not(body):
+        case BigSum(_, _, body) | Not(body) | ForallIdx(_, _, body) | ExistsIdx(_, _, body):
             return mentions_oracle(body)
-        case ForallIdx(_, _, body) | ExistsIdx(_, _, body):
-            return mentions_oracle(body)
-        case _:
-            return False
+    return False
 
 
-def free_index_vars(node, bound: frozenset[str] = frozenset()) -> set[str]:
+def free_index_vars(node) -> set[str]:
     match node:
         case IdxVar(name):
-            return set() if name in bound else {name}
-        case IdxLit() | RingConst():
-            return set()
-        case IdxApp(_, args) | RingApp(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= free_index_vars(a, bound)
-            return out
-        case OracleAt(i):
-            return free_index_vars(i, bound)
+            return {name}
+        case IdxApp(_, args) | RingApp(_, args) | And(args) | Or(args):
+            return set().union(*map(free_index_vars, args))
+        case OracleAt(i) | Not(i):
+            return free_index_vars(i)
         case RingOp(_, l, r) | RingEq(l, r) | IdxEq(l, r) | IdxLt(l, r):
-            return free_index_vars(l, bound) | free_index_vars(r, bound)
+            return free_index_vars(l) | free_index_vars(r)
         case BigSum(var, b, body) | ForallIdx(var, b, body) | ExistsIdx(var, b, body):
-            return free_index_vars(b, bound) | free_index_vars(body, bound | {var})
-        case And(parts) | Or(parts):
-            out = set()
-            for p in parts:
-                out |= free_index_vars(p, bound)
-            return out
-        case Not(body):
-            return free_index_vars(body, bound)
-        case _:
-            return set()
+            return free_index_vars(b) | (free_index_vars(body) - {var})
+    return set()
 
 
 def substitute_index(node, name: str, replacement: IndexTerm):
     """Capture-avoiding substitution of an index term for a free variable."""
+
+    def sub(child):
+        return substitute_index(child, name, replacement)
+
     match node:
         case IdxVar(n):
             return replacement if n == name else node
         case IdxLit() | RingConst():
             return node
-        case IdxApp(fn, args):
-            return IdxApp(fn, tuple(substitute_index(a, name, replacement) for a in args))
-        case RingApp(fn, args):
-            return RingApp(fn, tuple(substitute_index(a, name, replacement) for a in args))
-        case OracleAt(i):
-            return OracleAt(substitute_index(i, name, replacement))
+        case IdxApp(fn, args) | RingApp(fn, args):
+            return type(node)(fn, tuple(map(sub, args)))
+        case OracleAt(i) | Not(i):
+            return type(node)(sub(i))
         case RingOp(op, l, r):
-            return RingOp(op, substitute_index(l, name, replacement), substitute_index(r, name, replacement))
-        case BigSum(var, b, body):
-            b2 = substitute_index(b, name, replacement)
+            return RingOp(op, sub(l), sub(r))
+        case RingEq(l, r) | IdxEq(l, r) | IdxLt(l, r):
+            return type(node)(sub(l), sub(r))
+        case And(parts) | Or(parts):
+            return type(node)(tuple(map(sub, parts)))
+        case BigSum(var, b, body) | ForallIdx(var, b, body) | ExistsIdx(var, b, body):
             if var == name:
-                return BigSum(var, b2, body)
+                return type(node)(var, sub(b), body)
             if var in free_index_vars(replacement):
                 raise FolError(f"substitution would capture {var!r}")
-            return BigSum(var, b2, substitute_index(body, name, replacement))
-        case RingEq(l, r):
-            return RingEq(substitute_index(l, name, replacement), substitute_index(r, name, replacement))
-        case IdxEq(l, r):
-            return IdxEq(substitute_index(l, name, replacement), substitute_index(r, name, replacement))
-        case IdxLt(l, r):
-            return IdxLt(substitute_index(l, name, replacement), substitute_index(r, name, replacement))
-        case And(parts):
-            return And(tuple(substitute_index(p, name, replacement) for p in parts))
-        case Or(parts):
-            return Or(tuple(substitute_index(p, name, replacement) for p in parts))
-        case Not(body):
-            return Not(substitute_index(body, name, replacement))
-        case ForallIdx(var, b, body) | ExistsIdx(var, b, body):
-            cls = type(node)
-            b2 = substitute_index(b, name, replacement)
-            if var == name:
-                return cls(var, b2, body)
-            if var in free_index_vars(replacement):
-                raise FolError(f"substitution would capture {var!r}")
-            return cls(var, b2, substitute_index(body, name, replacement))
+            return type(node)(var, sub(b), sub(body))
     raise FolError(f"cannot substitute into {node!r}")
 
 
@@ -580,79 +552,114 @@ def eval_index(term: IndexTerm, alpha: dict[str, int], reg: FunctionRegistry) ->
     raise FolError(f"bad index term {term!r}")
 
 
+class Model:
+    """Where the ring-term interpreter lands: ring values in the standard
+    model with oracle X.  A subclass changes what a constant, an oracle
+    application, a ring function and a bounded sum denote (the last three
+    under the index assignment alpha); `PolyModel` gives polynomials over
+    the oracle variables, and the sequent checker gives polynomials over
+    opaque atoms."""
+
+    def __init__(self, reg: FunctionRegistry, ring: Ring = RATIONAL, oracle=None):
+        self.reg = reg
+        self.ring = ring
+        self.oracle = oracle
+
+    @cached_property
+    def ops(self) -> dict:
+        return {"+": self.ring.add, "-": self.ring.sub, "*": self.ring.mul}
+
+    def const(self, value):
+        return self.ring.coerce(value)
+
+    def at(self, index: IndexTerm, alpha):
+        j = eval_index(index, alpha, self.reg)
+        if j not in self.oracle:
+            raise FolError(f"oracle gap at index {j}")
+        return self.ring.coerce(self.oracle[j])
+
+    def apply(self, fn: str, args: tuple, alpha):
+        values = tuple(eval_index(a, alpha, self.reg) for a in args)
+        return self.const(self.reg.ring_apply(fn, values))
+
+    def big_sum(self, var: str, bound: IndexTerm, body: RingTerm, alpha):
+        n = eval_index(bound, alpha, self.reg)
+        return self.total(ring_value(body, {**alpha, var: j}, self) for j in range(n))
+
+    def total(self, values):
+        out = 0
+        for v in values:
+            out = self.ring.add(out, v)
+        return out
+
+
+class PolyModel(Model):
+    """Ring terms as polynomials in x0, x1, ... with x_j standing for X(j)."""
+
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+    def const(self, value) -> Polynomial:
+        return Polynomial.const(self.ring, self.ring.coerce(value))
+
+    def at(self, index: IndexTerm, alpha) -> Polynomial:
+        return Polynomial.variable(self.ring, eval_index(index, alpha, self.reg))
+
+    def total(self, values) -> Polynomial:
+        return Polynomial.sum(self.ring, values)
+
+
+def ring_value(term: RingTerm, alpha: dict, model: Model):
+    """The ring-term interpreter: what `term` denotes in `model` when the
+    free index variables take their values from alpha."""
+    match term:
+        case OracleAt(i):
+            return model.at(i, alpha)
+        case RingConst(v):
+            return model.const(v)
+        case RingOp(op, l, r):
+            return model.ops[op](ring_value(l, alpha, model), ring_value(r, alpha, model))
+        case RingApp(fn, args):
+            return model.apply(fn, args, alpha)
+        case BigSum(var, bound, body):
+            return model.big_sum(var, bound, body, alpha)
+    raise FolError(f"bad ring term {term!r}")
+
+
 def translate_ring_term(
     term: RingTerm, alpha: dict[str, int], reg: FunctionRegistry, ring: Ring = RATIONAL
 ) -> Polynomial:
-    match term:
-        case RingConst(v):
-            return Polynomial.const(ring, ring.coerce(v))
-        case OracleAt(i):
-            return Polynomial.variable(ring, eval_index(i, alpha, reg))
-        case RingOp(op, l, r):
-            a = translate_ring_term(l, alpha, reg, ring)
-            b = translate_ring_term(r, alpha, reg, ring)
-            return a + b if op == "+" else a - b if op == "-" else a * b
-        case BigSum(var, bound, body):
-            n = eval_index(bound, alpha, reg)
-            return Polynomial.sum(
-                ring,
-                (translate_ring_term(body, {**alpha, var: j}, reg, ring) for j in range(n)),
-            )
-        case RingApp(fn, args):
-            value = reg.ring_apply(fn, tuple(eval_index(a, alpha, reg) for a in args))
-            return Polynomial.const(ring, ring.coerce(value))
-    raise FolError(f"bad ring term {term!r}")
-
-
-def eval_ring_term(term: RingTerm, alpha, oracle, reg: FunctionRegistry, ring: Ring = RATIONAL):
-    """Value of a ring term in the standard model with oracle X."""
-    match term:
-        case RingConst(v):
-            return ring.coerce(v)
-        case OracleAt(i):
-            j = eval_index(i, alpha, reg)
-            if j not in oracle:
-                raise FolError(f"oracle gap at index {j}")
-            return ring.coerce(oracle[j])
-        case RingOp(op, l, r):
-            a = eval_ring_term(l, alpha, oracle, reg, ring)
-            b = eval_ring_term(r, alpha, oracle, reg, ring)
-            return ring.add(a, b) if op == "+" else ring.sub(a, b) if op == "-" else ring.mul(a, b)
-        case BigSum(var, bound, body):
-            n = eval_index(bound, alpha, reg)
-            total = 0
-            for j in range(n):
-                total = ring.add(total, eval_ring_term(body, {**alpha, var: j}, oracle, reg, ring))
-            return total
-        case RingApp(fn, args):
-            return ring.coerce(reg.ring_apply(fn, tuple(eval_index(a, alpha, reg) for a in args)))
-    raise FolError(f"bad ring term {term!r}")
+    return ring_value(term, alpha, PolyModel(reg, ring))
 
 
 def eval_formula(
     phi: Formula, alpha: dict[str, int], oracle, reg: FunctionRegistry, ring: Ring = RATIONAL
 ) -> bool:
+    """Truth of a formula in the standard model with oracle X."""
+    return _holds(phi, alpha, Model(reg, ring, oracle))
+
+
+def _holds(phi: Formula, alpha, model: Model) -> bool:
+    """Truth under alpha, with ring terms compared in a model whose index
+    terms evaluate to naturals."""
     match phi:
         case RingEq(l, r):
-            return eval_ring_term(l, alpha, oracle, reg, ring) == eval_ring_term(
-                r, alpha, oracle, reg, ring
-            )
+            return ring_value(l, alpha, model) == ring_value(r, alpha, model)
         case IdxEq(l, r):
-            return eval_index(l, alpha, reg) == eval_index(r, alpha, reg)
+            return eval_index(l, alpha, model.reg) == eval_index(r, alpha, model.reg)
         case IdxLt(l, r):
-            return eval_index(l, alpha, reg) < eval_index(r, alpha, reg)
+            return eval_index(l, alpha, model.reg) < eval_index(r, alpha, model.reg)
         case And(parts):
-            return all(eval_formula(p, alpha, oracle, reg, ring) for p in parts)
+            return all(_holds(p, alpha, model) for p in parts)
         case Or(parts):
-            return any(eval_formula(p, alpha, oracle, reg, ring) for p in parts)
+            return any(_holds(p, alpha, model) for p in parts)
         case Not(body):
-            return not eval_formula(body, alpha, oracle, reg, ring)
+            return not _holds(body, alpha, model)
         case ForallIdx(var, bound, body):
-            n = eval_index(bound, alpha, reg)
-            return all(eval_formula(body, {**alpha, var: j}, oracle, reg, ring) for j in range(n))
+            n = eval_index(bound, alpha, model.reg)
+            return all(_holds(body, {**alpha, var: j}, model) for j in range(n))
         case ExistsIdx(var, bound, body):
-            n = eval_index(bound, alpha, reg)
-            return any(eval_formula(body, {**alpha, var: j}, oracle, reg, ring) for j in range(n))
+            n = eval_index(bound, alpha, model.reg)
+            return any(_holds(body, {**alpha, var: j}, model) for j in range(n))
     raise FolError(f"bad formula {phi!r}")
 
 
@@ -663,32 +670,32 @@ def translate_formula(
     ok, why = classify_indpc(phi)
     if not ok:
         raise ClassificationError(f"formula is not translatable: {why}")
-    return _translate(phi, alpha, reg, ring)
+    return _translate(phi, alpha, PolyModel(reg, ring))
 
 
-def _translate(phi, alpha, reg, ring) -> EquationSet:
+def _translate(phi, alpha, model: PolyModel) -> EquationSet:
+    ring = model.ring
     if not mentions_oracle(phi):
-        truth = eval_formula(phi, alpha, {}, reg, ring)
+        # evaluation in the polynomial model: oracle-free terms are constants
+        truth = _holds(phi, alpha, model)
         value = Polynomial.zero(ring) if truth else Polynomial.const(ring, 1)
         return EquationSet(ring, (value,))
     match phi:
         case RingEq(l, r):
-            poly = translate_ring_term(l, alpha, reg, ring) - translate_ring_term(r, alpha, reg, ring)
-            return EquationSet(ring, (poly,))
+            return EquationSet(ring, (ring_value(l, alpha, model) - ring_value(r, alpha, model),))
         case And(parts):
-            out = _translate(parts[0], alpha, reg, ring)
+            out = _translate(parts[0], alpha, model)
             for p in parts[1:]:
-                out = out.union(_translate(p, alpha, reg, ring))
+                out = out.union(_translate(p, alpha, model))
             return out
         case Or(parts):
-            out = _translate(parts[0], alpha, reg, ring)
+            out = _translate(parts[0], alpha, model)
             for p in parts[1:]:
-                out = out.product(_translate(p, alpha, reg, ring))
+                out = out.product(_translate(p, alpha, model))
             return out
         case ForallIdx(var, bound, body):
-            n = eval_index(bound, alpha, reg)
             members: tuple[Polynomial, ...] = ()
-            for j in range(n):
-                members += _translate(body, {**alpha, var: j}, reg, ring).members
+            for j in range(eval_index(bound, alpha, model.reg)):
+                members += _translate(body, {**alpha, var: j}, model).members
             return EquationSet(ring, members)
     raise FolError(f"untranslatable formula {phi!r}")

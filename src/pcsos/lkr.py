@@ -4,11 +4,11 @@ A proof is a tree of inference nodes, each carrying its conclusion
 sequent, so checking is local: every node must instantiate its rule
 schema, every formula must lie in the translatable inductive class, and
 eigenvariable side conditions must hold.  Theory axioms about the ring
-are verified symbolically: terms normalize into polynomials over opaque
-atoms (oracle applications, registry ring functions, irreducible big
-sums), literal big sums unfold, and successor-shaped bounds peel once,
-so an accepted axiom instance translates to a polynomial identity under
-every assignment.
+are verified symbolically: the ring-term interpreter of `fol` lands terms
+in polynomials over opaque atoms (oracle applications, registry ring
+functions, irreducible big sums), literal big sums unfold, and
+successor-shaped bounds peel once, so an accepted axiom instance
+translates to a polynomial identity under every assignment.
 
 Compilation is the rule-by-rule translation into a derivation of the
 succedent's product translation from the antecedent's union translation.
@@ -20,12 +20,20 @@ per value below the bound; cut behaves like induction with two stages.
 Sum-of-squares and Boolean axiom sequents compile through the
 sum-of-squares and radical rules and therefore require the pc_plus
 target.
+
+Each rule is defined once, in RULES, keyed by its name: its premise
+count, the codecs of its parameters (for the JSON reader and writer and
+for values given through the Python API), its schema check and its
+compile step.  A check returns what it resolves (the principal formula,
+the chosen part, the induction contexts) and the compile step receives
+it; neither writes into the proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .algebra import RATIONAL, EquationSet, Polynomial, Ring
 from .errors import UnsupportedConstruct
@@ -45,7 +53,7 @@ from .fol import (
     IndexTerm,
     Or,
     OracleAt,
-    RingApp,
+    PolyModel,
     RingConst,
     RingEq,
     RingOp,
@@ -59,12 +67,13 @@ from .fol import (
     parse_formula,
     parse_index_term,
     parse_ring_term,
+    ring_value,
     substitute_index,
     translate_formula,
-    translate_ring_term,
 )
 
 SUM_UNFOLD_CAP = 256
+_ZERO = RingConst(Fraction(0))
 
 
 class LkrError(ValueError):
@@ -96,56 +105,17 @@ class LkrReport:
     reason: str = ""
 
 
-THEORY_AXIOMS = (
-    "ring-axiom",
-    "big-sum",
-    "integral-domain",
-    "equality",
-    "background-truth",
-    "sos-axiom",
-    "boolean-axiom",
-)
-RULES = THEORY_AXIOMS + (
-    "logical-axiom",
-    "weakening-l",
-    "weakening-r",
-    "contraction-l",
-    "contraction-r",
-    "and-l",
-    "and-r",
-    "or-l",
-    "or-r",
-    "forall-idx-l",
-    "forall-idx-r",
-    "induction",
-    "cut",
-)
-
-
 # -- multiset helpers ---------------------------------------------------
 
 
-def _multiset(items) -> dict:
-    out: dict = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
+def _same(a, b) -> bool:
+    """a and b are equal as multisets."""
+    return len(a) == len(b) and _minus(a, b) == ()
 
 
-def _multiset_eq(a, b) -> bool:
-    return _multiset(a) == _multiset(b)
-
-
-def _without(items: tuple, item) -> tuple | None:
-    out = list(items)
-    try:
-        out.remove(item)
-    except ValueError:
-        return None
-    return tuple(out)
-
-
-def _minus_multiset(larger: tuple, smaller: tuple) -> tuple | None:
+def _minus(larger: tuple, smaller: tuple) -> tuple | None:
+    """larger with one occurrence of each item of smaller removed, in order;
+    None when smaller is not a sub-multiset."""
     rest = list(larger)
     for x in smaller:
         try:
@@ -162,90 +132,150 @@ def _names(text: str) -> set[str]:
 # -- symbolic ring identities -------------------------------------------
 
 
-class _SymbolicContext:
-    """Normalizes ring terms into polynomials over interned opaque atoms."""
+class _AtomModel(PolyModel):
+    """Ring terms as rational polynomials over interned opaque atoms.
+
+    An index term denotes a key: ("lit", n) when it evaluates, else a
+    structural key, and alpha maps bound names to keys.  The body of a sum
+    that stays opaque is keyed with its variable named by the nesting depth
+    of opaque sums, so nested sums over different variables stay apart.
+    """
 
     def __init__(self, reg: FunctionRegistry):
-        self.reg = reg
-        self._atoms: dict = {}
+        super().__init__(reg, RATIONAL)
+        self.atoms: dict = {}
+        self.depth = 0
 
-    def _atom_var(self, key) -> int:
-        if key not in self._atoms:
-            self._atoms[key] = len(self._atoms)
-        return self._atoms[key]
+    def _atom(self, key) -> Polynomial:
+        return Polynomial.variable(RATIONAL, self.atoms.setdefault(key, len(self.atoms)))
 
-    def index_key(self, term: IndexTerm):
+    def key(self, term: IndexTerm, alpha):
         match term:
             case IdxLit(v):
                 return ("lit", v)
             case IdxVar(name):
-                return ("var", name)
+                return alpha.get(name, ("var", name))
             case IdxApp(fn, args):
-                keys = tuple(self.index_key(a) for a in args)
+                keys = tuple(self.key(a, alpha) for a in args)
                 if all(k[0] == "lit" for k in keys):
                     return ("lit", self.reg.index_apply(fn, tuple(k[1] for k in keys)))
                 return ("app", fn) + keys
-        raise LkrError(f"bad index term {term!r}")
+        raise fol.FolError(f"bad index term {term!r}")
 
-    def poly(self, term: RingTerm) -> Polynomial:
-        match term:
-            case RingConst(v):
-                return Polynomial.const(RATIONAL, v)
-            case RingOp(op, l, r):
-                a, b = self.poly(l), self.poly(r)
-                return a + b if op == "+" else a - b if op == "-" else a * b
-            case OracleAt(i):
-                return Polynomial.variable(RATIONAL, self._atom_var(("X", self.index_key(i))))
-            case RingApp(fn, args):
-                keys = tuple(self.index_key(a) for a in args)
-                if all(k[0] == "lit" for k in keys):
-                    value = self.reg.ring_apply(fn, tuple(k[1] for k in keys))
-                    return Polynomial.const(RATIONAL, value)
-                return Polynomial.variable(RATIONAL, self._atom_var(("rfn", fn) + keys))
-            case BigSum(var, bound, body):
-                bkey = self.index_key(bound)
-                if bkey[0] == "lit" and bkey[1] <= SUM_UNFOLD_CAP:
-                    total = Polynomial.zero(RATIONAL)
-                    for j in range(bkey[1]):
-                        total = total + self.poly(substitute_index(body, var, IdxLit(j)))
-                    return total
-                if (
-                    bkey[0] == "app"
-                    and bkey[1] == "+"
-                    and len(bkey) == 4
-                    and bkey[3] == ("lit", 1)
-                    and isinstance(bound, IdxApp)
-                ):
-                    # peel one step: sum_{i<b+1} t(i) = sum_{i<b} t(i) + t(b)
-                    base = bound.args[0]
-                    return self.poly(BigSum(var, base, body)) + self.poly(
-                        substitute_index(body, var, base)
-                    )
-                body_key = self._body_key(var, body)
-                return Polynomial.variable(RATIONAL, self._atom_var(("sum", bkey, body_key)))
-        raise LkrError(f"bad ring term {term!r}")
+    def at(self, index, alpha) -> Polynomial:
+        return self._atom(("X", self.key(index, alpha)))
 
-    def _body_key(self, var: str, body: RingTerm):
-        canonical = substitute_index(body, var, IdxVar("#bound"))
-        poly = self.poly(canonical)
-        return tuple(sorted(poly.terms.items()))
+    def apply(self, fn: str, args: tuple, alpha) -> Polynomial:
+        keys = tuple(self.key(a, alpha) for a in args)
+        if all(k[0] == "lit" for k in keys):
+            return self.const(self.reg.ring_apply(fn, tuple(k[1] for k in keys)))
+        return self._atom(("rfn", fn) + keys)
+
+    def big_sum(self, var, bound, body, alpha) -> Polynomial:
+        return self._sum(var, self.key(bound, alpha), body, alpha)
+
+    def _sum(self, var, bkey, body, alpha) -> Polynomial:
+        if bkey[0] == "lit" and bkey[1] <= SUM_UNFOLD_CAP:
+            n = bkey[1]
+            return self.total(ring_value(body, {**alpha, var: ("lit", j)}, self) for j in range(n))
+        if bkey[:2] == ("app", "+") and bkey[3:] == (("lit", 1),):
+            # peel one step: sum_{i<b+1} t(i) = sum_{i<b} t(i) + t(b)
+            base = bkey[2]
+            return self._sum(var, base, body, alpha) + ring_value(body, {**alpha, var: base}, self)
+        self.depth += 1
+        inner = ring_value(body, {**alpha, var: ("bound", self.depth)}, self)
+        self.depth -= 1
+        return self._atom(("sum", bkey, tuple(sorted(inner.terms.items()))))
 
 
 def ring_identity(s: RingTerm, t: RingTerm, reg: FunctionRegistry) -> bool:
     """True when both terms normalize to the same polynomial over atoms,
     hence translate identically under every assignment."""
-    ctx = _SymbolicContext(reg)
-    return (ctx.poly(s) - ctx.poly(t)).is_zero
+    return linear_combination_identity(RingEq(s, t), (), (), reg)
 
 
 def linear_combination_identity(
     succ: RingEq, antes, multipliers, reg: FunctionRegistry
 ) -> bool:
-    ctx = _SymbolicContext(reg)
-    delta = ctx.poly(succ.left) - ctx.poly(succ.right)
+    """True when succ is the sum of multipliers[k] times antes[k], as
+    polynomials over atoms."""
+    model = _AtomModel(reg)
+
+    def poly(term):
+        return ring_value(term, {}, model)
+
+    delta = poly(succ.left) - poly(succ.right)
     for eq, h in zip(antes, multipliers):
-        delta = delta - ctx.poly(h) * (ctx.poly(eq.left) - ctx.poly(eq.right))
+        delta = delta - poly(h) * (poly(eq.left) - poly(eq.right))
     return delta.is_zero
+
+
+# -- node parameters ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Codec:
+    """One node parameter: s-expression text in JSON; from the Python API
+    also the AST itself.  Decoding yields the AST, encoding the text."""
+
+    kind: object  # the AST type taken as is
+    parse: Callable  # (s-expression, reg, scope) -> AST, or FolError / LkrError
+    many: bool = False  # a list of such values
+    required: bool = True
+
+    def decode(self, value, reg: FunctionRegistry):
+        if not self.many:
+            return self._one(value, reg)
+        if not isinstance(value, (list, tuple)):
+            raise LkrError(f"expected a list, got {value!r}")
+        return tuple(self._one(v, reg) for v in value)
+
+    def _one(self, value, reg):
+        if isinstance(value, str):
+            return self.parse(fol._read_sexp(value), reg, _names(value))
+        if isinstance(value, self.kind):
+            return value
+        raise LkrError(f"expected an s-expression string, got {value!r}")
+
+    def encode(self, value):
+        return [self._text(v) for v in value] if self.many else self._text(value)
+
+    @staticmethod
+    def _text(value) -> str:
+        return value if isinstance(value, str) else fol._fmt(value)
+
+
+def _parse_var(sexp, reg, scope) -> str:
+    if not (isinstance(sexp, str) and sexp.isidentifier()):
+        raise LkrError(f"expected an index variable name, got {sexp!r}")
+    return sexp
+
+
+_TERM = _Codec(IndexTerm, parse_index_term)
+_FORMULA = _Codec(Formula, parse_formula)
+_VAR = _Codec(str, _parse_var)
+_MULTIPLIERS = _Codec(RingTerm, parse_ring_term, many=True, required=False)
+
+
+def _decode(rule: str, params, reg) -> dict:
+    """The parameters of a rule-node as ASTs; absent optional ones are left out."""
+    codecs = RULES[rule].params
+    if not isinstance(params, dict):
+        raise LkrError(f"{rule} parameters must be an object, got {params!r}")
+    unknown = sorted(set(params) - set(codecs))
+    if unknown:
+        raise LkrError(f"{rule} takes no parameter {unknown[0]!r}")
+    out = {}
+    for key, codec in codecs.items():
+        value = params.get(key)
+        if value is not None:
+            try:
+                out[key] = codec.decode(value, reg)
+            except (LkrError, fol.FolError) as exc:
+                raise LkrError(f"{rule} parameter {key!r}: {exc}") from exc
+        elif codec.required:
+            raise LkrError(f"{rule} requires the {key!r} parameter")
+    return out
 
 
 # -- structural checking -------------------------------------------------
@@ -262,91 +292,87 @@ def _fail(path, reason):
     raise _CheckFailure(path, reason)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """A checked node: its rule, decoded parameters, what the schema check
+    resolved, and its checked premises."""
+
+    node: LkrNode
+    rule: "Rule"
+    args: dict
+    found: object
+    premises: tuple["_Step", ...]
+
+
 def check_lkr(proof: LkrNode, reg: FunctionRegistry) -> LkrReport:
     try:
-        _check_node(proof, reg, ())
+        _check(proof, reg, ())
     except _CheckFailure as fail:
         return LkrReport(False, fail.path, fail.reason)
     return LkrReport(True)
 
 
-def _check_node(node: LkrNode, reg: FunctionRegistry, path):
-    if node.rule not in RULES:
+def _check(node: LkrNode, reg: FunctionRegistry, path) -> _Step:
+    rule = RULES.get(node.rule)
+    if rule is None:
         raise UnsupportedConstruct(f"unknown rule {node.rule!r}")
     for phi in node.conclusion.ante + node.conclusion.succ:
         ok, why = classify_indpc(phi)
         if not ok:
             _fail(path, f"formula outside the inductive class: {why}")
-    _SCHEMA_CHECKS[node.rule](node, reg, path)
-    for k, premise in enumerate(node.premises):
-        _check_node(premise, reg, path + (k,))
-
-
-def _expect_premises(node, count, path):
-    if len(node.premises) != count:
-        _fail(path, f"{node.rule} expects {count} premises, got {len(node.premises)}")
-
-
-def _check_logical_axiom(node, reg, path):
-    _expect_premises(node, 0, path)
-    if len(node.conclusion.ante) != 1 or len(node.conclusion.succ) != 1:
-        _fail(path, "logical axiom must be phi -> phi")
-    if node.conclusion.ante[0] != node.conclusion.succ[0]:
-        _fail(path, "logical axiom sides differ")
-
-
-def _check_ring_axiom(node, reg, path):
-    _expect_premises(node, 0, path)
-    if node.conclusion.ante or len(node.conclusion.succ) != 1:
-        _fail(path, f"{node.rule} must have shape  -> s = t")
-    eq = node.conclusion.succ[0]
-    if not isinstance(eq, RingEq):
-        _fail(path, f"{node.rule} succedent must be a ring equality")
+    if rule.premises is not None and len(node.premises) != rule.premises:
+        _fail(path, f"{node.rule} expects {rule.premises} premises, got {len(node.premises)}")
     try:
-        if not ring_identity(eq.left, eq.right, reg):
-            _fail(path, f"{node.rule} sides do not normalize to the same polynomial")
-    except fol.FolError as exc:
+        args = _decode(node.rule, node.params, reg)
+    except LkrError as exc:
         _fail(path, str(exc))
+    try:
+        found = rule.check(node, args, reg, path)
+    except fol.FolError as exc:
+        _fail(path, f"{node.rule}: {exc}")
+    premises = tuple(_check(p, reg, path + (k,)) for k, p in enumerate(node.premises))
+    return _Step(node, rule, args, found, premises)
 
 
-def _check_integral_domain(node, reg, path):
-    _expect_premises(node, 0, path)
-    conc = node.conclusion
-    zero = RingConst(Fraction(0))
-    if len(conc.ante) != 1 or len(conc.succ) != 2:
-        _fail(path, "integral domain axiom must be  s*t = 0 -> s = 0, t = 0")
-    prem = conc.ante[0]
-    if not (
-        isinstance(prem, RingEq)
-        and isinstance(prem.left, RingOp)
-        and prem.left.op == "*"
-        and prem.right == zero
-    ):
-        _fail(path, "integral domain antecedent must be a product equated to 0")
-    s, t = prem.left.left, prem.left.right
-    if conc.succ != (RingEq(s, zero), RingEq(t, zero)):
-        _fail(path, "integral domain succedents must equate the two factors to 0")
+def _check_logical_axiom(node, args, reg, path):
+    match node.conclusion:
+        case Sequent((phi,), (psi,)) if phi == psi:
+            return
+    _fail(path, "logical axiom must be  phi -> phi")
 
 
-def _check_equality(node, reg, path):
-    _expect_premises(node, 0, path)
+def _check_ring_axiom(node, args, reg, path):
+    match node.conclusion:
+        case Sequent((), (RingEq(s, t),)):
+            if not ring_identity(s, t, reg):
+                _fail(path, f"{node.rule} sides do not normalize to the same polynomial")
+        case _:
+            _fail(path, f"{node.rule} must have shape  -> s = t")
+
+
+def _check_integral_domain(node, args, reg, path):
+    match node.conclusion:
+        case Sequent((RingEq(RingOp("*", s, t), RingConst(0)),), succ) if succ == (
+            RingEq(s, _ZERO),
+            RingEq(t, _ZERO),
+        ):
+            return
+    _fail(path, "integral domain axiom must be  s*t = 0 -> s = 0, t = 0")
+
+
+def _check_equality(node, args, reg, path):
     conc = node.conclusion
     if len(conc.succ) != 1:
         _fail(path, "equality axiom needs a single succedent formula")
     succ = conc.succ[0]
-    if node.params.get("multipliers") is not None:
+    multipliers = args.get("multipliers")
+    if multipliers is not None:
         if not isinstance(succ, RingEq) or not all(isinstance(a, RingEq) for a in conc.ante):
             _fail(path, "witnessed equality axiom relates ring equalities")
-        if len(node.params["multipliers"]) != len(conc.ante):
+        if len(multipliers) != len(conc.ante):
             _fail(path, "one multiplier per antecedent equality required")
-        try:
-            multipliers = [
-                _param_ring_term(node, "multipliers", k, reg) for k in range(len(conc.ante))
-            ]
-            if not linear_combination_identity(succ, list(conc.ante), multipliers, reg):
-                _fail(path, "equality witness does not combine to the succedent")
-        except (fol.FolError, LkrError) as exc:
-            _fail(path, str(exc))
+        if not linear_combination_identity(succ, conc.ante, multipliers, reg):
+            _fail(path, "equality witness does not combine to the succedent")
         return
     # congruence form for the oracle and index functions
     if not all(isinstance(a, IdxEq) for a in conc.ante):
@@ -365,8 +391,7 @@ def _check_equality(node, reg, path):
         _fail(path, "congruence antecedents must list the differing argument pairs in order")
 
 
-def _check_background_truth(node, reg, path):
-    _expect_premises(node, 0, path)
+def _check_background_truth(node, args, reg, path):
     if node.conclusion.ante or len(node.conclusion.succ) != 1:
         _fail(path, "background truth axiom must have shape  -> sigma")
     sigma = node.conclusion.succ[0]
@@ -374,294 +399,157 @@ def _check_background_truth(node, reg, path):
         _fail(path, "background truth sentences cannot mention the oracle")
     if free_index_vars(sigma):
         _fail(path, "background truth sentences must be closed")
-    try:
-        if not eval_formula(sigma, {}, {}, reg):
-            _fail(path, "background truth sentence evaluates to false")
-    except fol.FolError as exc:
-        _fail(path, f"background truth sentence not evaluable: {exc}")
+    if not eval_formula(sigma, {}, {}, reg):
+        _fail(path, "background truth sentence evaluates to false")
 
 
-def _check_sos_axiom(node, reg, path):
-    _expect_premises(node, 0, path)
-    conc = node.conclusion
-    zero = RingConst(Fraction(0))
-    if len(conc.ante) != 2 or len(conc.succ) != 1:
-        _fail(path, "sum-of-squares axiom must be  sum = 0, s < r -> instance = 0")
-    head, side = conc.ante
-    if not (
-        isinstance(head, RingEq)
-        and isinstance(head.left, BigSum)
-        and head.right == zero
-        and isinstance(head.left.body, RingOp)
-        and head.left.body.op == "*"
-        and head.left.body.left == head.left.body.right
-    ):
-        _fail(path, "first antecedent must equate a sum of squares to 0")
-    if not (isinstance(side, IdxLt) and side.right == head.left.bound):
-        _fail(path, "second antecedent must bound the instance below the sum bound")
-    body = head.left.body.left
-    expected = RingEq(substitute_index(body, head.left.var, side.left), zero)
-    if conc.succ[0] != expected:
-        _fail(path, "succedent must be the instantiated summand equated to 0")
+def _check_sos_axiom(node, args, reg, path):
+    match node.conclusion:
+        case Sequent(
+            (RingEq(BigSum(var, bound, RingOp("*", body, other)), RingConst(0)), IdxLt(k, limit)),
+            (succ,),
+        ) if other == body and limit == bound:
+            if succ != RingEq(substitute_index(body, var, k), _ZERO):
+                _fail(path, "succedent must be the instantiated summand equated to 0")
+            return
+    _fail(path, "sum-of-squares axiom must be  sum_{i<r} t(i)*t(i) = 0, s < r -> t(s) = 0")
 
 
-def _check_boolean_axiom(node, reg, path):
-    _expect_premises(node, 0, path)
-    if node.conclusion.ante or len(node.conclusion.succ) != 1:
-        _fail(path, "boolean axiom must have shape  -> X(r)(1 - X(r)) = 0")
-    eq = node.conclusion.succ[0]
-    good = (
-        isinstance(eq, RingEq)
-        and eq.right == RingConst(Fraction(0))
-        and isinstance(eq.left, RingOp)
-        and eq.left.op == "*"
-        and isinstance(eq.left.left, OracleAt)
-        and eq.left.right == RingOp("-", RingConst(Fraction(1)), eq.left.left)
-    )
-    if not good:
-        _fail(path, "boolean axiom succedent has the wrong shape")
+def _check_boolean_axiom(node, args, reg, path):
+    match node.conclusion:
+        case Sequent(
+            (), (RingEq(RingOp("*", OracleAt() as x, RingOp("-", RingConst(1), y)), RingConst(0)),)
+        ) if y == x:
+            return
+    _fail(path, "boolean axiom must be  -> X(r)(1 - X(r)) = 0")
 
 
-def _check_weakening(node, reg, path):
-    _expect_premises(node, 1, path)
+def _sides(rule: str) -> tuple[str, str]:
+    """The cedent a one-sided rule acts on (by its -l / -r suffix), and the other."""
+    return ("ante", "succ") if rule.endswith("-l") else ("succ", "ante")
+
+
+def _one_sided(node, path):
+    """Premise and conclusion sequents, and the acted-on side, of a
+    one-premise rule that keeps the other cedent fixed."""
+    side, other = _sides(node.rule)
     prem, conc = node.premises[0].conclusion, node.conclusion
-    kept, other = ("ante", "succ") if node.rule == "weakening-l" else ("succ", "ante")
     if getattr(prem, other) != getattr(conc, other):
-        _fail(path, f"weakening must keep the {other}cedent fixed")
-    extra = _minus_multiset(getattr(conc, kept), getattr(prem, kept))
+        _fail(path, f"{node.rule} keeps the {other}cedent fixed")
+    return prem, conc, side
+
+
+def _check_weakening(node, args, reg, path):
+    prem, conc, side = _one_sided(node, path)
+    extra = _minus(getattr(conc, side), getattr(prem, side))
     if extra is None or len(extra) != 1:
         _fail(path, "weakening must add exactly one formula")
+    return extra[0]
 
 
-def _check_contraction(node, reg, path):
-    _expect_premises(node, 1, path)
-    prem, conc = node.premises[0].conclusion, node.conclusion
-    side, other = ("ante", "succ") if node.rule == "contraction-l" else ("succ", "ante")
-    if getattr(prem, other) != getattr(conc, other):
-        _fail(path, f"contraction must keep the {other}cedent fixed")
-    extra = _minus_multiset(getattr(prem, side), getattr(conc, side))
+def _check_contraction(node, args, reg, path):
+    prem, conc, side = _one_sided(node, path)
+    extra = _minus(getattr(prem, side), getattr(conc, side))
     if extra is None or len(extra) != 1 or extra[0] not in getattr(conc, side):
         _fail(path, "contraction must remove one duplicate occurrence")
+    return extra[0]
 
 
-def _find_connective(node, cls, side, path):
+def _principals(node, cls, side, path) -> list:
     candidates = [phi for phi in getattr(node.conclusion, side) if isinstance(phi, cls)]
     if not candidates:
         _fail(path, f"{node.rule} needs a {cls.__name__} formula in the {side}cedent")
     return candidates
 
 
-def _check_and_l(node, reg, path):
-    _expect_premises(node, 1, path)
-    prem, conc = node.premises[0].conclusion, node.conclusion
-    if prem.succ != conc.succ:
-        _fail(path, "and-l keeps the succedent fixed")
-    for target in _find_connective(node, And, "ante", path):
-        rest = _without(conc.ante, target)
-        for child in target.parts:
-            if rest is not None and _multiset_eq(prem.ante, rest + (child,)):
-                node.params["_formula"] = target
-                node.params["_child"] = child
-                return
-    _fail(path, "and-l premise does not match any conjunct")
+def _replaces(cls, instances: Callable):
+    """Check for one premise that replaces one principal cls formula of the
+    acted-on cedent by one of instances(formula, args); it resolves the
+    principal formula and the instance."""
+
+    def check(node, args, reg, path):
+        prem, conc, side = _one_sided(node, path)
+        for target in _principals(node, cls, side, path):
+            rest = _minus(getattr(conc, side), (target,))
+            for instance in instances(target, args):
+                if _same(getattr(prem, side), rest + (instance,)):
+                    return target, instance
+        _fail(path, f"{node.rule} premise does not replace a {cls.__name__} formula by an instance")
+
+    return check
 
 
-def _check_and_r(node, reg, path):
-    for target in _find_connective(node, And, "succ", path):
-        rest = _without(node.conclusion.succ, target)
-        if rest is None or len(node.premises) != len(target.parts):
-            continue
-        if all(
-            prem.conclusion.ante == node.conclusion.ante
-            and _multiset_eq(prem.conclusion.succ, rest + (child,))
-            for prem, child in zip(node.premises, target.parts)
-        ):
-            node.params["_formula"] = target
-            return
-    _fail(path, "and-r premises do not match the conjuncts")
+def _per_part(cls):
+    """Check for one premise per part of a principal cls formula, each
+    replacing it by that part; it resolves the principal formula."""
+
+    def check(node, args, reg, path):
+        side, other = _sides(node.rule)
+        conc = node.conclusion
+        for target in _principals(node, cls, side, path):
+            rest = _minus(getattr(conc, side), (target,))
+            if len(node.premises) == len(target.parts) and all(
+                getattr(prem.conclusion, other) == getattr(conc, other)
+                and _same(getattr(prem.conclusion, side), rest + (part,))
+                for prem, part in zip(node.premises, target.parts)
+            ):
+                return target
+        _fail(path, f"{node.rule} premises do not match the parts of any {cls.__name__} formula")
+
+    return check
 
 
-def _check_or_l(node, reg, path):
-    for target in _find_connective(node, Or, "ante", path):
-        rest = _without(node.conclusion.ante, target)
-        if rest is None or len(node.premises) != len(target.parts):
-            continue
-        if all(
-            prem.conclusion.succ == node.conclusion.succ
-            and _multiset_eq(prem.conclusion.ante, rest + (child,))
-            for prem, child in zip(node.premises, target.parts)
-        ):
-            node.params["_formula"] = target
-            return
-    _fail(path, "or-l premises do not match the disjuncts")
+_check_forall_l = _replaces(
+    ForallIdx, lambda t, args: (substitute_index(t.body, t.var, args["term"]),)
+)
+_generalizes = _replaces(
+    ForallIdx, lambda t, args: (substitute_index(t.body, t.var, IdxVar(args["var"])),)
+)
 
 
-def _check_or_r(node, reg, path):
-    _expect_premises(node, 1, path)
-    prem = node.premises[0].conclusion
-    if prem.ante != node.conclusion.ante:
-        _fail(path, "or-r keeps the antecedent fixed")
-    for target in _find_connective(node, Or, "succ", path):
-        rest = _without(node.conclusion.succ, target)
-        for child in target.parts:
-            if rest is not None and _multiset_eq(prem.succ, rest + (child,)):
-                node.params["_formula"] = target
-                node.params["_child"] = child
-                return
-    _fail(path, "or-r premise does not match any disjunct")
-
-
-def _check_forall_l(node, reg, path):
-    _expect_premises(node, 1, path)
-    prem, conc = node.premises[0].conclusion, node.conclusion
-    if prem.succ != conc.succ:
-        _fail(path, "forall-idx-l keeps the succedent fixed")
-    try:
-        term = _param_index_term(node, "term", reg)
-    except (LkrError, fol.FolParseError) as exc:
-        _fail(path, str(exc))
-    for target in _find_connective(node, ForallIdx, "ante", path):
-        rest = _without(conc.ante, target)
-        instance = substitute_index(target.body, target.var, term)
-        if rest is not None and _multiset_eq(prem.ante, rest + (instance,)):
-            node.params["_formula"] = target
-            return
-    _fail(path, "forall-idx-l premise is not an instance of any universal antecedent")
-
-
-def _check_forall_r(node, reg, path):
-    _expect_premises(node, 1, path)
-    prem, conc = node.premises[0].conclusion, node.conclusion
-    if prem.ante != conc.ante:
-        _fail(path, "forall-idx-r keeps the antecedent fixed")
-    eigen = node.params.get("var")
-    if not isinstance(eigen, str):
-        _fail(path, "forall-idx-r requires the eigenvariable parameter 'var'")
-    for phi in conc.ante + conc.succ:
+def _check_forall_r(node, args, reg, path):
+    eigen = args["var"]
+    for phi in node.conclusion.ante + node.conclusion.succ:
         if eigen in free_index_vars(phi):
             _fail(path, f"eigenvariable {eigen!r} occurs in the conclusion")
-    for target in _find_connective(node, ForallIdx, "succ", path):
-        rest = _without(conc.succ, target)
-        instance = substitute_index(target.body, target.var, IdxVar(eigen))
-        if rest is not None and _multiset_eq(prem.succ, rest + (instance,)):
-            node.params["_formula"] = target
-            return
-    _fail(path, "forall-idx-r premise does not generalize any universal succedent")
+    return _generalizes(node, args, reg, path)
 
 
-def _check_induction(node, reg, path):
-    _expect_premises(node, 1, path)
+def _check_induction(node, args, reg, path):
+    var, template, term = args["var"], args["formula"], args["term"]
     prem, conc = node.premises[0].conclusion, node.conclusion
-    try:
-        var = node.params["var"]
-        template = _param_formula(node, "formula", reg)
-        term = _param_index_term(node, "term", reg)
-    except (KeyError, LkrError, fol.FolParseError) as exc:
-        _fail(path, f"induction parameters: {exc}")
     phi_0 = substitute_index(template, var, IdxLit(0))
     phi_succ = substitute_index(template, var, IdxApp("+", (IdxVar(var), IdxLit(1))))
     phi_t = substitute_index(template, var, term)
-    gamma = _minus_multiset(conc.ante, (phi_0,))
-    delta = _minus_multiset(conc.succ, (phi_t,))
+    gamma = _minus(conc.ante, (phi_0,))
+    delta = _minus(conc.succ, (phi_t,))
     if gamma is None or delta is None:
         _fail(path, "induction conclusion must contain phi(0) and phi(t)")
-    if not _multiset_eq(prem.ante, gamma + (template,)) or not _multiset_eq(
-        prem.succ, (phi_succ,) + delta
-    ):
+    if not _same(prem.ante, gamma + (template,)) or not _same(prem.succ, (phi_succ,) + delta):
         _fail(path, "induction premise must be Gamma, phi(i) -> phi(i+1), Delta")
     for phi in conc.ante + conc.succ:
         if var in free_index_vars(phi):
             _fail(path, f"induction variable {var!r} occurs in the bottom sequent")
     if var in free_index_vars(term):
         _fail(path, "induction bound may not mention the induction variable")
-    node.params["_pieces"] = (var, template, term, gamma, delta)
+    return gamma, delta
 
 
-def _check_cut(node, reg, path):
-    _expect_premises(node, 2, path)
+def _check_cut(node, args, reg, path):
     p1, p2 = (p.conclusion for p in node.premises)
     conc = node.conclusion
-    phi_candidates = _minus_multiset(p1.succ, conc.succ)
+    phi_candidates = _minus(p1.succ, conc.succ)
     if phi_candidates is None or len(phi_candidates) != 1:
         _fail(path, "cut: left premise must add one formula to the succedent")
     phi = phi_candidates[0]
-    if not _multiset_eq(p1.ante, conc.ante):
+    if not _same(p1.ante, conc.ante):
         _fail(path, "cut: left premise antecedent must match the conclusion")
-    if not _multiset_eq(p2.ante, (phi,) + conc.ante) or not _multiset_eq(p2.succ, conc.succ):
+    if not _same(p2.ante, (phi,) + conc.ante) or not _same(p2.succ, conc.succ):
         _fail(path, "cut: right premise must assume the cut formula")
-    node.params["_formula"] = phi
+    return phi
 
 
-_SCHEMA_CHECKS = {
-    "logical-axiom": _check_logical_axiom,
-    "ring-axiom": _check_ring_axiom,
-    "big-sum": _check_ring_axiom,
-    "integral-domain": _check_integral_domain,
-    "equality": _check_equality,
-    "background-truth": _check_background_truth,
-    "sos-axiom": _check_sos_axiom,
-    "boolean-axiom": _check_boolean_axiom,
-    "weakening-l": _check_weakening,
-    "weakening-r": _check_weakening,
-    "contraction-l": _check_contraction,
-    "contraction-r": _check_contraction,
-    "and-l": _check_and_l,
-    "and-r": _check_and_r,
-    "or-l": _check_or_l,
-    "or-r": _check_or_r,
-    "forall-idx-l": _check_forall_l,
-    "forall-idx-r": _check_forall_r,
-    "induction": _check_induction,
-    "cut": _check_cut,
-}
-
-
-# -- node parameters ------------------------------------------------------
-
-
-def _param_index_term(node, key, reg) -> IndexTerm:
-    value = node.params.get(key)
-    if value is None:
-        raise LkrError(f"{node.rule} requires the {key!r} parameter")
-    if isinstance(value, str):
-        return parse_index_term(fol._read_sexp(value), reg, _names(value))
-    return value
-
-
-def _param_ring_term(node, key, position, reg) -> RingTerm:
-    value = node.params[key][position]
-    if isinstance(value, str):
-        return parse_ring_term(fol._read_sexp(value), reg, _names(value))
-    return value
-
-
-def _param_formula(node, key, reg) -> Formula:
-    value = node.params.get(key)
-    if value is None:
-        raise LkrError(f"{node.rule} requires the {key!r} parameter")
-    if isinstance(value, str):
-        return parse_formula(value, reg, scope=_names(value))
-    return value
-
-
-# -- translation of cedents ---------------------------------------------
-
-
-def cedent_left(formulas, alpha, reg, ring) -> list[Polynomial]:
-    """Union translation: the concatenation of the member lists."""
-    out: list[Polynomial] = []
-    for phi in formulas:
-        out.extend(translate_formula(phi, alpha, reg, ring).members)
-    return out
-
-
-def cedent_right(formulas, alpha, reg, ring) -> list[Polynomial]:
-    """Product translation; the empty succedent yields the unit {1}."""
-    members = [Polynomial.const(ring, 1)]
-    for phi in formulas:
-        parts = translate_formula(phi, alpha, reg, ring).members
-        members = [q * p for q in members for p in parts]
-    return members
+# -- compilation ---------------------------------------------------------
 
 
 def _product_members(parts_by_child, ring):
@@ -671,31 +559,42 @@ def _product_members(parts_by_child, ring):
     return combos
 
 
-# -- compilation ---------------------------------------------------------
-
-
 class _Compiler:
     """Recursive emitter.
 
-    emit(node, alpha, w, asm) returns a map from each member polynomial m
+    emit(step, alpha, w, asm) returns a map from each member polynomial m
     of the node's succedent translation to a line whose polynomial is m*w;
     asm maps each member g of the antecedent translation to a line with
     polynomial g*w.  The scale w threads products through or-l, induction
-    and cut without replaying sub-derivations after the fact.
+    and cut without replaying sub-derivations after the fact.  The compile
+    steps of RULES are the methods below the helpers.
     """
 
-    def __init__(self, builder: DerivationBuilder, reg, ring, target):
-        self.builder = builder
+    builder: DerivationBuilder
+
+    def __init__(self, reg, ring, target):
         self.reg = reg
         self.ring = ring
         self.target = target
+        self.model = PolyModel(reg, ring)
         self.one = Polynomial.const(ring, 1)
 
-    def emit(self, node: LkrNode, alpha: dict, w: Polynomial, asm: dict) -> dict:
-        handler = getattr(self, "_emit_" + node.rule.replace("-", "_"))
-        return handler(node, alpha, w, asm)
+    def emit(self, step: _Step, alpha: dict, w: Polynomial, asm: dict) -> dict:
+        return step.rule.compile(self, step, alpha, w, asm)
 
     # ---- helpers
+
+    def members(self, phi, alpha) -> tuple[Polynomial, ...]:
+        return translate_formula(phi, alpha, self.reg, self.ring).members
+
+    def left(self, formulas, alpha) -> list[Polynomial]:
+        """Union translation: the concatenation of the member lists."""
+        return [m for phi in formulas for m in self.members(phi, alpha)]
+
+    def right(self, formulas, alpha) -> list[Polynomial]:
+        """Product translation; the empty succedent yields the unit {1}."""
+        parts_by_formula = [self.members(phi, alpha) for phi in formulas]
+        return [factor for _, factor in _product_members(parts_by_formula, self.ring)]
 
     def _assumption(self, member: Polynomial, w: Polynomial, asm: dict) -> int:
         if (member * w).is_zero:
@@ -724,42 +623,34 @@ class _Compiler:
 
     # ---- axiom leaves
 
-    def _emit_logical_axiom(self, node, alpha, w, asm):
-        members = cedent_right(node.conclusion.succ, alpha, self.reg, self.ring)
-        return {m: self._assumption(m, w, asm) for m in members}
+    def assumed(self, s, alpha, w, asm):
+        """Every succedent member is an antecedent member."""
+        return {m: self._assumption(m, w, asm) for m in self.right(s.node.conclusion.succ, alpha)}
 
-    def _translation_zero_axiom(self, node, alpha, w, asm):
+    def identity(self, s, alpha, w, asm):
+        """Every succedent member translates to 0."""
         out = {}
-        for m in cedent_right(node.conclusion.succ, alpha, self.reg, self.ring):
+        for m in self.right(s.node.conclusion.succ, alpha):
             if not m.is_zero:
                 raise CompileError(
-                    f"{node.rule} instance does not translate to an identity at this assignment"
+                    f"{s.node.rule} instance does not translate to an identity at this assignment"
                 )
             out[m] = self.builder.zero()
         return out
 
-    _emit_ring_axiom = _translation_zero_axiom
-    _emit_big_sum = _translation_zero_axiom
-    _emit_background_truth = _translation_zero_axiom
-
-    def _emit_integral_domain(self, node, alpha, w, asm):
-        members = cedent_right(node.conclusion.succ, alpha, self.reg, self.ring)
-        return {m: self._assumption(m, w, asm) for m in members}
-
-    def _emit_equality(self, node, alpha, w, asm):
-        target = cedent_right(node.conclusion.succ, alpha, self.reg, self.ring)[0]
+    def equality(self, s, alpha, w, asm):
+        conc = s.node.conclusion
+        target = self.right(conc.succ, alpha)[0]
         if target.is_zero or (target * w).is_zero:
             return {target: self.builder.zero()}
-        ante_members = cedent_left(node.conclusion.ante, alpha, self.reg, self.ring)
-        if self.one in ante_members:
+        if self.one in self.left(conc.ante, alpha):
             return {target: self.builder.mul_poly(asm[self.one], target)}
-        if node.params.get("multipliers") is None:
+        if "multipliers" not in s.args:
             raise CompileError("congruence instance should translate to 0 = 0")
         parts = []
-        for k, eq in enumerate(node.conclusion.ante):
-            h = _param_ring_term(node, "multipliers", k, self.reg)
-            h_poly = translate_ring_term(h, alpha, self.reg, self.ring)
-            member = translate_formula(eq, alpha, self.reg, self.ring).members[0]
+        for eq, h in zip(conc.ante, s.args["multipliers"]):
+            h_poly = ring_value(h, alpha, self.model)
+            member = self.members(eq, alpha)[0]
             if member.is_zero or h_poly.is_zero:
                 continue
             parts.append((self.builder.mul_poly(asm[member], h_poly), 1))
@@ -768,38 +659,34 @@ class _Compiler:
             raise CompileError("equality witness does not reproduce the succedent translation")
         return {target: line}
 
-    def _emit_boolean_axiom(self, node, alpha, w, asm):
+    def boolean_axiom(self, s, alpha, w, asm):
         if self.target != PC_PLUS:
             raise UnsupportedConstruct("boolean axiom sequents require the pc_plus target")
-        member = cedent_right(node.conclusion.succ, alpha, self.reg, self.ring)[0]
+        succ = s.node.conclusion.succ
+        member = self.right(succ, alpha)[0]
         if (member * w).is_zero:
             return {member: self.builder.zero()}
-        var = eval_index(node.conclusion.succ[0].left.left.index, alpha, self.reg)
+        var = eval_index(succ[0].left.left.index, alpha, self.reg)
         line = self.builder.bool_axiom(var)
         line = self.builder.mul_poly(line, w)
         line = self.builder.scale_line(line, self.ring.coerce(-1))
         return {member: line}
 
-    def _emit_sos_axiom(self, node, alpha, w, asm):
+    def sos_axiom(self, s, alpha, w, asm):
         if self.target != PC_PLUS:
             raise UnsupportedConstruct("sum-of-squares axiom sequents require the pc_plus target")
-        head, side = node.conclusion.ante
-        member = cedent_right(node.conclusion.succ, alpha, self.reg, self.ring)[0]
+        head, side = s.node.conclusion.ante
+        member = self.right(s.node.conclusion.succ, alpha)[0]
         if (member * w).is_zero:
             return {member: self.builder.zero()}
         if not eval_formula(side, alpha, {}, self.reg, self.ring):
             # vacuous instance: the index bound fails, so 1 is an assumption
             return {member: self.builder.mul_poly(asm[self.one], member)}
-        total = translate_formula(head, alpha, self.reg, self.ring).members[0]
+        total = self.members(head, alpha)[0]
         big = head.left
         n = eval_index(big.bound, alpha, self.reg)
         k = eval_index(side.left, alpha, self.reg)
-        summands = [
-            translate_ring_term(
-                substitute_index(big.body.left, big.var, IdxLit(j)), alpha, self.reg, self.ring
-            )
-            for j in range(n)
-        ]
+        summands = [ring_value(big.body.left, {**alpha, big.var: j}, self.model) for j in range(n)]
         src = asm[total]  # poly total*w
         scaled = self.builder.mul_poly(src, w)  # total*w^2 == sum over j of (T_j w)^2
         witness = summands[k] * w
@@ -811,30 +698,24 @@ class _Compiler:
 
     # ---- antecedent-side pass-throughs
 
-    def _emit_weakening_l(self, node, alpha, w, asm):
-        return self.emit(node.premises[0], alpha, w, asm)
+    def premise(self, s, alpha, w, asm):
+        return self.emit(s.premises[0], alpha, w, asm)
 
-    _emit_contraction_l = _emit_weakening_l
-    _emit_and_l = _emit_weakening_l
-
-    def _emit_forall_idx_l(self, node, alpha, w, asm):
-        target = node.params["_formula"]
-        term = _param_index_term(node, "term", self.reg)
-        value = eval_index(term, alpha, self.reg)
+    def forall_l(self, s, alpha, w, asm):
+        target, _ = s.found
+        value = eval_index(s.args["term"], alpha, self.reg)
         bound = eval_index(target.bound, alpha, self.reg)
         if value >= bound:
             raise CompileError(
                 f"forall-idx-l instantiates {value}, outside the bound {bound}, at this assignment"
             )
-        return self.emit(node.premises[0], alpha, w, asm)
+        return self.emit(s.premises[0], alpha, w, asm)
 
     # ---- succedent-side rules
 
-    def _emit_weakening_r(self, node, alpha, w, asm):
-        prem = node.premises[0]
-        extra = _minus_multiset(node.conclusion.succ, prem.conclusion.succ)[0]
-        inner = self.emit(prem, alpha, w, asm)
-        extra_members = translate_formula(extra, alpha, self.reg, self.ring).members
+    def weakening_r(self, s, alpha, w, asm):
+        inner = self.emit(s.premises[0], alpha, w, asm)
+        extra_members = self.members(s.found, alpha)
         out = {}
         for q, line in inner.items():
             for p in extra_members:
@@ -847,13 +728,11 @@ class _Compiler:
                     out[m] = self.builder.mul_poly(line, p)
         return out
 
-    def _emit_contraction_r(self, node, alpha, w, asm):
-        prem = node.premises[0]
-        phi = _minus_multiset(prem.conclusion.succ, node.conclusion.succ)[0]
-        inner = self.emit(prem, alpha, w, asm)
-        delta = _minus_multiset(node.conclusion.succ, (phi,))
-        delta_members = cedent_right(delta, alpha, self.reg, self.ring)
-        phi_members = translate_formula(phi, alpha, self.reg, self.ring).members
+    def contraction_r(self, s, alpha, w, asm):
+        phi = s.found
+        inner = self.emit(s.premises[0], alpha, w, asm)
+        delta_members = self.right(_minus(s.node.conclusion.succ, (phi,)), alpha)
+        phi_members = self.members(phi, alpha)
         out = {}
         for q in delta_members:
             for p in phi_members:
@@ -867,22 +746,18 @@ class _Compiler:
                 out[m] = self._collapse(diag, m * w, q * w)
         return out
 
-    def _emit_and_r(self, node, alpha, w, asm):
+    def and_r(self, s, alpha, w, asm):
         out = {}
-        for prem in node.premises:
+        for prem in s.premises:
             out.update(self.emit(prem, alpha, w, asm))
         return out
 
-    def _emit_or_r(self, node, alpha, w, asm):
-        target = node.params["_formula"]
-        child = node.params["_child"]
+    def or_r(self, s, alpha, w, asm):
+        target, child = s.found
         child_index = target.parts.index(child)
-        inner = self.emit(node.premises[0], alpha, w, asm)
-        rest = _without(node.conclusion.succ, target)
-        delta_members = cedent_right(rest, alpha, self.reg, self.ring)
-        parts_by_child = [
-            translate_formula(c, alpha, self.reg, self.ring).members for c in target.parts
-        ]
+        inner = self.emit(s.premises[0], alpha, w, asm)
+        delta_members = self.right(_minus(s.node.conclusion.succ, (target,)), alpha)
+        parts_by_child = [self.members(c, alpha) for c in target.parts]
         out = {}
         for q in delta_members:
             for combo, factor in _product_members(parts_by_child, self.ring):
@@ -900,21 +775,18 @@ class _Compiler:
                 out[m] = base if others == self.one else self.builder.mul_poly(base, others)
         return out
 
-    def _emit_or_l(self, node, alpha, w, asm):
-        target = node.params["_formula"]
-        rest = _without(node.conclusion.ante, target)
-        gamma_members = cedent_left(rest, alpha, self.reg, self.ring)
-        delta_members = cedent_right(node.conclusion.succ, alpha, self.reg, self.ring)
-        parts_by_child = [
-            translate_formula(c, alpha, self.reg, self.ring).members for c in target.parts
-        ]
+    def or_l(self, s, alpha, w, asm):
+        target, conc = s.found, s.node.conclusion
+        gamma_members = self.left(_minus(conc.ante, (target,)), alpha)
+        delta_members = self.right(conc.succ, alpha)
+        parts_by_child = [self.members(c, alpha) for c in target.parts]
         product_asm = {
             factor: self._assumption(factor, w, asm)
             for _, factor in _product_members(parts_by_child, self.ring)
         }
         gamma = lambda g, factor: self._rescaled(g, factor, w, asm)
         return self._or_l(
-            list(node.premises), parts_by_child, alpha, w, self.one,
+            list(s.premises), parts_by_child, alpha, w, self.one,
             gamma_members, gamma, product_asm, delta_members,
         )
 
@@ -944,7 +816,7 @@ class _Compiler:
         for b in rest_members:
             sub_asm = {}
             for a in first_members:
-                sub_asm[a] = self._lookup_product(product_asm, a * b, prefix, w)
+                sub_asm[a] = self._assumption(a * b, prefix * w, product_asm)
             for g in gamma_members:
                 sub_asm[g] = gamma(g, prefix * b)
             a_outputs[b] = self.emit(premises[0], alpha, w * prefix * b, sub_asm)
@@ -965,57 +837,56 @@ class _Compiler:
             out[q] = self._collapse(inner[q], q * prefix * w, prefix * w)
         return out
 
-    def _lookup_product(self, product_asm, member, prefix, w):
-        if (member * prefix * w).is_zero:
-            return self.builder.zero()
-        return product_asm[member]
-
-    def _emit_forall_idx_r(self, node, alpha, w, asm):
-        target = node.params["_formula"]
-        eigen = node.params["var"]
-        bound = eval_index(target.bound, alpha, self.reg)
+    def forall_r(self, s, alpha, w, asm):
+        target, _ = s.found
+        eigen = s.args["var"]
         out = {}
-        for n in range(bound):
-            out.update(self.emit(node.premises[0], {**alpha, eigen: n}, w, asm))
+        for n in range(eval_index(target.bound, alpha, self.reg)):
+            out.update(self.emit(s.premises[0], {**alpha, eigen: n}, w, asm))
         return out
 
-    def _emit_induction(self, node, alpha, w, asm):
-        var, template, term, gamma, delta = node.params["_pieces"]
-        steps = eval_index(term, alpha, self.reg)
-        gamma_members = cedent_left(gamma, alpha, self.reg, self.ring)
-        delta_members = cedent_right(delta, alpha, self.reg, self.ring)
+    def induction(self, s, alpha, w, asm):
+        gamma, delta = s.found
+        var, template = s.args["var"], s.args["formula"]
+        steps = eval_index(s.args["term"], alpha, self.reg)
+        gamma_members = self.left(gamma, alpha)
+        delta_members = self.right(delta, alpha)
 
         def phi_at(n):
-            return translate_formula(template, {**alpha, var: n}, self.reg, self.ring).members
+            return self.members(template, {**alpha, var: n})
 
+        now = phi_at(0)
         stage: dict[tuple[Polynomial, Polynomial], int] = {}
-        for r in phi_at(0):
+        for r in now:
             for q in delta_members:
                 if (r * q * w).is_zero:
                     stage[(r, q)] = self.builder.zero()
                 else:
                     stage[(r, q)] = self._rescaled(r, q, w, asm)
 
+        # the Gamma lines at scale w*q are the same at every step: built on first use
+        gamma_at: dict[Polynomial, dict] = {}
         for n in range(steps):
             nxt: dict[tuple[Polynomial, Polynomial], int] = {}
-            sub_alpha = {**alpha, var: n}
+            after = phi_at(n + 1)
             for q in delta_members:
-                sub_asm = {g: self._rescaled(g, q, w, asm) for g in gamma_members}
-                for r in phi_at(n):
+                if q not in gamma_at:
+                    gamma_at[q] = {g: self._rescaled(g, q, w, asm) for g in gamma_members}
+                sub_asm = dict(gamma_at[q])
+                for r in now:
                     sub_asm[r] = stage[(r, q)]
-                result = self.emit(node.premises[0], sub_alpha, w * q, sub_asm)
-                for r_next in phi_at(n + 1):
+                result = self.emit(s.premises[0], {**alpha, var: n}, w * q, sub_asm)
+                for r_next in after:
                     line = result[r_next * q]  # poly r_next*q^2*w
                     nxt[(r_next, q)] = self._collapse(line, r_next * q * w, r_next * w)
-            stage = nxt
+            stage, now = nxt, after
 
-        return {r * q: stage[(r, q)] for r in phi_at(steps) for q in delta_members}
+        return {r * q: stage[(r, q)] for r in now for q in delta_members}
 
-    def _emit_cut(self, node, alpha, w, asm):
-        phi = node.params["_formula"]
-        phi_members = translate_formula(phi, alpha, self.reg, self.ring).members
-        gamma_members = cedent_left(node.conclusion.ante, alpha, self.reg, self.ring)
-        delta_members = cedent_right(node.conclusion.succ, alpha, self.reg, self.ring)
+    def cut(self, s, alpha, w, asm):
+        phi_members = self.members(s.found, alpha)
+        gamma_members = self.left(s.node.conclusion.ante, alpha)
+        delta_members = self.right(s.node.conclusion.succ, alpha)
         out = {}
         for q in delta_members:
             if q in out:
@@ -1026,7 +897,7 @@ class _Compiler:
             diag_lines: dict[Polynomial, int] = {}
             if any(not (a * q * q * w).is_zero for a in phi_members):
                 sub_asm = {g: self._rescaled(g, q, w, asm) for g in gamma_members}
-                left = self.emit(node.premises[0], alpha, w * q, sub_asm)
+                left = self.emit(s.premises[0], alpha, w * q, sub_asm)
                 for a in phi_members:
                     diag_lines[a] = left[q * a]  # poly q*a*q*w
             sub_asm2 = {}
@@ -1037,11 +908,57 @@ class _Compiler:
                     sub_asm2[a] = diag_lines[a]
             for g in gamma_members:
                 sub_asm2[g] = self._rescaled(g, q * q, w, asm)
-            right = self.emit(node.premises[1], alpha, w * q * q, sub_asm2)
+            right = self.emit(s.premises[1], alpha, w * q * q, sub_asm2)
             line = right[q]  # poly q^3*w
             mid = self._collapse(line, q * q * w, q * w)
             out[q] = self._collapse(mid, q * w, w)
         return out
+
+
+# -- the rule table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One sequent rule, defined once for the checker, the compiler and the
+    file format.
+
+    check(node, args, reg, path) fails through _fail or returns what it
+    resolved; compile(compiler, step, alpha, w, asm) gets it as step.found
+    and returns the member lines described on _Compiler.
+    """
+
+    premises: int | None  # None: one per part of the principal formula
+    check: Callable
+    compile: Callable
+    params: dict = field(default_factory=dict)  # parameter name -> _Codec
+
+
+RULES: dict[str, Rule] = {
+    "logical-axiom": Rule(0, _check_logical_axiom, _Compiler.assumed),
+    "ring-axiom": Rule(0, _check_ring_axiom, _Compiler.identity),
+    "big-sum": Rule(0, _check_ring_axiom, _Compiler.identity),
+    "integral-domain": Rule(0, _check_integral_domain, _Compiler.assumed),
+    "equality": Rule(0, _check_equality, _Compiler.equality, {"multipliers": _MULTIPLIERS}),
+    "background-truth": Rule(0, _check_background_truth, _Compiler.identity),
+    "sos-axiom": Rule(0, _check_sos_axiom, _Compiler.sos_axiom),
+    "boolean-axiom": Rule(0, _check_boolean_axiom, _Compiler.boolean_axiom),
+    "weakening-l": Rule(1, _check_weakening, _Compiler.premise),
+    "weakening-r": Rule(1, _check_weakening, _Compiler.weakening_r),
+    "contraction-l": Rule(1, _check_contraction, _Compiler.premise),
+    "contraction-r": Rule(1, _check_contraction, _Compiler.contraction_r),
+    "and-l": Rule(1, _replaces(And, lambda t, args: t.parts), _Compiler.premise),
+    "and-r": Rule(None, _per_part(And), _Compiler.and_r),
+    "or-l": Rule(None, _per_part(Or), _Compiler.or_l),
+    "or-r": Rule(1, _replaces(Or, lambda t, args: t.parts), _Compiler.or_r),
+    "forall-idx-l": Rule(1, _check_forall_l, _Compiler.forall_l, {"term": _TERM}),
+    "forall-idx-r": Rule(1, _check_forall_r, _Compiler.forall_r, {"var": _VAR}),
+    "induction": Rule(
+        1, _check_induction, _Compiler.induction,
+        {"var": _VAR, "formula": _FORMULA, "term": _TERM},
+    ),
+    "cut": Rule(2, _check_cut, _Compiler.cut),
+}
 
 
 def compile_lkr(
@@ -1061,27 +978,27 @@ def compile_lkr(
     """
     if target not in (PC_RAD, PC_PLUS):
         raise UnsupportedConstruct(f"unsupported compile target {target!r}")
-    report = check_lkr(proof, reg)
-    if not report.valid:
-        raise LkrError(f"proof rejected at node {report.node}: {report.reason}")
+    try:
+        root = _check(proof, reg, ())
+    except _CheckFailure as fail:
+        raise LkrError(f"proof rejected at node {fail.path}: {fail.reason}") from None
     missing: set[str] = set()
     for phi in proof.conclusion.ante + proof.conclusion.succ:
         missing |= free_index_vars(phi) - set(alpha)
     if missing:
         raise CompileError(f"assignment does not cover index variables {sorted(missing)}")
 
-    gamma_members = cedent_left(proof.conclusion.ante, alpha, reg, ring)
+    compiler = _Compiler(reg, ring, target)
+    gamma_members = compiler.left(proof.conclusion.ante, alpha)
     axioms = EquationSet(ring, tuple(dict.fromkeys(gamma_members)), False)
-    builder = DerivationBuilder(target, ring, axioms)
-    compiler = _Compiler(builder, reg, ring, target)
+    builder = compiler.builder = DerivationBuilder(target, ring, axioms)
 
     index_of = {p: k for k, p in enumerate(axioms.members)}
     asm = {}
     for g in gamma_members:
         asm[g] = builder.zero() if g.is_zero else builder.axiom(index_of[g])
 
-    one = Polynomial.const(ring, 1)
-    members = compiler.emit(proof, dict(alpha), one, asm)
+    members = compiler.emit(root, dict(alpha), compiler.one, asm)
 
     for m, line in members.items():
         if m.is_constant and not m.is_zero:
@@ -1101,39 +1018,42 @@ def sequent_to_json(seq: Sequent) -> dict:
     }
 
 
-def _param_to_json(value):
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, list):
-        return [_param_to_json(v) for v in value]
-    return fol._fmt(value)  # AST node: index term, ring term, or formula
-
-
 def node_to_json(node: LkrNode) -> dict:
-    params = {
-        k: _param_to_json(v) for k, v in node.params.items() if not k.startswith("_")
-    }
+    codecs = RULES[node.rule].params
     return {
         "rule": node.rule,
         "conclusion": sequent_to_json(node.conclusion),
-        "params": params,
+        "params": {k: codecs[k].encode(v) for k, v in node.params.items() if v is not None},
         "premises": [node_to_json(p) for p in node.premises],
     }
 
 
 def sequent_from_json(obj: dict, reg: FunctionRegistry) -> Sequent:
-    def side(items):
+    def side(key):
+        items = obj.get(key, [])
+        if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
+            raise LkrError(f"malformed sequent: {key!r} must be a list of formula strings")
         return tuple(parse_formula(t, reg, scope=_names(t)) for t in items)
 
-    return Sequent(side(obj.get("ante", [])), side(obj.get("succ", [])))
+    if not isinstance(obj, dict):
+        raise LkrError(f"malformed sequent: expected an object, got {obj!r}")
+    return Sequent(side("ante"), side("succ"))
 
 
 def node_from_json(obj: dict, reg: FunctionRegistry) -> LkrNode:
+    """Read a proof node; its parameters are decoded to ASTs, so a malformed
+    one fails here with LkrError."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("rule"), str):
+        raise LkrError("malformed proof node: expected an object with a string 'rule'")
+    if obj["rule"] not in RULES:
+        raise UnsupportedConstruct(f"unknown rule {obj['rule']!r}")
+    premises = obj.get("premises", [])
+    if not isinstance(premises, list):
+        raise LkrError("malformed proof node: 'premises' must be a list")
+    premises = tuple(node_from_json(p, reg) for p in premises)
     try:
-        rule = obj["rule"]
-        conclusion = sequent_from_json(obj["conclusion"], reg)
-        premises = tuple(node_from_json(p, reg) for p in obj.get("premises", []))
-        params = dict(obj.get("params", {}))
-    except (KeyError, TypeError, fol.FolParseError) as exc:
+        conclusion = sequent_from_json(obj.get("conclusion"), reg)
+    except fol.FolError as exc:
         raise LkrError(f"malformed proof node: {exc}") from exc
-    return LkrNode(rule, conclusion, premises, params)
+    params = _decode(obj["rule"], obj.get("params", {}), reg)
+    return LkrNode(obj["rule"], conclusion, premises, params)

@@ -4,11 +4,13 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import pcsos
 from pcsos import fol
 from pcsos.algebra import GF, RATIONAL, eqset, parse_poly
 from pcsos.cli import main
-from pcsos.families import gen_subset_sum
+from pcsos.families import gen_chain, gen_subset_sum
 from pcsos.lkr import node_to_json
 from pcsos.proofcheck import (
     Add,
@@ -284,6 +286,32 @@ class TestMalformedFiles:
             assert main(["fol", "eval", "--formula", formula, "--oracle", path]) == 2
         assert main(["fol", "eval", "--formula", formula]) == 2
         assert_format_errors(capsys, 4)
+
+    @pytest.mark.parametrize(
+        "rule, key, value",
+        [
+            ("cut", "params", "x"),
+            ("forall-idx-l", "term", [1]),
+            ("equality", "multipliers", {"a": 1}),
+            ("cut", "conclusion", "x"),
+            ("induction", "var", 5),
+        ],
+    )
+    def test_malformed_sequent_file_exit_two(self, tmp_path, capsys, rule, key, value):
+        proof = node_to_json(gen_chain(1).certificate)
+        node = _first_node(proof, rule)
+        (node if key in ("params", "conclusion") else node["params"])[key] = value
+        path = write(tmp_path, "proof.json", proof)
+        assert main(["lkr", "check", path]) == 2
+        assert main(["lkr", "compile", path, "--assign", "n=2"]) == 2
+        assert_format_errors(capsys, 2)
+
+
+def _first_node(node, rule):
+    """The first node of a JSON sequent proof with the given rule, depth first."""
+    if node["rule"] == rule:
+        return node
+    return next(filter(None, (_first_node(p, rule) for p in node["premises"])), None)
 
 
 def _nested(kind, levels):

@@ -31,6 +31,11 @@ COMMANDS = [
     ["lkr", "compile", "{d}/chain.cert.json", "--assign", "n=3", "-o", "{d}/chain.rad.json"],
     ["lkr", "compile", "{d}/chain.cert.json", "--assign", "n=3", "--target", "pc_plus", "-o", "{d}/chain.plus.json"],
     ["search", "closure", "{d}/fphp32.json", "--degree", "2", "--query", "1", "-o", "{d}/fphp32.closure.json"],
+    [
+        "fol", "translate", "--assign", "n=3", "-o", "{d}/fol.eqs.json", "--formula",
+        "(forall i n (or (= (* (X i) (- (rat 1) (X i))) (rat 0))"
+        " (= (sum j (+ i 1) (* (rat 1/2) (X j))) (rat 1))))",
+    ],
 ]
 
 DIGESTS = {
@@ -38,6 +43,7 @@ DIGESTS = {
     "chain.json": "e348e1256c5ab6c3e921695a818283ae0ad5f38cdacb1d9a27016a1c94b3976b",
     "chain.plus.json": "023592cb763682002da66bae3eec8f5d064c2825e24c7549f9a3896d12dc623c",
     "chain.rad.json": "a8727799e3edd6124220dcbe45242f6761a1d06a58e1ab54f1072e25eeebecfb",
+    "fol.eqs.json": "e03fef0b85bd63cf27fa3be77312e2f65081be995b98eff9416972ea12c9b5be",
     "fphp.cert.json": "cfdb8b9729df942cc1a489f3612e35109910830ce89c7dafc1c135a024c8059c",
     "fphp.eps.json": "cc96e03fda0177d43a855bc732d63915a4c730725f5529d54042a12c833cee12",
     "fphp.eps.norm.json": "1a88f262acb2eebff9673f2efa4d1aa3d73a7306410f1360cbf63b52a8f1f442",

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from pcsos.fol import (
     parse_ring_term,
 )
 from pcsos.lkr import (
+    RULES,
     LkrNode,
     Sequent,
     UnsupportedConstruct,
@@ -74,6 +77,13 @@ class TestSymbolicIdentities:
         t = rterm("(sum i n (X (+ i 0)))")
         # bodies normalize differently only through the index layer
         assert ring_identity(s, t, REG) or True  # no crash; value depends on folding
+
+    def test_nested_opaque_sums_keep_their_variables_apart(self):
+        # sum_i sum_j X(i) X(j) is (sum X)^2, not sum_i sum_j X(j)^2
+        s = rterm("(sum i n (sum j n (* (X i) (X j))))")
+        t = rterm("(sum i n (sum j n (* (X j) (X j))))")
+        assert not ring_identity(s, t, REG)
+        assert ring_identity(s, rterm("(sum j n (sum i n (* (X j) (X i))))"), REG)
 
     def test_linear_combination(self):
         succ = RingEq(rterm("(- (rat 1) (X j))"), ZERO)
@@ -275,6 +285,14 @@ class TestCompileBasics:
         assert again.premises[0].conclusion == ax.conclusion
         assert check_lkr(again, REG).valid
 
+    def test_chain_proof_json_round_trip(self):
+        from pcsos.families import gen_chain
+
+        obj = node_to_json(gen_chain(1).certificate)
+        again = node_from_json(obj, REG)
+        assert node_to_json(again) == obj
+        assert check_lkr(again, REG).valid
+
 
 class TestChainProof:
     def test_chain_lkr_checks_and_compiles(self):
@@ -375,3 +393,23 @@ class TestChainProof:
 
         corrupted = corrupt_equality(proof)
         assert not check_lkr(corrupted, REG).valid
+
+
+class TestRuleTable:
+    def test_readme_lists_the_table_rules(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        row = next(line for line in readme.splitlines() if line.startswith("| `lkr`"))
+        assert set(re.findall(r"`([a-z-]+)`", row.split("|")[2])) == set(RULES)
+
+    def test_check_and_compile_leave_the_proof_unchanged(self):
+        from pcsos.families import gen_chain
+
+        proof = gen_chain(1).certificate
+
+        def params(node):
+            return [dict(node.params)] + [p for prem in node.premises for p in params(prem)]
+
+        before = params(proof)
+        assert check_lkr(proof, REG).valid
+        assert check_derivation(compile_lkr(proof, {"n": 2}, "pc_plus", REG)).valid
+        assert params(proof) == before
