@@ -379,10 +379,11 @@ def _parse_formula(sexp, reg: FunctionRegistry, scope: set[str]) -> Formula:
         if len(sexp) != 3:
             raise FolParseError("(= ring-term ring-term) expected")
         return RingEq(parse_ring_term(sexp[1], reg, scope), parse_ring_term(sexp[2], reg, scope))
-    if head == "i=":
-        return IdxEq(parse_index_term(sexp[1], reg, scope), parse_index_term(sexp[2], reg, scope))
-    if head == "i<":
-        return IdxLt(parse_index_term(sexp[1], reg, scope), parse_index_term(sexp[2], reg, scope))
+    if head in ("i=", "i<"):
+        if len(sexp) != 3:
+            raise FolParseError(f"({head} index-term index-term) expected")
+        cls = IdxEq if head == "i=" else IdxLt
+        return cls(parse_index_term(sexp[1], reg, scope), parse_index_term(sexp[2], reg, scope))
     if head in ("and", "or"):
         parts = tuple(_parse_formula(s, reg, scope) for s in sexp[1:])
         if not parts:
@@ -414,8 +415,8 @@ def _fmt(node) -> str:
         case IdxVar(n):
             return n
         case IdxApp(fn, args):
-            inner = " ".join(_fmt(a) for a in args)
-            return f"({fn} {inner})" if fn in _IOPS else f"(fn {fn} {inner})".rstrip()
+            inner = "".join(" " + _fmt(a) for a in args)
+            return f"({fn}{inner})" if fn in _IOPS else f"(fn {fn}{inner})"
         case RingConst(v):
             return f"(rat {v})"
         case OracleAt(i):
@@ -425,8 +426,8 @@ def _fmt(node) -> str:
         case BigSum(var, bound, body):
             return f"(sum {var} {_fmt(bound)} {_fmt(body)})"
         case RingApp(fn, args):
-            inner = " ".join(_fmt(a) for a in args)
-            return f"(rfn {fn} {inner})" if args else f"(rfn {fn})"
+            inner = "".join(" " + _fmt(a) for a in args)
+            return f"(rfn {fn}{inner})"
         case RingEq(l, r):
             return f"(= {_fmt(l)} {_fmt(r)})"
         case IdxEq(l, r):

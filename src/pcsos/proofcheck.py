@@ -17,6 +17,11 @@ make the kernel branch on one of its callers.
 Structural defects (bad indices, wrong ring, malformed witnesses) raise
 ProofStructureError; proofs that are well-formed but wrong yield an invalid
 CheckReport with the offending line and mismatch polynomial.
+
+The JSON codecs do each piece of work once per file.  A decode parses each
+distinct polynomial text once, and equal texts in one file share that one
+immutable Polynomial; an encode formats each polynomial object once.  The
+memos belong to one codec call, so nothing is kept between files.
 """
 
 from __future__ import annotations
@@ -132,6 +137,42 @@ def _poly_from_json(text, ring: Ring) -> Polynomial:
         raise ProofFormatError(str(exc)) from exc
 
 
+class _Reader:
+    """The polynomial decoder of one file: each distinct text is parsed
+    once, and its copies share that Polynomial (and its cached degree)."""
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self._polys: dict[str, Polynomial] = {}
+
+    def poly(self, text) -> Polynomial:
+        poly = self._polys.get(text) if isinstance(text, str) else None
+        if poly is None:
+            poly = self._polys[text] = _poly_from_json(text, self.ring)
+        return poly
+
+    def polys(self, texts) -> tuple[Polynomial, ...]:
+        return tuple(map(self.poly, texts))
+
+
+class _Writer:
+    """The polynomial encoder of one object: each polynomial object is
+    formatted once.  The memo is keyed by id(), which is sound because the
+    object being written keeps every polynomial in it alive for the call."""
+
+    def __init__(self):
+        self._texts: dict[int, str] = {}
+
+    def poly(self, p: Polynomial) -> str:
+        text = self._texts.get(id(p))
+        if text is None:
+            text = self._texts[id(p)] = p.format()
+        return text
+
+    def polys(self, ps) -> list[str]:
+        return list(map(self.poly, ps))
+
+
 def _cite_line(lines, axioms: EquationSet, idx: int, ref: int) -> Polynomial:
     if not (0 <= ref < idx):
         raise ProofStructureError(f"line {idx} cites line {ref}, which is not earlier")
@@ -148,24 +189,25 @@ def _cite_axiom(lines, axioms: EquationSet, idx: int, ref: int) -> Polynomial:
 class _Codec:
     """One kind of justification field: its JSON form and what it cites."""
 
-    to_json: Callable  # value -> JSON value
-    from_json: Callable  # (ring, JSON value) -> value, or ProofFormatError
+    to_json: Callable  # (_Writer, value) -> JSON value
+    from_json: Callable  # (_Reader, JSON value) -> value, or ProofFormatError
     cite: Callable | None = None  # (lines, axioms, line index, value) -> cited polynomial
     # (ring, line renumbering, value) -> the value in a derivation so renumbered
     relabel: Callable = lambda ring, line_of, value: value
 
 
 LINE = _Codec(
-    int, lambda ring, v: _index_from_json(v), _cite_line, lambda ring, line_of, i: line_of(i)
+    lambda out, i: int(i), lambda src, v: _index_from_json(v), _cite_line,
+    lambda ring, line_of, i: line_of(i),
 )
-AXIOM = _Codec(int, lambda ring, v: _index_from_json(v), _cite_axiom)
-VAR = _Codec(lambda v: f"x{v}", lambda ring, v: _var_from_json(v))
-COEFF = _Codec(str, _coeff_from_json, relabel=lambda ring, line_of, c: ring.coerce(c))
-POLY = _Codec(Polynomial.format, lambda ring, t: _poly_from_json(t, ring))
-POLYS = _Codec(
-    lambda ps: [p.format() for p in ps],
-    lambda ring, ts: tuple(_poly_from_json(t, ring) for t in ts),
+AXIOM = _Codec(lambda out, i: int(i), lambda src, v: _index_from_json(v), _cite_axiom)
+VAR = _Codec(lambda out, v: f"x{v}", lambda src, v: _var_from_json(v))
+COEFF = _Codec(
+    lambda out, c: str(c), lambda src, v: _coeff_from_json(src.ring, v),
+    relabel=lambda ring, line_of, c: ring.coerce(c),
 )
+POLY = _Codec(_Writer.poly, _Reader.poly)
+POLYS = _Codec(_Writer.polys, _Reader.polys)
 
 
 @dataclass(frozen=True)
@@ -650,18 +692,19 @@ class DerivationBuilder:
 
 
 def derivation_to_json(d: Derivation) -> dict:
+    out = _Writer()
     lines = []
     for poly, just in d.lines:
         rule = rule_of(just)
         entry = {"kind": rule.kind}
         for f in rule.fields:
-            entry[f.key] = f.codec.to_json(getattr(just, f.name))
-        lines.append({"poly": poly.format(), "rule": entry})
+            entry[f.key] = f.codec.to_json(out, getattr(just, f.name))
+        lines.append({"poly": out.poly(poly), "rule": entry})
     return {
         "system": d.system,
         "ring": d.ring.to_json(),
         "boolean_axioms": d.boolean_axioms,
-        "axioms": [p.format() for p in d.axioms],
+        "axioms": out.polys(d.axioms),
         "lines": lines,
     }
 
@@ -676,22 +719,19 @@ def derivation_from_json(obj: dict) -> Derivation:
     _require_object(obj, "proof")
     try:
         ring = Ring.from_json(obj["ring"])
+        src = _Reader(ring)
         system = obj["system"]
-        axioms = EquationSet(
-            ring,
-            tuple(_poly_from_json(t, ring) for t in obj["axioms"]),
-            bool(obj.get("boolean_axioms", False)),
-        )
+        axioms = EquationSet(ring, src.polys(obj["axioms"]), bool(obj.get("boolean_axioms", False)))
         lines = []
         for entry in obj["lines"]:
-            poly = _poly_from_json(entry["poly"], ring)
+            poly = src.poly(entry["poly"])
             spec = entry["rule"]
             rule = _RULE_OF_KIND.get(spec["kind"])
             if rule is None:
                 raise ProofFormatError(f"unknown rule kind {spec['kind']!r}")
             values = {
                 f.name: f.codec.from_json(
-                    ring, spec[f.key] if f.default is None else spec.get(f.key, f.default)
+                    src, spec[f.key] if f.default is None else spec.get(f.key, f.default)
                 )
                 for f in rule.fields
             }
@@ -703,13 +743,14 @@ def derivation_from_json(obj: dict) -> Derivation:
 
 
 def sos_to_json(c: SosCertificate) -> dict:
+    out = _Writer()
     obj = {
         "boolean": c.boolean,
-        "axioms": [p.format() for p in c.axioms],
-        "target": c.target.format(),
-        "multipliers": [{"axiom": k, "poly": r.format()} for k, r in c.multipliers],
-        "bool_multipliers": [{"var": f"x{v}", "poly": r.format()} for v, r in c.bool_multipliers],
-        "squares": [s.format() for s in c.squares],
+        "axioms": out.polys(c.axioms),
+        "target": out.poly(c.target),
+        "multipliers": [{"axiom": k, "poly": out.poly(r)} for k, r in c.multipliers],
+        "bool_multipliers": [{"var": f"x{v}", "poly": out.poly(r)} for v, r in c.bool_multipliers],
+        "squares": out.polys(c.squares),
         "constant": str(c.constant),
     }
     if any(w != 1 for w in c.weights):  # so unweighted files keep their old bytes
@@ -733,28 +774,25 @@ def _weights_from_json(obj: dict, squares: int) -> tuple[Fraction, ...]:
 def sos_from_json(obj: dict) -> SosCertificate:
     _require_object(obj, "certificate")
     ring = RATIONAL
+    src = _Reader(ring)
     try:
-        axioms = EquationSet(
-            ring,
-            tuple(_poly_from_json(t, ring) for t in obj["axioms"]),
-            bool(obj.get("boolean", False)),
-        )
+        axioms = EquationSet(ring, src.polys(obj["axioms"]), bool(obj.get("boolean", False)))
         constant = Fraction(str(obj.get("constant", 0)))
-        squares = tuple(_poly_from_json(t, ring) for t in obj.get("squares", []))
+        squares = src.polys(obj.get("squares", []))
         cert = SosCertificate(
             axioms=axioms,
             boolean=bool(obj.get("boolean", False)),
             multipliers=tuple(
-                (AXIOM.from_json(ring, m["axiom"]), _poly_from_json(m["poly"], ring))
+                (_index_from_json(m["axiom"]), src.poly(m["poly"]))
                 for m in obj.get("multipliers", [])
             ),
             bool_multipliers=tuple(
-                (_var_from_json(m["var"]), _poly_from_json(m["poly"], ring))
+                (_var_from_json(m["var"]), src.poly(m["poly"]))
                 for m in obj.get("bool_multipliers", [])
             ),
             squares=squares,
             constant=constant,
-            target=_poly_from_json(obj["target"], ring),
+            target=src.poly(obj["target"]),
             weights=_weights_from_json(obj, len(squares)),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -763,11 +801,12 @@ def sos_from_json(obj: dict) -> SosCertificate:
 
 
 def ns_to_json(c: NsCertificate) -> dict:
+    out = _Writer()
     return {
         "ring": c.axioms.ring.to_json(),
-        "axioms": [p.format() for p in c.axioms],
-        "target": c.target.format(),
-        "multipliers": [{"axiom": k, "poly": r.format()} for k, r in c.multipliers],
+        "axioms": out.polys(c.axioms),
+        "target": out.poly(c.target),
+        "multipliers": [{"axiom": k, "poly": out.poly(r)} for k, r in c.multipliers],
     }
 
 
@@ -775,14 +814,14 @@ def ns_from_json(obj: dict) -> NsCertificate:
     _require_object(obj, "certificate")
     try:
         ring = Ring.from_json(obj.get("ring", {"kind": "rational"}))
-        axioms = EquationSet(ring, tuple(_poly_from_json(t, ring) for t in obj["axioms"]))
+        src = _Reader(ring)
         cert = NsCertificate(
-            axioms=axioms,
+            axioms=EquationSet(ring, src.polys(obj["axioms"])),
             multipliers=tuple(
-                (AXIOM.from_json(ring, m["axiom"]), _poly_from_json(m["poly"], ring))
+                (_index_from_json(m["axiom"]), src.poly(m["poly"]))
                 for m in obj.get("multipliers", [])
             ),
-            target=_poly_from_json(obj["target"], ring),
+            target=src.poly(obj["target"]),
         )
     except (KeyError, TypeError, AlgebraError) as exc:
         raise ProofFormatError(f"malformed certificate file: {exc}") from exc
@@ -793,7 +832,7 @@ def eqset_to_json(eqs: EquationSet) -> dict:
     return {
         "ring": eqs.ring.to_json(),
         "boolean_axioms": eqs.boolean_axioms,
-        "equations": [p.format() for p in eqs],
+        "equations": _Writer().polys(eqs),
     }
 
 
@@ -802,9 +841,7 @@ def eqset_from_json(obj: dict) -> EquationSet:
     try:
         ring = Ring.from_json(obj.get("ring", {"kind": "rational"}))
         return EquationSet(
-            ring,
-            tuple(_poly_from_json(t, ring) for t in obj["equations"]),
-            bool(obj.get("boolean_axioms", False)),
+            ring, _Reader(ring).polys(obj["equations"]), bool(obj.get("boolean_axioms", False))
         )
     except (KeyError, TypeError, AlgebraError) as exc:
         raise ProofFormatError(f"malformed equation set file: {exc}") from exc
@@ -819,6 +856,8 @@ def load_json(path) -> dict:
 
 
 def dump_json(obj: dict, path) -> None:
+    """Write obj as indent-1, key-sorted ASCII JSON and a newline, in one
+    write: json.dump would write each of its many small chunks in turn."""
+    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

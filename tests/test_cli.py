@@ -10,7 +10,7 @@ import pcsos
 from pcsos import fol
 from pcsos.algebra import GF, RATIONAL, eqset, parse_poly
 from pcsos.cli import main
-from pcsos.families import gen_chain, gen_subset_sum
+from pcsos.families import gen_chain, gen_fphp_sos, gen_subset_sum
 from pcsos.lkr import node_to_json
 from pcsos.proofcheck import (
     Add,
@@ -24,6 +24,7 @@ from pcsos.proofcheck import (
     eqset_to_json,
     load_json,
     sos_from_json,
+    sos_to_json,
     check_sos,
 )
 
@@ -149,6 +150,20 @@ def weighted_certificate():
     }
 
 
+class TestSharedPolynomialTexts:
+    def test_one_changed_copy_of_a_repeated_multiplier_is_rejected(self, tmp_path):
+        # fPHP(5, 4) repeats the multiplier text "-2" forty times; the file
+        # decode parses it once, and a changed copy must not share that parse
+        obj = sos_to_json(gen_fphp_sos(5, 4))
+        repeated = [k for k, m in enumerate(obj["multipliers"]) if m["poly"] == "-2"]
+        assert len(repeated) == 40
+        assert main(["check-sos", write(tmp_path, "valid.json", obj)]) == 0
+        for k in (repeated[0], repeated[17], repeated[-1]):
+            mutant = json.loads(json.dumps(obj))
+            mutant["multipliers"][k]["poly"] = "-3"
+            assert main(["check-sos", write(tmp_path, f"mutant{k}.json", mutant)]) == 1
+
+
 class TestFailureReport:
     def test_valid_summary_unchanged(self, tmp_path, capsys):
         path = write(tmp_path, "proof.json", derivation_to_json(valid_pc_rad_proof()))
@@ -250,6 +265,11 @@ class TestMalformedFiles:
         assert main(["fol", "translate", "--formula", formula, "--assign", "n=²"]) == 2
         assert main(["fol", "classify", "--formula", "(= (X ²) (rat 1))"]) == 2
         assert_format_errors(capsys, 3)
+
+    def test_index_comparison_arity_exit_two(self, capsys):
+        assert main(["fol", "classify", "--formula", "(i= 1)"]) == 2
+        assert main(["fol", "classify", "--formula", "(i< 1 2 3)"]) == 2
+        assert_format_errors(capsys, 2)
 
     def test_non_ascii_bytes_exit_two(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"

@@ -72,6 +72,15 @@ class TestParsing:
             again = parse_formula(format_formula(phi), REG, scope={"i", "j", "n"})
             assert again == phi
 
+    def test_nullary_functions_print_canonically(self):
+        reg = FunctionRegistry.standard()
+        reg.register_index_table("f", 0, {(): 2})
+        reg.register_ring_table("g", 0, {(): "1/2"})
+        for text in ["(i= (fn f) 2)", "(= (rfn g) (X (fn f)))"]:
+            phi = parse_formula(text, reg)
+            assert format_formula(phi) == text
+            assert parse_formula(format_formula(phi), reg) == phi
+
 
 class TestClassification:
     def test_disjunction_of_atoms(self):

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 import re
 import typing
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pcsos import families, fol, lkr, simulate
 from pcsos.algebra import GF, MINUS_INF, RATIONAL, Polynomial, eqset, parse_poly
 from pcsos.proofcheck import (
     Add,
@@ -28,6 +31,9 @@ from pcsos.proofcheck import (
     check_sos,
     derivation_from_json,
     derivation_to_json,
+    dump_json,
+    eqset_from_json,
+    eqset_to_json,
     normalize_refutation,
     ns_from_json,
     ns_to_json,
@@ -412,6 +418,131 @@ class TestJsonRoundTrips:
             target=P("2*x1", GF(5)),
         )
         assert ns_from_json(ns_to_json(cert)) == cert
+
+
+def _polys_of(cert: SosCertificate) -> list:
+    return [*cert.axioms, cert.target, *(r for _, r in cert.multipliers),
+            *(r for _, r in cert.bool_multipliers), *cert.squares]
+
+
+class TestFileCodecMemos:
+    """Each file decode parses each distinct text once and shares the result;
+    each encode formats each polynomial object once.  Neither may change
+    what is read or written."""
+
+    def test_equal_texts_in_one_file_share_one_polynomial(self):
+        obj = sos_to_json(families.gen_fphp_sos(5, 4))
+        cert = sos_from_json(obj)
+        by_text: dict = {}
+        for p in _polys_of(cert):
+            assert by_text.setdefault(p.format(), p) is p
+        assert len({id(r) for _, r in cert.multipliers}) == 2  # "1" and "-2"
+        d = derivation_from_json(derivation_to_json(simulate.sos_to_pcplus(cert)))
+        polys = [*d.axioms, *(poly for poly, _ in d.lines)]
+        by_text = {}
+        for p in polys:
+            assert by_text.setdefault(p.format(), p) is p
+        assert len(by_text) < len(polys)  # each axiom line repeats its axiom
+
+    def test_separate_decodes_share_nothing(self):
+        obj = sos_to_json(families.gen_fphp_sos(4, 3))
+        first, second = sos_from_json(obj), sos_from_json(obj)
+        assert first == second
+        assert not {id(p) for p in _polys_of(first)} & {id(p) for p in _polys_of(second)}
+
+    def test_sos_round_trips(self):
+        eps = simulate.pcplus_refutation_to_sos(
+            simulate.sos_to_pcplus(families.gen_fphp_sos(5, 4))
+        )
+        assert any(w != 1 for w in eps.weights)
+        for cert in (families.gen_fphp_sos(6, 5), weighted_refutation(), eps):
+            assert sos_from_json(sos_to_json(cert)) == cert
+
+    def test_compile_outputs_round_trip(self):
+        # the derivations and equation sets the compilers emit
+        reg = fol.FunctionRegistry.standard()
+        chain = families.gen_chain(1).certificate
+        derivations = [simulate.sos_to_pcplus(families.gen_fphp_sos(5, 4))]
+        derivations += [
+            simulate.eliminate_radical_char_p(families.gen_subset_sum(5, GF(p)).certificate)
+            for p in (7, 11)
+        ]
+        derivations += [
+            lkr.compile_lkr(chain, {"n": n}, target, reg)
+            for n, target in ((160, "pc_rad"), (320, "pc_plus"))
+        ]
+        for d in derivations:
+            assert derivation_from_json(derivation_to_json(d)) == d
+        holes_of, pigeons_of, m, n = families.shift_graph(4)
+        graph = families.gen_bphp_graph(holes_of, pigeons_of, m, n)
+        eqs = fol.translate_formula(graph.formula, {}, graph.registry)
+        assert eqset_from_json(eqset_to_json(eqs)) == eqs
+
+
+_TEXT = "ab\"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u4e2d\U0001f600"
+
+
+def _random_json(rng: random.Random, depth: int):
+    kind = rng.randrange(10 if depth < 5 else 6)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-(2**256), 2**64)
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1e-300, -1.5e300, float("inf"), float("-inf"), float("nan"), rng.random()])
+    if kind == 3:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    if kind == 5:
+        return rng.randrange(-3, 3)
+    children = [_random_json(rng, depth + 1) for _ in range(rng.randrange(1, 5))]
+    if kind < 8:
+        return children if kind == 6 else tuple(children)
+    return {"".join(rng.choice(_TEXT) for _ in range(rng.randrange(4))): c for c in children}
+
+
+def _json_dump_bytes(obj) -> bytes:
+    fh = io.StringIO()
+    json.dump(obj, fh, indent=1, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue().encode("ascii")
+
+
+class TestDumpJson:
+    """dump_json writes exactly what json.dump(obj, fh, indent=1,
+    sort_keys=True) and a newline would."""
+
+    def test_random_values(self, tmp_path):
+        rng = random.Random(20261018)
+        path = tmp_path / "out.json"
+        for _ in range(300):
+            obj = {"value": _random_json(rng, 0), "list": [_random_json(rng, 0)]}
+            dump_json(obj, path)
+            assert path.read_bytes() == _json_dump_bytes(obj)
+
+    def test_nesting_as_deep_as_json_dump(self, tmp_path):
+        def nest(levels):
+            value = 0
+            for _ in range(levels):
+                value = [{"k": value}]
+            return value
+
+        lo, hi = 1, 1000  # json.dump writes a list-of-dict nest of lo levels from here, not of hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _json_dump_bytes(nest(mid))
+                lo = mid
+            except RecursionError:
+                hi = mid
+        assert lo > 400
+        levels = lo
+        # dump_json reaches the encoder a few frames further down the stack
+        levels -= 3
+        path = tmp_path / "deep.json"
+        dump_json(nest(levels), path)
+        assert path.read_bytes() == _json_dump_bytes(nest(levels))
 
 
 class TestDegreeRecomputation:
