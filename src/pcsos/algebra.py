@@ -599,29 +599,93 @@ def eqset(ring: Ring, polys, boolean_axioms: bool = False) -> EquationSet:
 # -- four-square decomposition ----------------------------------------
 
 
+# Below this a two-square split is searched for directly, largest part first.
+_DIRECT_SPLIT = 1 << 16
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases above; exact below 3.3e24."""
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _two_squares(m: int, bound: int) -> tuple[int, int] | None:
+    """(c, d) with c*c + d*d == m and bound >= c >= d >= 0, the one with the
+    largest c.  None when there is none, and also when m is at least
+    _DIRECT_SPLIT and not a power of two times 1 or a prime 1 mod 4."""
+    if m < _DIRECT_SPLIT:
+        for c in range(min(bound, isqrt(m)), -1, -1):
+            d = isqrt(m - c * c)
+            if d > c:
+                return None
+            if d * d == m - c * c:
+                return c, d
+        return None
+    odd, twos = m, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    if odd == 1:
+        c, d = 1, 0
+    elif odd % 4 == 1 and _probable_prime(odd):
+        # Cornacchia: a square root t of -1 from a non-residue, then Euclid
+        # on (odd, t) down to the first remainder below sqrt(odd).  Under
+        # GRH the least non-residue is below 2 ln(odd)^2.
+        roots = (pow(g, odd // 4, odd) for g in range(2, 2 * odd.bit_length() ** 2))
+        t = next((t for t in roots if t * t % odd == odd - 1), None)
+        if t is None:
+            return None
+        c, d = odd, t
+        while d * d > odd:
+            c, d = d, c % d
+        c, d = d, isqrt(odd - d * d)
+    else:
+        return None
+    for _ in range(twos):  # times 1 + i
+        c, d = c + d, abs(c - d)
+    c, d = max(c, d), min(c, d)
+    return (c, d) if c <= bound and c * c + d * d == m else None
+
+
 @lru_cache(maxsize=4096)
 def _four_square_int(n: int) -> tuple[int, int, int, int]:
-    # Lagrange guarantees a solution; descending DFS finds the canonical one.
-    # Factors of 4 are stripped first and restored as doublings: the search
-    # on 7 * 4**20 itself does not finish in a minute, on 7 it is immediate.
+    # Rabin-Shallit in a fixed order: a descends from isqrt(n), skipping each
+    # a with n - a^2 of the form 4^k(8j+7), not a sum of three squares
+    # (Legendre); then b descends from min(a, isqrt(n - a^2)) until
+    # n - a^2 - b^2 splits into two squares no larger than b.  Small ones
+    # are split by search, so on small n the answer is the lexicographically
+    # greatest descending one; a large one must be a power of two times 1 or
+    # a prime 1 mod 4.  Factors of 4 are stripped first and restored as
+    # doublings.
     shift = 0
     while n and n % 4 == 0:
         n //= 4
         shift += 1
-
-    def rec(remaining: int, bound: int, depth: int):
-        if depth == 4:
-            return () if remaining == 0 else None
-        hi = min(bound, isqrt(remaining))
-        for a in range(hi, -1, -1):
-            rest = rec(remaining - a * a, a, depth + 1)
-            if rest is not None:
-                return (a,) + rest
-        return None
-
-    out = rec(n, isqrt(n), 0)
-    assert out is not None
-    return tuple(a << shift for a in out)
+    for a in range(isqrt(n), -1, -1):
+        rest = core = n - a * a
+        while core and core % 4 == 0:
+            core //= 4
+        if core % 8 == 7:
+            continue
+        for b in range(min(a, isqrt(rest)), -1, -1):
+            split = _two_squares(rest - b * b, b)
+            if split is not None:
+                return tuple(x << shift for x in (a, b, *split))
+    raise AlgebraError(f"no four-square split of {n} found")
 
 
 def four_square(q) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -31,7 +31,7 @@ from .families import (
 )
 from . import fol
 from .fol import ClassificationError, FolError, FunctionRegistry
-from .lkr import CompileError, LkrError, check_lkr, compile_lkr, node_from_json, node_to_json
+from .lkr import LkrError, check_lkr, compile_lkr, node_from_json, node_to_json
 from .proofcheck import (
     CheckReport,
     ProofFormatError,
@@ -146,31 +146,36 @@ def _report_payload(report: CheckReport, derivation=None) -> dict:
     return payload
 
 
+def _verdict(args, report: CheckReport, derivation=None, cert=None, **extra) -> int:
+    """Print the summary of a kernel verdict, plus extra fields, and return
+    its exit code.  With --output, first write the certificate when given,
+    else the derivation."""
+    if getattr(args, "output", None):
+        if cert is not None:
+            dump_json(sos_to_json(cert), args.output)
+        elif derivation is not None:
+            dump_json(derivation_to_json(derivation), args.output)
+    _summary(args, {**_report_payload(report, derivation), **extra})
+    return EXIT_OK if report.valid else EXIT_INVALID
+
+
 # -- command handlers ------------------------------------------------------
 
 
 def _cmd_check(args) -> int:
     derivation = derivation_from_json(load_json(args.input))
-    report = check_derivation(derivation)
-    _summary(args, _report_payload(report, derivation))
-    return EXIT_OK if report.valid else EXIT_INVALID
+    return _verdict(args, check_derivation(derivation), derivation)
 
 
 def _cmd_check_sos(args) -> int:
     cert = sos_from_json(load_json(args.input))
     if args.normalize:
         cert = normalize_refutation(cert)
-        if args.output:
-            dump_json(sos_to_json(cert), args.output)
-    report = check_sos(cert)
-    _summary(args, _report_payload(report))
-    return EXIT_OK if report.valid else EXIT_INVALID
+    return _verdict(args, check_sos(cert), cert=cert if args.normalize else None)
 
 
 def _cmd_check_ns(args) -> int:
-    report = check_nullstellensatz(ns_from_json(load_json(args.input)))
-    _summary(args, _report_payload(report))
-    return EXIT_OK if report.valid else EXIT_INVALID
+    return _verdict(args, check_nullstellensatz(ns_from_json(load_json(args.input))))
 
 
 def _cmd_translate(args) -> int:
@@ -182,26 +187,13 @@ def _cmd_translate(args) -> int:
             cert = pcplus_refutation_to_sos(derivation)
         if args.normalize:
             cert = normalize_refutation(cert)
-        report = check_sos(cert)
-        if args.output:
-            dump_json(sos_to_json(cert), args.output)
-        _summary(args, _report_payload(report))
-        return EXIT_OK if report.valid else EXIT_INVALID
+        return _verdict(args, check_sos(cert), cert=cert)
     if args.direction == "sos-to-pcplus":
-        cert = sos_from_json(load_json(args.input))
-        derivation = sos_to_pcplus(cert)
-        report = check_derivation(derivation)
-        if args.output:
-            dump_json(derivation_to_json(derivation), args.output)
-        _summary(args, _report_payload(report, derivation))
-        return EXIT_OK if report.valid else EXIT_INVALID
-    derivation = derivation_from_json(load_json(args.input))
-    out = eliminate_radical_char_p(derivation, max_p=args.max_p)
-    report = check_derivation(out)
-    if args.output:
-        dump_json(derivation_to_json(out), args.output)
-    _summary(args, _report_payload(report, out))
-    return EXIT_OK if report.valid else EXIT_INVALID
+        derivation = sos_to_pcplus(sos_from_json(load_json(args.input)))
+    else:
+        derivation = derivation_from_json(load_json(args.input))
+        derivation = eliminate_radical_char_p(derivation, max_p=args.max_p)
+    return _verdict(args, check_derivation(derivation), derivation)
 
 
 def _instance_payload(instance) -> dict:
@@ -333,11 +325,7 @@ def _cmd_lkr(args) -> int:
         _summary(args, {"valid": report.valid, "node": list(report.node or ()), "reason": report.reason})
         return EXIT_OK if report.valid else EXIT_INVALID
     derivation = compile_lkr(proof, _assignment(args.assign), args.target, reg)
-    report = check_derivation(derivation)
-    if args.output:
-        dump_json(derivation_to_json(derivation), args.output)
-    _summary(args, _report_payload(report, derivation))
-    return EXIT_OK if report.valid else EXIT_INVALID
+    return _verdict(args, check_derivation(derivation), derivation)
 
 
 def _cmd_search(args) -> int:
@@ -355,14 +343,9 @@ def _cmd_search(args) -> int:
     if derivation is None:
         _summary(args, {"valid": False, "degree": None, "derivable": False})
         return EXIT_INVALID
-    report = check_derivation(derivation)
-    if args.output:
-        dump_json(derivation_to_json(derivation), args.output)
-    _summary(
-        args,
-        {**_report_payload(report, derivation), "derivable": True, "dimension": basis.span_dimension()},
+    return _verdict(
+        args, check_derivation(derivation), derivation, derivable=True, dimension=basis.span_dimension()
     )
-    return EXIT_OK if report.valid else EXIT_INVALID
 
 
 # -- argument parsing --------------------------------------------------------
@@ -454,16 +437,10 @@ def main(argv=None) -> int:
         return EXIT_FORMAT if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UnsupportedConstruct as exc:
+    except (UnsupportedConstruct, ClassificationError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ClassificationError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (SimulationError, CompileError, ProofStructureError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except LkrError as exc:
+    except (SimulationError, LkrError, ProofStructureError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (

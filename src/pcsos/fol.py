@@ -9,6 +9,10 @@ disjunction becomes the set product, a bounded universal becomes the
 union of its instances, and an oracle-free subformula collapses to
 {0 = 0} or {1 = 0} by evaluation.
 
+The concrete syntax is written once, in GRAMMAR: per sort and head, the
+node class and its argument slots.  The one reader and the one writer
+(`format_formula`) work from it.
+
 Ring terms have one interpreter, `ring_value`, parameterised by the model
 it lands in: `Model` gives ring values under an oracle (evaluation),
 `PolyModel` polynomials over the oracle variables (translation), and the
@@ -22,11 +26,12 @@ style "every function" signature, which no tool can materialize.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import RATIONAL, EquationSet, Polynomial, Ring
 
@@ -227,224 +232,201 @@ class ExistsIdx:
 Formula = RingEq | IdxEq | IdxLt | And | Or | Not | ForallIdx | ExistsIdx
 
 
-# -- s-expression parser -------------------------------------------------
+# -- grammar ---------------------------------------------------------------
+
+# The sorts of the language, named as in the usage messages.
+INDEX, RING, FORMULA = "index-term", "ring-term", "formula"
+# Argument slots besides a sort: a variable name, bound in the last slot only;
+# a rational; and a registry function name followed by as many index terms
+# as its arity.  A tuple of one sort fills one tuple field, and (sort, ...)
+# one or more terms of that sort.  A tuple or FN slot comes last.
+VAR, RAT, FN = "var", "q", "NAME index-term..."
 
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+class Form(NamedTuple):
+    """One head of the grammar: the node class it builds, the argument slots
+    that fill the node's fields, and whether the node keeps the head itself
+    as its first field (an operator)."""
 
+    cls: type
+    slots: tuple
+    keeps_head: bool = False
+
+
+_PAIR = ((INDEX, INDEX),)
+
+GRAMMAR: dict[str, dict[str, Form]] = {
+    INDEX: {
+        "+": Form(IdxApp, _PAIR, True),
+        "*": Form(IdxApp, _PAIR, True),
+        "monus": Form(IdxApp, _PAIR, True),
+        "fn": Form(IdxApp, (FN,)),
+    },
+    RING: {
+        "rat": Form(RingConst, (RAT,)),
+        "X": Form(OracleAt, (INDEX,)),
+        "+": Form(RingOp, (RING, RING), True),
+        "-": Form(RingOp, (RING, RING), True),
+        "*": Form(RingOp, (RING, RING), True),
+        "sum": Form(BigSum, (VAR, INDEX, RING)),
+        "rfn": Form(RingApp, (FN,)),
+    },
+    FORMULA: {
+        "=": Form(RingEq, (RING, RING)),
+        "i=": Form(IdxEq, (INDEX, INDEX)),
+        "i<": Form(IdxLt, (INDEX, INDEX)),
+        "and": Form(And, ((FORMULA, ...),)),
+        "or": Form(Or, ((FORMULA, ...),)),
+        "not": Form(Not, (FORMULA,)),
+        "forall": Form(ForallIdx, (VAR, INDEX, FORMULA)),
+        "exists": Form(ExistsIdx, (VAR, INDEX, FORMULA)),
+    },
+}
+
+# The head of each class that does not keep it, and the index operators.
+_HEAD = {f.cls: h for forms in GRAMMAR.values() for h, f in forms.items() if not f.keeps_head}
+_INDEX_OPS = frozenset(h for h, f in GRAMMAR[INDEX].items() if f.keeps_head)
 
 # Deepest parenthesis nesting read.  The parser, classifier, translator and
 # evaluator recurse up to three Python frames per level (an and/or level:
 # the call plus its generator), so a formula at this depth stays well
 # inside the interpreter's default limit of 1000 frames.
 MAX_SEXP_DEPTH = 200
-
-
-class _SexpReader:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def read(self, depth: int = 0):
-        if self.pos >= len(self.tokens):
-            raise FolParseError("unexpected end of expression")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        if tok == "(":
-            if depth == MAX_SEXP_DEPTH:
-                raise FolParseError(f"expression nested deeper than {MAX_SEXP_DEPTH} levels")
-            items = []
-            while True:
-                if self.pos >= len(self.tokens):
-                    raise FolParseError("missing closing parenthesis")
-                if self.tokens[self.pos] == ")":
-                    self.pos += 1
-                    return items
-                items.append(self.read(depth + 1))
-        if tok == ")":
-            raise FolParseError("unexpected closing parenthesis")
-        return tok
-
-    def finished(self) -> bool:
-        return self.pos == len(self.tokens)
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _read_sexp(text: str):
-    reader = _SexpReader(_tokenize(text))
-    sexp = reader.read()
-    if not reader.finished():
-        raise FolParseError("trailing input after expression")
-    return sexp
+    """Nested lists of atoms; one expression, at most MAX_SEXP_DEPTH deep."""
+    stack: list[list] = []
+    items: list = []
+    for tok in _TOKEN.findall(text):
+        if not stack and items:
+            raise FolParseError("trailing input after expression")
+        if tok == "(":
+            if len(stack) == MAX_SEXP_DEPTH:
+                raise FolParseError(f"expression nested deeper than {MAX_SEXP_DEPTH} levels")
+            stack.append(items)
+            items = []
+        elif tok == ")":
+            if not stack:
+                raise FolParseError("unexpected closing parenthesis")
+            done, items = items, stack.pop()
+            items.append(done)
+        else:
+            items.append(tok)
+    if stack:
+        raise FolParseError("missing closing parenthesis")
+    if not items:
+        raise FolParseError("unexpected end of expression")
+    return items[0]
 
 
-_RATS = "rat"
-_IOPS = ("+", "*", "monus")
+def _parse(source, sort: str, reg: FunctionRegistry, scope):
+    sexp = _read_sexp(source) if isinstance(source, str) else source
+    return _read(sexp, sort, reg, scope or set())
 
 
-def parse_index_term(sexp, reg: FunctionRegistry, scope: set[str]) -> IndexTerm:
+# Each reads s-expression text, or its nested lists of atoms; the names in
+# scope may occur free as index variables.
+def parse_index_term(source, reg: FunctionRegistry, scope: set[str] | None = None) -> IndexTerm:
+    return _parse(source, INDEX, reg, scope)
+
+
+def parse_ring_term(source, reg: FunctionRegistry, scope: set[str] | None = None) -> RingTerm:
+    return _parse(source, RING, reg, scope)
+
+
+def parse_formula(source, reg: FunctionRegistry, scope: set[str] | None = None) -> Formula:
+    return _parse(source, FORMULA, reg, scope)
+
+
+def _usage(head: str, form: Form) -> str:
+    words = [w for s in form.slots for w in (s if isinstance(s, tuple) else (s,))]
+    return f"({head} {' '.join('...' if w is ... else w for w in words)}) expected"
+
+
+def _read(sexp, sort: str, reg: FunctionRegistry, scope: set[str]):
+    """The node of `sort`, or the VAR or RAT atom, that an s-expression
+    denotes, read by GRAMMAR; the index variables in scope are the free and
+    enclosing bound ones."""
     if isinstance(sexp, str):
-        if sexp.isascii() and sexp.isdigit():
-            return IdxLit(int(sexp))
-        if sexp in scope:
-            return IdxVar(sexp)
-        raise FolParseError(f"unbound index variable {sexp!r}")
-    if not sexp:
-        raise FolParseError("empty index term")
-    head = sexp[0]
-    if head in _IOPS:
-        args = tuple(parse_index_term(a, reg, scope) for a in sexp[1:])
-        if len(args) != 2:
-            raise FolParseError(f"{head!r} takes two index arguments")
-        return IdxApp(head, args)
-    if head == "fn":
-        if len(sexp) < 2 or not isinstance(sexp[1], str):
-            raise FolParseError("(fn NAME args...) expected")
-        name = sexp[1]
-        if name not in reg.index_fns:
-            raise FolParseError(f"unknown index function {name!r}")
-        args = tuple(parse_index_term(a, reg, scope) for a in sexp[2:])
-        if len(args) != reg.index_fns[name][0]:
-            raise FolParseError(f"index function {name!r} arity mismatch")
-        return IdxApp(name, args)
-    raise FolParseError(f"bad index term head {head!r}")
-
-
-def parse_ring_term(sexp, reg: FunctionRegistry, scope: set[str]) -> RingTerm:
-    if isinstance(sexp, str) or not sexp:
-        raise FolParseError(f"bad ring term {sexp!r}")
-    head = sexp[0]
-    if head == _RATS:
-        if len(sexp) != 2 or not isinstance(sexp[1], str):
-            raise FolParseError("(rat q) expected")
+        if sort == INDEX:
+            if sexp.isascii() and sexp.isdigit():
+                return IdxLit(int(sexp))
+            if sexp in scope:
+                return IdxVar(sexp)
+            raise FolParseError(f"unbound index variable {sexp!r}")
+        if sort == VAR:
+            return sexp
+        if sort != RAT:
+            raise FolParseError(f"bad {sort} {sexp!r}")
         try:
-            return RingConst(Fraction(sexp[1]))
+            return Fraction(sexp)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FolParseError(f"bad rational {sexp[1]!r}") from exc
-    if head == "X":
-        if len(sexp) != 2:
-            raise FolParseError("(X index-term) expected")
-        return OracleAt(parse_index_term(sexp[1], reg, scope))
-    if head in ("+", "-", "*"):
-        if len(sexp) != 3:
-            raise FolParseError(f"ring {head!r} takes two arguments")
-        return RingOp(
-            head, parse_ring_term(sexp[1], reg, scope), parse_ring_term(sexp[2], reg, scope)
-        )
-    if head == "sum":
-        if len(sexp) != 4 or not isinstance(sexp[1], str):
-            raise FolParseError("(sum var bound body) expected")
-        var = sexp[1]
-        bound = parse_index_term(sexp[2], reg, scope)
-        body = parse_ring_term(sexp[3], reg, scope | {var})
-        return BigSum(var, bound, body)
-    if head == "rfn":
-        if len(sexp) < 2 or not isinstance(sexp[1], str):
-            raise FolParseError("(rfn NAME args...) expected")
-        name = sexp[1]
-        if name not in reg.ring_fns:
-            raise FolParseError(f"unknown ring function {name!r}")
-        args = tuple(parse_index_term(a, reg, scope) for a in sexp[2:])
-        if len(args) != reg.ring_fns[name][0]:
-            raise FolParseError(f"ring function {name!r} arity mismatch")
-        return RingApp(name, args)
-    raise FolParseError(f"bad ring term head {head!r}")
+            raise FolParseError(f"bad rational {sexp!r}") from exc
+    if not sexp or sort not in GRAMMAR:
+        raise FolParseError(f"bad {sort} {sexp!r}")
+    head, end = sexp[0], len(sexp)
+    form = GRAMMAR[sort].get(head) if isinstance(head, str) else None
+    if form is None:
+        raise FolParseError(f"bad {sort} head {head!r}")
+    cls, slots, keeps_head = form
+    if end - 1 < len(slots):  # every slot takes at least one argument
+        raise FolParseError(_usage(head, form))
+    fields = [head] if keeps_head else []
+    body_scope, last, i = scope, len(slots) - 1, 1
+    for k, slot in enumerate(slots):
+        if isinstance(slot, tuple):  # one tuple field of terms of one sort
+            n = end - i if slot[-1] is ... else len(slot)
+            fields.append(tuple([_read(a, slot[0], reg, scope) for a in sexp[i : i + n]]))
+            i += n
+        elif slot == FN:  # the name, then its arguments
+            name, fns = sexp[i], reg.index_fns if sort == INDEX else reg.ring_fns
+            if not isinstance(name, str) or name not in fns:
+                raise FolParseError(f"unknown {sort} function {name!r}")
+            if end - i - 1 != fns[name][0]:
+                raise FolParseError(f"{sort} function {name!r} takes {fns[name][0]} arguments")
+            fields += [name, tuple([_read(a, INDEX, reg, scope) for a in sexp[i + 1 :]])]
+            i = end
+        else:
+            fields.append(_read(sexp[i], slot, reg, body_scope if k == last else scope))
+            if slot == VAR:
+                body_scope = scope | {sexp[i]}
+            i += 1
+    if i != end:
+        raise FolParseError(_usage(head, form))
+    return cls(*fields)
 
 
-def parse_formula(text_or_sexp, reg: FunctionRegistry, scope: set[str] | None = None) -> Formula:
-    sexp = _read_sexp(text_or_sexp) if isinstance(text_or_sexp, str) else text_or_sexp
-    return _parse_formula(sexp, reg, scope or set())
-
-
-def _parse_formula(sexp, reg: FunctionRegistry, scope: set[str]) -> Formula:
-    if isinstance(sexp, str) or not sexp:
-        raise FolParseError(f"bad formula {sexp!r}")
-    head = sexp[0]
-    if head == "=":
-        if len(sexp) != 3:
-            raise FolParseError("(= ring-term ring-term) expected")
-        return RingEq(parse_ring_term(sexp[1], reg, scope), parse_ring_term(sexp[2], reg, scope))
-    if head in ("i=", "i<"):
-        if len(sexp) != 3:
-            raise FolParseError(f"({head} index-term index-term) expected")
-        cls = IdxEq if head == "i=" else IdxLt
-        return cls(parse_index_term(sexp[1], reg, scope), parse_index_term(sexp[2], reg, scope))
-    if head in ("and", "or"):
-        parts = tuple(_parse_formula(s, reg, scope) for s in sexp[1:])
-        if not parts:
-            raise FolParseError(f"{head!r} needs at least one subformula")
-        return And(parts) if head == "and" else Or(parts)
-    if head == "not":
-        if len(sexp) != 2:
-            raise FolParseError("(not formula) expected")
-        return Not(_parse_formula(sexp[1], reg, scope))
-    if head in ("forall", "exists"):
-        if len(sexp) != 4 or not isinstance(sexp[1], str):
-            raise FolParseError(f"({head} var bound formula) expected")
-        var = sexp[1]
-        bound = parse_index_term(sexp[2], reg, scope)
-        body = _parse_formula(sexp[3], reg, scope | {var})
-        cls = ForallIdx if head == "forall" else ExistsIdx
-        return cls(var, bound, body)
-    raise FolParseError(f"bad formula head {head!r}")
-
-
-def format_formula(phi: Formula) -> str:
-    return _fmt(phi)
-
-
-def _fmt(node) -> str:
+def format_formula(node) -> str:
+    """The s-expression of a formula, or of any term; each head is GRAMMAR's."""
     match node:
-        case IdxLit(v):
-            return str(v)
-        case IdxVar(n):
-            return n
+        case IdxVar(name):
+            return name
         case IdxApp(fn, args):
-            inner = "".join(" " + _fmt(a) for a in args)
-            return f"({fn}{inner})" if fn in _IOPS else f"(fn {fn}{inner})"
-        case RingConst(v):
-            return f"(rat {v})"
-        case OracleAt(i):
-            return f"(X {_fmt(i)})"
-        case RingOp(op, l, r):
-            return f"({op} {_fmt(l)} {_fmt(r)})"
-        case BigSum(var, bound, body):
-            return f"(sum {var} {_fmt(bound)} {_fmt(body)})"
+            head = fn if fn in _INDEX_OPS else f"{_HEAD[IdxApp]} {fn}"
+            return f"({head}{_tail(args)})"
+        case IdxLit(value):
+            return str(value)
+        case OracleAt(x) | Not(x):
+            return f"({_HEAD[type(node)]} {format_formula(x)})"
+        case RingConst(value):
+            return f"({_HEAD[RingConst]} {value})"
+        case RingEq(left, right) | IdxEq(left, right) | IdxLt(left, right):
+            return f"({_HEAD[type(node)]} {format_formula(left)} {format_formula(right)})"
+        case RingOp(op, left, right):
+            return f"({op} {format_formula(left)} {format_formula(right)})"
         case RingApp(fn, args):
-            inner = "".join(" " + _fmt(a) for a in args)
-            return f"(rfn {fn}{inner})"
-        case RingEq(l, r):
-            return f"(= {_fmt(l)} {_fmt(r)})"
-        case IdxEq(l, r):
-            return f"(i= {_fmt(l)} {_fmt(r)})"
-        case IdxLt(l, r):
-            return f"(i< {_fmt(l)} {_fmt(r)})"
-        case And(parts):
-            return "(and " + " ".join(_fmt(p) for p in parts) + ")"
-        case Or(parts):
-            return "(or " + " ".join(_fmt(p) for p in parts) + ")"
-        case Not(body):
-            return f"(not {_fmt(body)})"
-        case ForallIdx(var, bound, body):
-            return f"(forall {var} {_fmt(bound)} {_fmt(body)})"
-        case ExistsIdx(var, bound, body):
-            return f"(exists {var} {_fmt(bound)} {_fmt(body)})"
+            return f"({_HEAD[RingApp]} {fn}{_tail(args)})"
+        case And(parts) | Or(parts):
+            return f"({_HEAD[type(node)]}{_tail(parts)})"
+        case BigSum(var, bound, body) | ForallIdx(var, bound, body) | ExistsIdx(var, bound, body):
+            return f"({_HEAD[type(node)]} {var} {format_formula(bound)} {format_formula(body)})"
     raise FolError(f"unknown node {node!r}")
+
+
+def _tail(nodes) -> str:
+    return "".join([" " + format_formula(x) for x in nodes])
 
 
 # -- mentions, free variables, substitution ------------------------------

@@ -73,6 +73,10 @@ from .fol import (
 )
 
 SUM_UNFOLD_CAP = 256
+# Deepest proof read, in nodes from the root to a leaf.  Reading, checking
+# and compiling recurse a few Python frames per level, so a proof at this
+# depth stays inside the interpreter's default limit of 1000 frames.
+MAX_PROOF_DEPTH = 200
 _ZERO = RingConst(Fraction(0))
 
 
@@ -219,7 +223,7 @@ class _Codec:
     also the AST itself.  Decoding yields the AST, encoding the text."""
 
     kind: object  # the AST type taken as is
-    parse: Callable  # (s-expression, reg, scope) -> AST, or FolError / LkrError
+    parse: Callable  # (text, reg, scope) -> AST, or FolError / LkrError
     many: bool = False  # a list of such values
     required: bool = True
 
@@ -232,7 +236,7 @@ class _Codec:
 
     def _one(self, value, reg):
         if isinstance(value, str):
-            return self.parse(fol._read_sexp(value), reg, _names(value))
+            return self.parse(value, reg, _names(value))
         if isinstance(value, self.kind):
             return value
         raise LkrError(f"expected an s-expression string, got {value!r}")
@@ -242,17 +246,18 @@ class _Codec:
 
     @staticmethod
     def _text(value) -> str:
-        return value if isinstance(value, str) else fol._fmt(value)
+        return value if isinstance(value, str) else format_formula(value)
 
 
-def _parse_var(sexp, reg, scope) -> str:
-    if not (isinstance(sexp, str) and sexp.isidentifier()):
-        raise LkrError(f"expected an index variable name, got {sexp!r}")
-    return sexp
+def _parse_var(text, reg, scope) -> str:
+    if not text.strip().isidentifier():
+        raise LkrError(f"expected an index variable name, got {text!r}")
+    return text.strip()
 
 
 _TERM = _Codec(IndexTerm, parse_index_term)
 _FORMULA = _Codec(Formula, parse_formula)
+_FORMULAS = _Codec(Formula, parse_formula, many=True)
 _VAR = _Codec(str, _parse_var)
 _MULTIPLIERS = _Codec(RingTerm, parse_ring_term, many=True, required=False)
 
@@ -1012,10 +1017,7 @@ def compile_lkr(
 
 
 def sequent_to_json(seq: Sequent) -> dict:
-    return {
-        "ante": [format_formula(phi) for phi in seq.ante],
-        "succ": [format_formula(phi) for phi in seq.succ],
-    }
+    return {"ante": _FORMULAS.encode(seq.ante), "succ": _FORMULAS.encode(seq.succ)}
 
 
 def node_to_json(node: LkrNode) -> dict:
@@ -1029,20 +1031,20 @@ def node_to_json(node: LkrNode) -> dict:
 
 
 def sequent_from_json(obj: dict, reg: FunctionRegistry) -> Sequent:
-    def side(key):
-        items = obj.get(key, [])
-        if not isinstance(items, list) or not all(isinstance(t, str) for t in items):
-            raise LkrError(f"malformed sequent: {key!r} must be a list of formula strings")
-        return tuple(parse_formula(t, reg, scope=_names(t)) for t in items)
-
     if not isinstance(obj, dict):
         raise LkrError(f"malformed sequent: expected an object, got {obj!r}")
-    return Sequent(side("ante"), side("succ"))
+    try:
+        ante, succ = (_FORMULAS.decode(obj.get(key, []), reg) for key in ("ante", "succ"))
+    except (LkrError, fol.FolError) as exc:
+        raise LkrError(f"malformed sequent: {exc}") from exc
+    return Sequent(ante, succ)
 
 
-def node_from_json(obj: dict, reg: FunctionRegistry) -> LkrNode:
-    """Read a proof node; its parameters are decoded to ASTs, so a malformed
-    one fails here with LkrError."""
+def node_from_json(obj: dict, reg: FunctionRegistry, depth: int = 1) -> LkrNode:
+    """Read a proof node at `depth` below the root's parent; its parameters
+    are decoded to ASTs, so a malformed one fails here with LkrError."""
+    if depth > MAX_PROOF_DEPTH:
+        raise LkrError(f"proof nested deeper than {MAX_PROOF_DEPTH} levels")
     if not isinstance(obj, dict) or not isinstance(obj.get("rule"), str):
         raise LkrError("malformed proof node: expected an object with a string 'rule'")
     if obj["rule"] not in RULES:
@@ -1050,10 +1052,7 @@ def node_from_json(obj: dict, reg: FunctionRegistry) -> LkrNode:
     premises = obj.get("premises", [])
     if not isinstance(premises, list):
         raise LkrError("malformed proof node: 'premises' must be a list")
-    premises = tuple(node_from_json(p, reg) for p in premises)
-    try:
-        conclusion = sequent_from_json(obj.get("conclusion"), reg)
-    except fol.FolError as exc:
-        raise LkrError(f"malformed proof node: {exc}") from exc
+    premises = tuple(node_from_json(p, reg, depth + 1) for p in premises)
+    conclusion = sequent_from_json(obj.get("conclusion"), reg)
     params = _decode(obj["rule"], obj.get("params", {}), reg)
     return LkrNode(obj["rule"], conclusion, premises, params)

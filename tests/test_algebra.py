@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -278,6 +279,37 @@ class TestFourSquare:
             q = Fraction(rng.randrange(0, 500), rng.randrange(1, 40))
             parts = four_square(q)
             assert sum(a * a for a in parts) == q
+        for bits in (64, 128, 512, 1024):
+            n = rng.getrandbits(bits)
+            parts = four_square(n)
+            assert sum(a * a for a in parts) == n and list(parts) == sorted(parts, reverse=True)
+
+    def test_small_inputs_match_the_descending_search(self):
+        # the answer is the lexicographically greatest descending one, so
+        # written certificates do not depend on the search; this exhaustive
+        # search is the reference
+        def descending(n, bound, parts):
+            if parts == 0:
+                return () if n == 0 else None
+            for a in range(min(bound, isqrt(n)), -1, -1):
+                rest = descending(n - a * a, a, parts - 1)
+                if rest is not None:
+                    return (a,) + rest
+
+        for n in range(3000):
+            m, shift = n, 0
+            while m and m % 4 == 0:
+                m, shift = m // 4, shift + 1
+            want = tuple(a << shift for a in descending(m, m, 4))
+            assert four_square(n) == want, n
+
+    def test_large_weight_returns_at_once(self):
+        # a certificate weight on which an exhaustive descending search runs for seconds
+        q = Fraction(2305843009213693951, 1000000007)
+        t0 = time.perf_counter()
+        parts = four_square(q)
+        assert time.perf_counter() - t0 < 1.0
+        assert sum(a * a for a in parts) == q and list(parts) == sorted(parts, reverse=True)
 
 
 def _random_poly(rng, ring, max_terms=4, max_var=3, max_exp=2):

@@ -11,7 +11,7 @@ from pcsos import fol
 from pcsos.algebra import GF, RATIONAL, eqset, parse_poly
 from pcsos.cli import main
 from pcsos.families import gen_chain, gen_fphp_sos, gen_subset_sum
-from pcsos.lkr import node_to_json
+from pcsos.lkr import MAX_PROOF_DEPTH, node_to_json
 from pcsos.proofcheck import (
     Add,
     Axiom,
@@ -552,3 +552,37 @@ class TestUnsupported:
         path = write(tmp_path, "proof.json", node_to_json(node))
         assert main(["lkr", "compile", path, "--target", "pc_rad"]) == 3
         assert main(["lkr", "compile", path, "--target", "pc_plus"]) == 0
+
+
+def _proof_chain(depth) -> str:
+    """The JSON text of a valid sequent proof `depth` nodes deep: weakenings
+    and contractions on the left over one logical axiom.  It is built flat,
+    since json's own writer recurses once per level."""
+    phi, psi = "(= (X 0) (rat 0))", "(= (X 1) (rat 0))"
+    opened = []
+    for k in range(depth - 1, 0, -1):
+        rule = "weakening-l" if k == 1 or k % 2 == 0 else "contraction-l"
+        node = {"rule": rule, "conclusion": {"ante": [phi] + [psi] * (1 if k % 2 else 2), "succ": [phi]}}
+        opened.append(json.dumps(node)[:-1] + ', "premises": [')
+    leaf = {"rule": "logical-axiom", "conclusion": {"ante": [phi], "succ": [phi]}, "premises": []}
+    return "".join(opened) + json.dumps(leaf) + "]}" * (depth - 1)
+
+
+class TestProofNesting:
+    def test_proof_at_the_limit_runs(self, tmp_path, capsys):
+        path = tmp_path / "proof.json"
+        path.write_text(_proof_chain(MAX_PROOF_DEPTH))
+        assert main(["lkr", "check", str(path)]) == 0
+        assert main(["lkr", "compile", str(path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_proof_past_the_limit_exit_two(self, tmp_path):
+        # 490 levels: shallower than json's own limit, about 494, in a fresh process
+        path = tmp_path / "proof.json"
+        path.write_text(_proof_chain(490))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pcsos.__file__)))
+        for action in ("check", "compile"):
+            argv = [sys.executable, "-m", "pcsos", "lkr", action, str(path)]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+            message = f"error: proof nested deeper than {MAX_PROOF_DEPTH} levels\n"
+            assert (done.returncode, done.stderr) == (2, message)

@@ -1,33 +1,57 @@
+import dataclasses
 import random
+import re
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pcsos.algebra import RATIONAL, Polynomial, parse_poly
+from pcsos.cli import main
 from pcsos.fol import (
+    FN,
+    FORMULA,
+    GRAMMAR,
+    INDEX,
+    RAT,
+    RING,
+    VAR,
     And,
     BigSum,
     ClassificationError,
+    ExistsIdx,
     FolError,
     FolParseError,
     ForallIdx,
     FunctionRegistry,
+    IdxApp,
+    IdxEq,
+    IdxLit,
+    IdxLt,
     IdxVar,
     Not,
+    OracleAt,
     Or,
+    RingApp,
+    RingConst,
     RingEq,
+    RingOp,
     classify_indpc,
     eval_formula,
     eval_index,
     format_formula,
     free_index_vars,
     parse_formula,
+    parse_index_term,
+    parse_ring_term,
     substitute_index,
     translate_formula,
     translate_ring_term,
 )
 
 REG = FunctionRegistry.standard()
+REG.register_ring_table("zero", 1, {})
 
 
 def P(text):
@@ -52,8 +76,9 @@ class TestParsing:
         assert isinstance(phi.left, BigSum)
 
     def test_scoping_enforced(self):
-        with pytest.raises(FolParseError):
-            F("(= (X i) (rat 0))")  # i unbound
+        for text in ["(= (X i) (rat 0))", "(forall i i (= (X i) (rat 0)))"]:
+            with pytest.raises(FolParseError):
+                F(text)  # i unbound; a bound variable is not in scope in its own bound
         F("(forall i 3 (= (X i) (rat 0)))")
 
     def test_unknown_function_rejected(self):
@@ -66,6 +91,8 @@ class TestParsing:
             "(forall i n (or (= (X i) (rat 0)) (i< i n)))",
             "(and (i= 0 1) (not (i< 1 0)))",
             "(= (sum k n (* (X k) (X k))) (rat 0))",
+            "(forall i i (exists i (fn pair i j) (i< i (monus n i))))",
+            "(or (not (i= (* i 2) j)) (= (- (rfn zero i) (sum i n (rat -1/3))) (X i)))",
         ]
         for text in texts:
             phi = parse_formula(text, REG, scope={"i", "j", "n"})
@@ -236,3 +263,116 @@ class TestSubstitutionAndFreeVars:
         assert free_index_vars(sub) == {"n", "k"}
         same = substitute_index(phi, "i", IdxVar("k"))
         assert same == phi
+
+
+# -- the grammar table -----------------------------------------------------
+
+GREG = FunctionRegistry.standard()
+GREG.register_index_table("f0", 0, {(): 3})
+GREG.register_index_table("f1", 1, {(0,): 1})
+GREG.register_ring_table("g0", 0, {(): "1/2"})
+GREG.register_ring_table("g1", 1, {(0,): 2})
+PARSERS = {INDEX: parse_index_term, RING: parse_ring_term, FORMULA: parse_formula}
+NODE_CLASSES = {form.cls for forms in GRAMMAR.values() for form in forms.values()} | {IdxLit, IdxVar}
+
+
+def _sample_args(sort, slot) -> list[str]:
+    """The text of valid arguments for one slot of a head of `sort`."""
+    if isinstance(slot, tuple):
+        return [t for s in slot if s is not ... for t in _sample_args(sort, s)]
+    if slot == FN:
+        return ["f1" if sort == INDEX else "g1", "1"]
+    return {INDEX: ["1"], RING: ["(rat 1)"], FORMULA: ["(i= 0 0)"], VAR: ["i"], RAT: ["1/2"]}[slot]
+
+
+def _heads():
+    return [(sort, head) for sort, forms in GRAMMAR.items() for head in forms]
+
+
+@pytest.mark.parametrize("sort, head", _heads())
+def test_each_head_checks_its_arity(sort, head, capsys):
+    args = [t for slot in GRAMMAR[sort][head].slots for t in _sample_args(sort, slot)]
+    PARSERS[sort](f"({head} {' '.join(args)})", GREG)
+    bad = [f"({head} {' '.join(args[:-1])})"]
+    if GRAMMAR[sort][head].slots[-1][-1:] != (...,):  # and / or take one or more
+        bad.append(f"({head} {' '.join(args + args[-1:])})")
+    for text in bad:
+        with pytest.raises(FolParseError):
+            PARSERS[sort](text, GREG)
+        if sort == FORMULA:
+            assert main(["fol", "classify", "--formula", text]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _index(rng, scope, depth):
+    roll = rng.randrange(4 if depth > 0 else 2)
+    if roll == 1 and scope:
+        return IdxVar(rng.choice(sorted(scope)))
+    if roll < 2:
+        return IdxLit(rng.randrange(12))
+    if roll == 2:
+        return IdxApp(rng.choice(["+", "*", "monus"]), (_index(rng, scope, 0), _index(rng, scope, 0)))
+    name = rng.choice(["f0", "f1", "pair", "fst"])
+    return IdxApp(name, tuple(_index(rng, scope, depth - 1) for _ in range(GREG.index_fns[name][0])))
+
+
+def _binder(rng, cls, body, scope, depth):
+    var = rng.choice("ijk")  # often shadows an enclosing binder
+    return cls(var, _index(rng, scope, 1), body(rng, scope | {var}, depth - 1))
+
+
+def _ring(rng, scope, depth):
+    roll = rng.randrange(5 if depth > 0 else 3)
+    if roll == 0:
+        return RingConst(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+    if roll == 1:
+        return OracleAt(_index(rng, scope, 1))
+    if roll == 2:
+        name = rng.choice(["g0", "g1"])
+        return RingApp(name, tuple(_index(rng, scope, 1) for _ in range(GREG.ring_fns[name][0])))
+    if roll == 3:
+        return RingOp(rng.choice("+-*"), _ring(rng, scope, depth - 1), _ring(rng, scope, depth - 1))
+    return _binder(rng, BigSum, _ring, scope, depth)
+
+
+def _formula(rng, scope, depth):
+    roll = rng.randrange(8 if depth > 0 else 3)
+    if roll == 0:
+        return RingEq(_ring(rng, scope, depth - 1), _ring(rng, scope, depth - 1))
+    if roll in (1, 2):
+        return (IdxEq, IdxLt)[roll - 1](_index(rng, scope, 1), _index(rng, scope, 1))
+    if roll in (3, 4):
+        parts = tuple(_formula(rng, scope, depth - 1) for _ in range(rng.randrange(1, 4)))
+        return (And, Or)[roll - 3](parts)
+    if roll == 5:
+        return Not(_formula(rng, scope, depth - 1))
+    return _binder(rng, (ForallIdx, ExistsIdx)[roll - 6], _formula, scope, depth)
+
+
+def _classes(node) -> set:
+    if isinstance(node, tuple):
+        return set().union(*map(_classes, node))
+    if not dataclasses.is_dataclass(node):
+        return set()
+    return {type(node)}.union(*(_classes(getattr(node, f.name)) for f in dataclasses.fields(node)))
+
+
+class TestGrammarTable:
+    def test_random_trees_round_trip(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(400):
+            phi = _formula(rng, {"n"}, 4)
+            text = format_formula(phi)
+            assert parse_formula(text, GREG, {"n"}) == phi, text
+            assert format_formula(parse_formula(text, GREG, {"n"})) == text
+            seen |= _classes(phi)
+        assert seen == NODE_CLASSES
+
+    def test_readme_names_exactly_the_table_heads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("Formula s-expressions:") :].split("\n\n")[0]
+        formulas, rest = paragraph.split("ring terms are")
+        rings, indexes = rest.split("index terms are")
+        for sort, text in ((FORMULA, formulas), (RING, rings), (INDEX, indexes)):
+            assert set(re.findall(r"`\(([^\s`]+)", text)) == set(GRAMMAR[sort]), sort

@@ -44,9 +44,7 @@ def P(text):
 
 
 def rterm(text, scope=("i", "j", "n")):
-    import pcsos.fol as fol
-
-    return parse_ring_term(fol._read_sexp(text), REG, set(scope))
+    return parse_ring_term(text, REG, set(scope))
 
 
 def F(text, scope=("i", "j", "n")):
