@@ -42,17 +42,20 @@ class PolyParseError(AlgebraError):
         self.position = position
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+# -- number text: every number read from outside or written out -------
+
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases above; exact below 3.3e24."""
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
     d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -63,6 +66,50 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:([/.])([0-9]+))?")
+
+
+def parse_rational(value) -> Fraction:
+    """A JSON integer (not a bool), or ASCII text -?D, -?D/D or -?D.D with D
+    digits 0-9.  AlgebraError refuses all else: exponents, '+', whitespace,
+    '_', other digits, floats, bools, null, a zero denominator, and more
+    digits than the interpreter converts."""
+    if type(value) is int:
+        return Fraction(value)
+    match = _RATIONAL_TEXT.fullmatch(value) if type(value) is str else None
+    try:
+        head, sep, tail = match.groups()
+        if sep == ".":
+            return Fraction(int(head + tail), 10 ** len(tail))
+        return Fraction(int(head), int(tail or 1))
+    except (AttributeError, ValueError, ZeroDivisionError):  # no match, too long, n/0
+        raise AlgebraError(
+            f"bad rational {value!r:.60}; expected -?D, -?D/D or -?D.D within the digit limit"
+        ) from None
+
+
+def parse_natural(value) -> int:
+    """A nonnegative JSON integer (not a bool) or ASCII digits D, read by
+    parse_rational."""
+    if type(value) is int and value >= 0 or type(value) is str and value.isascii() and value.isdigit():
+        return parse_rational(value).numerator
+    raise AlgebraError(f"bad natural number {value!r:.60}; expected digits 0-9")
+
+
+def format_rational(q) -> str:
+    """str(q) of an int or Fraction, which parse_rational reads back; past
+    the interpreter's digit limit, the same text joined from halves."""
+    try:
+        return str(q)
+    except ValueError:
+        num, den = q.numerator, q.denominator
+    if den != 1:
+        return f"{format_rational(num)}/{format_rational(den)}"
+    half = num.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 3/10
+    high, low = divmod(abs(num), 10**half)
+    return "-" * (num < 0) + format_rational(high) + format_rational(low).zfill(half)
 
 
 @dataclass(frozen=True)
@@ -77,7 +124,7 @@ class Ring:
             if self.p is not None:
                 raise AlgebraError("rational ring takes no modulus")
         elif self.kind == "gf":
-            if type(self.p) is not int or self.p > 2**31 or not _is_prime(self.p):
+            if type(self.p) is not int or self.p > 2**31 or not _probable_prime(self.p):
                 raise AlgebraError(f"gf modulus must be a prime <= 2**31, got {self.p!r}")
         else:
             raise AlgebraError(f"unknown ring kind {self.kind!r}")
@@ -413,11 +460,9 @@ _set_ring, _set_terms, _set_hash, _set_degree = (
 
 def _format_term(m: tuple, c) -> str:
     factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in m]
-    if not factors:
-        return str(c)
-    if c == 1:
+    if c == 1 and factors:
         return "*".join(factors)
-    return "*".join([str(c)] + factors)
+    return "*".join([format_rational(c)] + factors)
 
 
 # -- parsing ----------------------------------------------------------
@@ -601,27 +646,6 @@ def eqset(ring: Ring, polys, boolean_axioms: bool = False) -> EquationSet:
 
 # Below this a two-square split is searched for directly, largest part first.
 _DIRECT_SPLIT = 1 << 16
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _probable_prime(n: int) -> bool:
-    """Miller-Rabin to the bases above; exact below 3.3e24."""
-    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
-        return n in _PRIME_BASES
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _two_squares(m: int, bound: int) -> tuple[int, int] | None:

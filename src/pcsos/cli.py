@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .algebra import AlgebraError, RATIONAL, Ring, parse_poly
+from .algebra import AlgebraError, RATIONAL, Ring, parse_natural, parse_poly, parse_rational
 from .degsearch import ClosureTooLarge, extract_derivation, pc_closure
 from .errors import UnsupportedConstruct
 from .families import (
@@ -70,30 +69,19 @@ class CliFormatError(ValueError):
 
 
 def _ring_arg(text: str) -> Ring:
+    """An argparse type: its ValueError, AlgebraError included, exits 2."""
     if text == "rational":
         return RATIONAL
     if text.startswith("gf:"):
-        try:
-            return Ring("gf", int(text[3:]))
-        except (ValueError, AlgebraError) as exc:
-            raise CliFormatError(f"bad ring {text!r}: {exc}") from exc
+        return Ring("gf", parse_natural(text[3:]))
     raise CliFormatError(f"bad ring {text!r}; expected rational or gf:P")
-
-
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliFormatError(f"bad rational {text!r}") from exc
 
 
 def _assignment(pairs) -> dict[str, int]:
     out = {}
     for pair in pairs or []:
         name, _, value = pair.partition("=")
-        if not (value.isascii() and value.isdigit()):
-            raise CliFormatError(f"bad assignment {pair!r}; expected name=nat")
-        out[name] = int(value)
+        out[name] = parse_natural(value)
     return out
 
 
@@ -104,14 +92,13 @@ def _registry(path) -> FunctionRegistry:
     obj = load_json(path)
     if not isinstance(obj, dict):
         raise CliFormatError("malformed registry file: expected a JSON object")
+    tables = (("index_tables", reg.register_index_table), ("ring_tables", reg.register_ring_table))
     try:
-        for name, spec in obj.get("index_tables", {}).items():
-            table = {tuple(args): value for args, value in spec.get("entries", [])}
-            reg.register_index_table(name, int(spec["arity"]), table, int(spec.get("default", 0)))
-        for name, spec in obj.get("ring_tables", {}).items():
-            table = {tuple(args): Fraction(str(value)) for args, value in spec.get("entries", [])}
-            reg.register_ring_table(name, int(spec["arity"]), table, Fraction(str(spec.get("default", 0))))
-    except (KeyError, TypeError, ValueError, FolError) as exc:
+        for key, register in tables:
+            for name, spec in obj.get(key, {}).items():
+                table = {tuple(map(parse_natural, args)): v for args, v in spec.get("entries", [])}
+                register(name, parse_natural(spec["arity"]), table, spec.get("default", 0))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliFormatError(f"malformed registry file: {exc}") from exc
     return reg
 
@@ -192,7 +179,7 @@ def _cmd_translate(args) -> int:
         derivation = sos_to_pcplus(sos_from_json(load_json(args.input)))
     else:
         derivation = derivation_from_json(load_json(args.input))
-        derivation = eliminate_radical_char_p(derivation, max_p=args.max_p)
+        derivation = eliminate_radical_char_p(derivation)
     return _verdict(args, check_derivation(derivation), derivation)
 
 
@@ -290,8 +277,8 @@ def _oracle(path, ring: Ring) -> dict:
     else:
         raise CliFormatError("malformed oracle file: expected a JSON list or object")
     try:
-        return {int(k): ring.coerce(Fraction(str(v))) for k, v in items}
-    except (ValueError, ZeroDivisionError) as exc:
+        return {parse_natural(k): ring.coerce(parse_rational(v)) for k, v in items}
+    except ValueError as exc:
         raise CliFormatError(f"malformed oracle file: {exc}") from exc
 
 
@@ -379,9 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="compile proofs between systems")
     p.add_argument("direction", choices=["pcplus-to-sos", "sos-to-pcplus", "elim-radical"])
     p.add_argument("input")
-    p.add_argument("--eps", type=_fraction_arg, default=None, help="approximation budget")
+    p.add_argument("--eps", type=parse_rational, default=None, help="approximation budget")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--max-p", type=int, default=31, help="characteristic cap for elim-radical")
     common(p)
     p.set_defaults(fn=_cmd_translate)
 

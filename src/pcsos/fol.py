@@ -33,7 +33,8 @@ from functools import cached_property
 from math import isqrt
 from typing import Callable, NamedTuple
 
-from .algebra import RATIONAL, EquationSet, Polynomial, Ring
+from .algebra import RATIONAL, AlgebraError, EquationSet, Polynomial, Ring
+from .algebra import format_rational, parse_natural, parse_rational
 
 
 class FolError(ValueError):
@@ -61,6 +62,12 @@ def _unpair(n: int) -> tuple[int, int]:
     return w - b, b
 
 
+def _table_fn(table: dict, default, read: Callable) -> Callable:
+    entries = {k if isinstance(k, tuple) else (k,): read(v) for k, v in table.items()}
+    default = read(default)
+    return lambda *args: entries.get(args, default)
+
+
 @dataclass
 class FunctionRegistry:
     """Named total functions on naturals: index-valued and ring-valued."""
@@ -86,26 +93,13 @@ class FunctionRegistry:
         )
         return reg
 
-    def register_index_table(self, name: str, arity: int, table: dict, default: int = 0):
-        entries = {tuple(k) if isinstance(k, (tuple, list)) else (k,): int(v) for k, v in table.items()}
-        if any(v < 0 for v in entries.values()) or default < 0:
-            raise FolError(f"index table {name!r} must be natural-valued")
-
-        def fn(*args):
-            return entries.get(args, default)
-
-        self.index_fns[name] = (arity, fn)
+    # A table's values, and its default for the arguments it omits, are
+    # JSON integers or text, read by algebra.parse_natural / parse_rational.
+    def register_index_table(self, name: str, arity: int, table: dict, default=0):
+        self.index_fns[name] = (arity, _table_fn(table, default, parse_natural))
 
     def register_ring_table(self, name: str, arity: int, table: dict, default=0):
-        entries = {
-            tuple(k) if isinstance(k, (tuple, list)) else (k,): Fraction(v) for k, v in table.items()
-        }
-        default = Fraction(default)
-
-        def fn(*args):
-            return entries.get(args, default)
-
-        self.ring_fns[name] = (arity, fn)
+        self.ring_fns[name] = (arity, _table_fn(table, default, parse_rational))
 
     def index_apply(self, name: str, args: tuple[int, ...]) -> int:
         if name not in self.index_fns:
@@ -350,20 +344,17 @@ def _read(sexp, sort: str, reg: FunctionRegistry, scope: set[str]):
     denotes, read by GRAMMAR; the index variables in scope are the free and
     enclosing bound ones."""
     if isinstance(sexp, str):
-        if sort == INDEX:
-            if sexp.isascii() and sexp.isdigit():
-                return IdxLit(int(sexp))
-            if sexp in scope:
-                return IdxVar(sexp)
-            raise FolParseError(f"unbound index variable {sexp!r}")
         if sort == VAR:
             return sexp
-        if sort != RAT:
+        if sort == INDEX and sexp in scope:
+            return IdxVar(sexp)
+        if sort not in (INDEX, RAT):
             raise FolParseError(f"bad {sort} {sexp!r}")
         try:
-            return Fraction(sexp)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FolParseError(f"bad rational {sexp!r}") from exc
+            return parse_rational(sexp) if sort == RAT else IdxLit(parse_natural(sexp))
+        except AlgebraError as exc:
+            what = f"{sexp!r:.60} is neither a natural number nor an index variable in scope"
+            raise FolParseError(str(exc) if sort == RAT else what) from None
     if not sexp or sort not in GRAMMAR:
         raise FolParseError(f"bad {sort} {sexp!r}")
     head, end = sexp[0], len(sexp)
@@ -407,11 +398,11 @@ def format_formula(node) -> str:
             head = fn if fn in _INDEX_OPS else f"{_HEAD[IdxApp]} {fn}"
             return f"({head}{_tail(args)})"
         case IdxLit(value):
-            return str(value)
+            return format_rational(value)
         case OracleAt(x) | Not(x):
             return f"({_HEAD[type(node)]} {format_formula(x)})"
         case RingConst(value):
-            return f"({_HEAD[RingConst]} {value})"
+            return f"({_HEAD[RingConst]} {format_rational(value)})"
         case RingEq(left, right) | IdxEq(left, right) | IdxLt(left, right):
             return f"({_HEAD[type(node)]} {format_formula(left)} {format_formula(right)})"
         case RingOp(op, left, right):
@@ -606,12 +597,6 @@ def ring_value(term: RingTerm, alpha: dict, model: Model):
         case BigSum(var, bound, body):
             return model.big_sum(var, bound, body, alpha)
     raise FolError(f"bad ring term {term!r}")
-
-
-def translate_ring_term(
-    term: RingTerm, alpha: dict[str, int], reg: FunctionRegistry, ring: Ring = RATIONAL
-) -> Polynomial:
-    return ring_value(term, alpha, PolyModel(reg, ring))
 
 
 def eval_formula(

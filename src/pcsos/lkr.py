@@ -318,6 +318,8 @@ def check_lkr(proof: LkrNode, reg: FunctionRegistry) -> LkrReport:
 
 
 def _check(node: LkrNode, reg: FunctionRegistry, path) -> _Step:
+    if len(path) == MAX_PROOF_DEPTH:  # a proof built in Python, not read from a file
+        _fail(path, f"proof nested deeper than {MAX_PROOF_DEPTH} levels")
     rule = RULES.get(node.rule)
     if rule is None:
         raise UnsupportedConstruct(f"unknown rule {node.rule!r}")

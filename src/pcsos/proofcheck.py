@@ -39,8 +39,11 @@ from .algebra import (
     EquationSet,
     Polynomial,
     Ring,
+    format_rational,
     merge_exps,
+    parse_natural,
     parse_poly,
+    parse_rational,
 )
 
 PC = "pc"
@@ -114,18 +117,10 @@ def _index_from_json(value) -> int:
 
 
 def _var_from_json(name) -> int:
-    if isinstance(name, str) and name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
-        return int(name[1:])
-    raise ProofFormatError(f"bad variable name {name!r}, expected like 'x3'")
-
-
-def _coeff_from_json(ring: Ring, value):
-    if isinstance(value, (int, str)):
-        try:
-            return ring.coerce(Fraction(str(value)))
-        except (ValueError, ZeroDivisionError, AlgebraError) as exc:
-            raise ProofFormatError(f"bad coefficient {value!r}: {exc}") from exc
-    raise ProofFormatError(f"bad coefficient {value!r}")
+    try:
+        return parse_natural(name[1:] if isinstance(name, str) and name.startswith("x") else None)
+    except AlgebraError:
+        raise ProofFormatError(f"bad variable name {name!r:.60}, expected like 'x3'") from None
 
 
 def _poly_from_json(text, ring: Ring) -> Polynomial:
@@ -203,7 +198,7 @@ LINE = _Codec(
 AXIOM = _Codec(lambda out, i: int(i), lambda src, v: _index_from_json(v), _cite_axiom)
 VAR = _Codec(lambda out, v: f"x{v}", lambda src, v: _var_from_json(v))
 COEFF = _Codec(
-    lambda out, c: str(c), lambda src, v: _coeff_from_json(src.ring, v),
+    lambda out, c: format_rational(c), lambda src, v: src.ring.coerce(parse_rational(v)),
     relabel=lambda ring, line_of, c: ring.coerce(c),
 )
 POLY = _Codec(_Writer.poly, _Reader.poly)
@@ -751,10 +746,10 @@ def sos_to_json(c: SosCertificate) -> dict:
         "multipliers": [{"axiom": k, "poly": out.poly(r)} for k, r in c.multipliers],
         "bool_multipliers": [{"var": f"x{v}", "poly": out.poly(r)} for v, r in c.bool_multipliers],
         "squares": out.polys(c.squares),
-        "constant": str(c.constant),
+        "constant": format_rational(c.constant),
     }
     if any(w != 1 for w in c.weights):  # so unweighted files keep their old bytes
-        obj["weights"] = [str(w) for w in c.weights]
+        obj["weights"] = list(map(format_rational, c.weights))
     return obj
 
 
@@ -764,10 +759,9 @@ def _weights_from_json(obj: dict, squares: int) -> tuple[Fraction, ...]:
     values = obj["weights"]
     if not isinstance(values, list) or len(values) != squares:
         raise ProofFormatError(f"weights must be a list of {squares} positive rationals, one per square")
-    weights = tuple(Fraction(_coeff_from_json(RATIONAL, v)) for v in values)
-    for value, w in zip(values, weights):
-        if w <= 0:
-            raise ProofFormatError(f"square weight {value!r} is not positive")
+    weights = tuple(map(parse_rational, values))
+    if any(w <= 0 for w in weights):
+        raise ProofFormatError(f"square weights must be positive, got {values!r:.200}")
     return weights
 
 
@@ -777,7 +771,7 @@ def sos_from_json(obj: dict) -> SosCertificate:
     src = _Reader(ring)
     try:
         axioms = EquationSet(ring, src.polys(obj["axioms"]), bool(obj.get("boolean", False)))
-        constant = Fraction(str(obj.get("constant", 0)))
+        constant = parse_rational(obj.get("constant", 0))
         squares = src.polys(obj.get("squares", []))
         cert = SosCertificate(
             axioms=axioms,
@@ -795,7 +789,7 @@ def sos_from_json(obj: dict) -> SosCertificate:
             target=src.poly(obj["target"]),
             weights=_weights_from_json(obj, len(squares)),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProofFormatError(f"malformed certificate file: {exc}") from exc
     return cert
 
@@ -851,7 +845,8 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: malformed JSON, a non-ASCII byte, or an integer past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ProofFormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -280,7 +280,7 @@ def pcplus_refutation_to_sos(d: Derivation) -> SosCertificate:
 # -- radical elimination in positive characteristic ---------------------
 
 
-def eliminate_radical_char_p(d: Derivation, max_p: int = 31) -> Derivation:
+def eliminate_radical_char_p(d: Derivation) -> Derivation:
     """Replace every radical step by an explicit PC derivation over GF(p).
 
     From the line f^2 = 0, multiplication by h, the multilinear form of
@@ -288,13 +288,12 @@ def eliminate_radical_char_p(d: Derivation, max_p: int = 31) -> Derivation:
     by Fermat's little theorem, so f^2 h - f = sum_v (x_v^2 - x_v) q_v and
     subtracting those Boolean multiples lands on f.  A step has degree at
     most 2 deg(f) + min((p-2) deg(f), |vars(f)|) <= p deg(f), and h has at
-    most 2^|vars(f)| terms.
+    most 2^|vars(f)| terms.  As ml is a ring homomorphism modulo the Boolean
+    ideal, h comes from square-and-multiply, multilinearizing each product.
     """
     ring = d.ring
     if ring.is_rational:
         raise UnsupportedConstruct("radical elimination requires a prime field GF(p)")
-    if ring.p > max_p:
-        raise UnsupportedConstruct(f"p = {ring.p} exceeds the configured cap {max_p}")
     if not d.boolean_axioms:
         raise UnsupportedConstruct("radical elimination needs the Boolean axioms")
     for _, just in d.lines:
@@ -320,9 +319,11 @@ def eliminate_radical_char_p(d: Derivation, max_p: int = 31) -> Derivation:
 def _expand_radical(builder: DerivationBuilder, square_line: int, f: Polynomial) -> int:
     if f.is_zero:
         return builder.zero()
-    h = Polynomial.const(builder.ring, 1)  # becomes ml(f^(p-2))
-    for _ in range(builder.ring.p - 2):
-        h = (h * f).multilinearize()
+    h = Polynomial.const(builder.ring, 1)  # becomes ml(f^(p-2)), one bit of p-2 at a time
+    for bit in bin(builder.ring.p - 2)[2:]:
+        h = (h * h).multilinearize()
+        if bit == "1":
+            h = (h * f).multilinearize()
     line = builder.mul_poly(square_line, h)
     parts = [(line, 1)]
     cofactors = _boolean_cofactors(builder.poly(line) - f)

@@ -33,6 +33,7 @@ from pcsos.fol import (
     Not,
     OracleAt,
     Or,
+    PolyModel,
     RingApp,
     RingConst,
     RingEq,
@@ -45,9 +46,9 @@ from pcsos.fol import (
     parse_formula,
     parse_index_term,
     parse_ring_term,
+    ring_value,
     substitute_index,
     translate_formula,
-    translate_ring_term,
 )
 
 REG = FunctionRegistry.standard()
@@ -168,28 +169,28 @@ class TestIndexEvaluation:
 class TestTermTranslation:
     def test_big_sum_of_oracle(self):
         term = parse_formula("(= (sum i 3 (X i)) (rat 0))", REG).left
-        assert translate_ring_term(term, {}, REG) == P("x0 + x1 + x2")
+        assert ring_value(term, {}, PolyModel(REG)) == P("x0 + x1 + x2")
 
     def test_pairing_variable(self):
         term = parse_formula("(= (X (fn pair i j)) (rat 0))", REG, {"i", "j"}).left
-        assert translate_ring_term(term, {"i": 1, "j": 0}, REG) == P("x1")
+        assert ring_value(term, {"i": 1, "j": 0}, PolyModel(REG)) == P("x1")
 
     def test_ring_constant_function(self):
         reg = FunctionRegistry.standard()
         reg.register_ring_table("c", 1, {}, default=5)
         term = parse_formula("(= (rfn c i) (rat 0))", reg, {"i"}).left
-        assert translate_ring_term(term, {"i": 7}, reg) == P("5")
+        assert ring_value(term, {"i": 7}, PolyModel(reg)) == P("5")
 
     def test_sum_of_ones_is_length(self):
         term = parse_formula("(= (sum j n (rat 1)) (rat 0))", REG, {"n"}).left
         for n in range(6):
-            assert translate_ring_term(term, {"n": n}, REG) == Polynomial.const(RATIONAL, n)
+            assert ring_value(term, {"n": n}, PolyModel(REG)) == Polynomial.const(RATIONAL, n)
 
     def test_degree_depends_only_on_multiplication_nesting(self):
         term = parse_formula(
             "(= (sum i n (* (X i) (* (X (+ i 1)) (X (+ i 2))))) (rat 0))", REG, {"n"}
         ).left
-        degrees = {translate_ring_term(term, {"n": n}, REG).degree for n in range(2, 12)}
+        degrees = {ring_value(term, {"n": n}, PolyModel(REG)).degree for n in range(2, 12)}
         assert degrees == {3}
 
 

@@ -21,7 +21,9 @@ from pcsos.fol import (
     parse_ring_term,
 )
 from pcsos.lkr import (
+    MAX_PROOF_DEPTH,
     RULES,
+    LkrError,
     LkrNode,
     Sequent,
     UnsupportedConstruct,
@@ -411,3 +413,19 @@ class TestRuleTable:
         assert check_lkr(proof, REG).valid
         assert check_derivation(compile_lkr(proof, {"n": 2}, "pc_plus", REG)).valid
         assert params(proof) == before
+
+
+class TestDepthLimit:
+    def test_deep_proof_built_in_python_is_rejected(self):
+        # 500 weakenings: deeper than a file may nest, and deeper than the
+        # checker's recursion would survive
+        phi = F("(= (X 0) (rat 1))", scope=())
+        node = LkrNode("logical-axiom", Sequent((phi,), (phi,)))
+        for _ in range(500):
+            node = LkrNode("weakening-l", Sequent(node.conclusion.ante + (phi,), (phi,)), (node,))
+        report = check_lkr(node, REG)
+        assert not report.valid
+        assert len(report.node) == MAX_PROOF_DEPTH
+        assert report.reason == f"proof nested deeper than {MAX_PROOF_DEPTH} levels"
+        with pytest.raises(LkrError, match="nested deeper"):
+            compile_lkr(node, {}, "pc_rad", REG)

@@ -303,6 +303,12 @@ class TestEliminateRadical:
         assert len(out.lines) == lines
         assert sum(len(poly.terms) for poly, _ in out.lines) == terms
 
+    def test_largest_modulus(self):
+        # h = ml(f^(p-2)) by square-and-multiply: 31 squarings, not 2^31 products
+        out = eliminate_radical_char_p(gen_subset_sum(5, GF(2**31 - 1)).certificate)
+        rep = check_derivation(out)
+        assert rep.valid and rep.refutation and not rep.uses_radical
+
     def test_single_variable_gf3(self):
         g = GF(3)
         axioms = eqset(g, [P("x1^2", g)], boolean_axioms=True)
