@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +36,7 @@ from pcsos.lkr import (
     node_to_json,
     ring_identity,
 )
-from pcsos.proofcheck import check_derivation
+from pcsos.proofcheck import check_derivation, derivation_to_json
 
 REG = FunctionRegistry.standard()
 ONE = RingConst(Fraction(1))
@@ -429,3 +431,292 @@ class TestDepthLimit:
         assert report.reason == f"proof nested deeper than {MAX_PROOF_DEPTH} levels"
         with pytest.raises(LkrError, match="nested deeper"):
             compile_lkr(node, {}, "pc_rad", REG)
+
+
+# -- per-rule compile corpus ---------------------------------------------
+#
+# One small proof per rule and per corner of the compiler: each compiles
+# to both targets, replays through the kernel, and the sha256 of its JSON
+# is pinned, so a change to the compiler that alters any emitted line
+# fails here.
+
+X0, X1, X2 = "(= (X 0) (rat 0))", "(= (X 1) (rat 0))", "(= (X 2) (rat 1))"
+TWO = "(forall i 2 (= (X i) (rat 0)))"  # two members, x0 and x1
+TRUE, FALSE = "(i= 1 1)", "(i< 1 0)"  # translate to 0 and to 1
+
+
+def _node(rule, ante, succ, *premises, **params):
+    def formulas(texts):
+        return tuple(F(t, scope=("j", "k", "n")) for t in texts)
+
+    return LkrNode(rule, Sequent(formulas(ante), formulas(succ)), premises, params)
+
+
+def _axiom(phi):
+    return _node("logical-axiom", [phi], [phi])
+
+
+def _without(texts, phi):
+    rest = list(texts)
+    rest.remove(phi)
+    return rest
+
+
+def _weakened(phi, ante, succ):
+    """ante -> succ, with phi on both sides, from phi -> phi by one
+    weakening per other formula."""
+    node, a, s = _axiom(phi), [phi], [phi]
+    extra = [("weakening-l", psi) for psi in _without(ante, phi)]
+    extra += [("weakening-r", psi) for psi in _without(succ, phi)]
+    for k, (rule, psi) in enumerate(extra):
+        (a if rule == "weakening-l" else s).append(psi)
+        last = k == len(extra) - 1
+        node = _node(rule, ante if last else a, succ if last else s, node)
+    return node
+
+
+def _forall_proof():
+    phi_i = F("(= (X i) (rat 0))")
+    forall = ForallIdx("i", IdxLit(3), phi_i)
+    ax = LkrNode("logical-axiom", Sequent((phi_i,), (phi_i,)))
+    inst = LkrNode(
+        "forall-idx-l", Sequent((forall,), (phi_i,)), premises=(ax,), params={"term": IdxVar("i")}
+    )
+    return LkrNode("forall-idx-r", Sequent((forall,), (forall,)), premises=(inst,), params={"var": "i"})
+
+
+def _corpus():
+    from pcsos.families import gen_chain
+
+    sos_head = "(= (sum i 3 (* (X i) (X i))) (rat 0))"
+    empty_head = "(= (sum i 0 (* (X i) (X i))) (rat 0))"
+    or01, or_two = f"(or {X0} {X1})", f"(or {TWO} {X2})"
+    or012, or_true = f"(or {X0} {X1} {X2})", f"(or {X0} {TRUE})"
+    corpus = {
+        "or-r child 0": (_node("or-r", [X0], [or01], _axiom(X0)), {}),
+        "or-r child 1 with side": (
+            _node("or-r", [X1], [or01, X2], _weakened(X1, [X1], [X1, X2])), {}
+        ),
+        "and-r": (
+            _node(
+                "and-r", [X0, X1], [f"(and {X0} {X1})"],
+                _weakened(X0, [X0, X1], [X0]), _weakened(X1, [X0, X1], [X1]),
+            ),
+            {},
+        ),
+        "and-l": (_node("and-l", [f"(and {X0} {X1})", X1], [X0], _weakened(X0, [X0, X1], [X0])), {}),
+        "contraction-l": (_node("contraction-l", [X0], [X0], _weakened(X0, [X0, X0], [X0])), {}),
+        "weakening-r two members": (_weakened(TWO, [TWO], [TWO, X2]), {}),
+        "contraction-r two members": (
+            _node("contraction-r", [TWO], [TWO], _weakened(TWO, [TWO], [TWO, TWO])), {}
+        ),
+        "cut two members": (
+            _node(
+                "cut", [TWO], [TWO],
+                _weakened(TWO, [TWO], [TWO, TWO]), _weakened(TWO, [TWO, TWO], [TWO]),
+            ),
+            {},
+        ),
+        "or-l two members": (
+            _node(
+                "or-l", [or_two, X1], [TWO, X2],
+                _weakened(TWO, [TWO, X1], [TWO, X2]), _weakened(X2, [X2, X1], [TWO, X2]),
+            ),
+            {},
+        ),
+        "or-l three disjuncts": (
+            _node("or-l", [or012], [X0, X1, X2], *(_weakened(x, [x], [X0, X1, X2]) for x in (X0, X1, X2))),
+            {},
+        ),
+        "true in a succedent": (_weakened(X0, [X0], [X0, TRUE]), {}),
+        "true as or-r disjunct": (_node("or-r", [X0], [f"(or {TRUE} {X0})"], _axiom(X0)), {}),
+        "true as or-l disjunct": (
+            _node(
+                "or-l", [or_true, X1], [X0, TRUE],
+                _weakened(X0, [X0, X1], [X0, TRUE]), _weakened(TRUE, [TRUE, X1], [X0, TRUE]),
+            ),
+            {},
+        ),
+        "false in a succedent": (_weakened(FALSE, [FALSE], [FALSE, X0]), {}),
+        "ring-axiom": (_node("ring-axiom", [], ["(= (* (X 0) (+ (X 1) (rat 1))) (+ (* (X 0) (X 1)) (X 0)))"]), {}),
+        "big-sum": (_node("big-sum", [], ["(= (sum i 3 (X i)) (+ (X 0) (+ (X 1) (X 2))))"]), {}),
+        "integral-domain": (_node("integral-domain", ["(= (* (X 0) (X 1)) (rat 0))"], [X0, X1]), {}),
+        "background-truth": (_node("background-truth", [], ["(forall i 5 (i< i 6))"]), {}),
+        "equality witnessed": (
+            _node(
+                "equality", [X0], ["(= (* (X 0) (X 1)) (rat 0))"],
+                multipliers=[rterm("(X 1)", ())],
+            ),
+            {},
+        ),
+        "equality from false": (
+            _node("equality", ["(= (rat 1) (rat 0))"], [X0], multipliers=[rterm("(X 0)", ())]), {}
+        ),
+        "equality congruence": (_node("equality", ["(i= j k)"], ["(= (X j) (X k))"]), {"j": 1, "k": 2}),
+        "equality congruence, equal arguments": (
+            _node("equality", ["(i= j k)"], ["(= (X j) (X k))"]), {"j": 2, "k": 2}
+        ),
+        "sos-axiom": (_node("sos-axiom", [sos_head, "(i< 1 3)"], [X1]), {}),
+        "sos-axiom with false side": (_node("sos-axiom", [empty_head, FALSE], [X1]), {}),
+        "boolean-axiom": (_node("boolean-axiom", [], ["(= (* (X 0) (- (rat 1) (X 0))) (rat 0))"]), {}),
+        "forall-idx": (_forall_proof(), {}),
+    }
+    for n in (1, 2, 5, 17):
+        corpus[f"chain n={n}"] = (gen_chain(1).certificate, {"n": n})
+    return corpus
+
+
+CORPUS = _corpus()
+
+# (pc_rad, pc_plus) sha256 of the compiled derivation's JSON; None where
+# the target does not support a rule of the proof.
+CORPUS_DIGESTS = {
+    "and-l": (
+        "446d17a716af84c1b47cb302235b5b2a5a2495084cae280a208c30d7bdae6f13",
+        "e14f785d5ac508c63cca904444451a227e3b8b1a846cf234e2668908ec5d9c1f",
+    ),
+    "and-r": (
+        "446d17a716af84c1b47cb302235b5b2a5a2495084cae280a208c30d7bdae6f13",
+        "e14f785d5ac508c63cca904444451a227e3b8b1a846cf234e2668908ec5d9c1f",
+    ),
+    "background-truth": (
+        "54375ee6e8b0358f6be7883b8b7e26d62121ea3489df5c74aec125f228acae83",
+        "1baef43ed136768c3ea7f651d64cca6306a9b3fd8c6f6e8c0ef227d8222b2f27",
+    ),
+    "big-sum": (
+        "54375ee6e8b0358f6be7883b8b7e26d62121ea3489df5c74aec125f228acae83",
+        "1baef43ed136768c3ea7f651d64cca6306a9b3fd8c6f6e8c0ef227d8222b2f27",
+    ),
+    "boolean-axiom": (
+        None,
+        "b811f2277d0fbba6449d0c960b3f649fcb1884dc77636920bab4ebca731959d3",
+    ),
+    "chain n=1": (
+        "e8b638ad64a7440cb2a9592ecd6fdad235a0832d38cd0ec041979e2e6bc56173",
+        "0749252301d4920cb7e9d15856d80a91e26ac0ea7a4d905405443134ce978209",
+    ),
+    "chain n=17": (
+        "03d4b4774f5ed58c5ec9c24564a01da5bf95e33028fd10ade66ab5d19841fd69",
+        "47a6d7b0048f05f15f189f642d60acdbc14e62ee3179d76b5baf1e43996dda8b",
+    ),
+    "chain n=2": (
+        "84f4407fde40b2318deea5c40ddb4467f4e80865a0e3131e427e0f1d56e9304b",
+        "a1eb2c6f6a1c63a84886c8cfe5209f7c08bc4c0397e8a342a03b245990ae0a7c",
+    ),
+    "chain n=5": (
+        "0e9dd73b8e28e2b25fac60c3ddcbc33c3196cc76b4ce9a11fcd8f3f1c591949c",
+        "ba88ee2e3a2bd066c28512fd3ca64a3364b0c6479a492272c1b6b75fcae64763",
+    ),
+    "contraction-l": (
+        "6f410d6fbd4e364ebfb1cfb121a4db56c3ed45f3a388cb31d5795b9d9e0cd254",
+        "7cbc2253a81f3205729473bfb22b7550981487ffe12007fb466090d35bd7abed",
+    ),
+    "contraction-r two members": (
+        "b4ecf31e7a4c0cea5712508112431544f95b1e82b952804d15077f6518e7664f",
+        "2947da7f19240d0f245c3fefa126b7ef06bc38f87747ca4c1d3d9fac9ae0f0cd",
+    ),
+    "cut two members": (
+        "7790aca770be889c24dcfe783ff1972a5f79df4d02ebde2755e53a401349e225",
+        "1a7a6883e523d8944dbe3ca70419c5ccba01906d8279ed5d1bc4f6bdc564b05f",
+    ),
+    "equality congruence": (
+        "046fa23cf46734ec5f817dc3ea549b5ea29f2a88607d413f713bd0b27b72f832",
+        "401387cc1d9349c9e78a8b5e61a69e4a1064f55bbb801a201dabcbfc6c90d2c0",
+    ),
+    "equality congruence, equal arguments": (
+        "826b1be3e37b13a72d0d1347b567511a0fc3b9be72632b2b426e04d04a207cef",
+        "a464ffefb9f97637c604b2d5cee00387ff55beab0ced1e0b1111ed3d8a9a5337",
+    ),
+    "equality from false": (
+        "7a9626728618cc7204fdcee1c12cf055f23dd6d6822e1787c4dc7da8d4951ecb",
+        "9d3930a375dc36d7261eace376d9146b7ac7a6fd7eceb48eb52ede7b337b2c35",
+    ),
+    "equality witnessed": (
+        "7c6a2c0e4e7855b5a411d8c8d511ea547bcac637399de7cd8b3aebf2ab0e3c15",
+        "0e33e52e320c43807ccdf803dd6e284aa7033a1b4acc4922d9c15406eac31c8d",
+    ),
+    "false in a succedent": (
+        "7a9626728618cc7204fdcee1c12cf055f23dd6d6822e1787c4dc7da8d4951ecb",
+        "9d3930a375dc36d7261eace376d9146b7ac7a6fd7eceb48eb52ede7b337b2c35",
+    ),
+    "forall-idx": (
+        "0084002e4f0ae3decfcb653c6a7b013e24d6fe0e24e60a449f69f3208be7780b",
+        "70265179fb5f2c2dbdc1627eb6f995a6e03b211bdf3511eef18a1a67b911800c",
+    ),
+    "integral-domain": (
+        "a4f5bb984c124f70e5107e3d7f3fd3bc235e82559145b03ea920cb4a119eb434",
+        "59ed217c64df591f280a4bdfeee92b715122c510e07c1976455fb8bb42162da3",
+    ),
+    "or-l three disjuncts": (
+        "2c42b8eda90613d2c5fee5b250c0acf52fde494fe06139cc84683ebd7b85d144",
+        "c36f67a15964dd083e4230fec64fb630893b30137ea12eefa7aac1b3122d59b7",
+    ),
+    "or-l two members": (
+        "9b8bec689bfaebe24698b41f6b3b928f9dd8f4976463b9b60a5192a791a5d696",
+        "450f7ba1e9e311c05ccc9c72558ca6ed9f7e3aaf5cb1405dac8af9c2d5219136",
+    ),
+    "or-r child 0": (
+        "7c6a2c0e4e7855b5a411d8c8d511ea547bcac637399de7cd8b3aebf2ab0e3c15",
+        "0e33e52e320c43807ccdf803dd6e284aa7033a1b4acc4922d9c15406eac31c8d",
+    ),
+    "or-r child 1 with side": (
+        "5f27f7b74d57760d44165a51ec3ee9a5734d8a86454525dd6b22d10c5406f412",
+        "321b59fcf4e365b8a1981365c89ccd3ce86fa7d0c90c2062d7c38f3cc26a6307",
+    ),
+    "ring-axiom": (
+        "54375ee6e8b0358f6be7883b8b7e26d62121ea3489df5c74aec125f228acae83",
+        "1baef43ed136768c3ea7f651d64cca6306a9b3fd8c6f6e8c0ef227d8222b2f27",
+    ),
+    "sos-axiom": (
+        None,
+        "9e1ab90e9a1daefce52562bc1ee79cd6b144dcaf2aa6d163fefba449ef6459d2",
+    ),
+    "sos-axiom with false side": (
+        None,
+        "407dc4ce81198a267d4f86926680f0f2fc77b6a506c09056a98b102a5a66a18d",
+    ),
+    "true as or-l disjunct": (
+        "ca4df74ed2707cea3231106f99a955c718c10759a4336977ead15054764d8c93",
+        "5373d88d3cbde87da02b0eee73f7eda00f147f41428df00281162775e6a24423",
+    ),
+    "true as or-r disjunct": (
+        "b0a9dd6cda40023232fbd713a08ee7f581189a1329c178a38993e15cc54efd90",
+        "2561656b2fe7d89070c17888e6c1ef02fa30d619ae077299e1097b1017a34386",
+    ),
+    "true in a succedent": (
+        "b0a9dd6cda40023232fbd713a08ee7f581189a1329c178a38993e15cc54efd90",
+        "2561656b2fe7d89070c17888e6c1ef02fa30d619ae077299e1097b1017a34386",
+    ),
+    "weakening-r two members": (
+        "18ee15ba4370096bc5737e7df1dbf9cc7d6e6b91a5e21574058cf677c6a2da53",
+        "60ec7a2a6ef6fd7ae24d9776edb50547626709b00de7196657b39b99ea67ba6f",
+    ),
+}
+
+
+def _rules_of(node):
+    return {node.rule}.union(*(_rules_of(p) for p in node.premises))
+
+
+def _digest(derivation):
+    text = json.dumps(derivation_to_json(derivation), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCompileCorpus:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_compiles_replays_and_matches_digest(self, name):
+        proof, alpha = CORPUS[name]
+        assert check_lkr(proof, REG).valid
+        for target, digest in zip(("pc_rad", "pc_plus"), CORPUS_DIGESTS[name]):
+            if digest is None:
+                with pytest.raises(UnsupportedConstruct):
+                    compile_lkr(proof, alpha, target, REG)
+                continue
+            d = compile_lkr(proof, alpha, target, REG)
+            assert check_derivation(d).valid
+            assert _digest(d) == digest, (name, target)
+
+    def test_every_rule_has_an_entry(self):
+        covered = set().union(*(_rules_of(proof) for proof, _ in CORPUS.values()))
+        assert set(RULES) <= covered
