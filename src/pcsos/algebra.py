@@ -182,7 +182,7 @@ class Ring:
         if kind == "rational":
             return RATIONAL
         if kind == "gf":
-            return Ring("gf", obj["p"])
+            return Ring("gf", parse_natural(obj["p"]))
         raise AlgebraError(f"bad ring descriptor {obj!r}")
 
 

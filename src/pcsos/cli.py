@@ -169,6 +169,8 @@ def _cmd_translate(args) -> int:
     if args.direction == "pcplus-to-sos":
         derivation = derivation_from_json(load_json(args.input))
         if args.eps is not None:
+            if args.eps <= 0:
+                raise CliFormatError(f"--eps must be positive, got {args.eps}")
             cert = pcplus_to_sos_eps(derivation, args.eps).certificate
         else:
             cert = pcplus_refutation_to_sos(derivation)
@@ -199,38 +201,39 @@ def _cert_path(base: str) -> str:
 
 
 def _graph_spec(graph) -> tuple[list, list, int, int]:
-    """(h, p, pigeons, holes) of a bphp-graph file; every number is a JSON integer."""
+    """(h, p, pigeons, holes) of a bphp-graph file: h and p are lists of
+    lists, and every number is read by parse_natural."""
     if not isinstance(graph, dict):
         raise CliFormatError("malformed graph file: expected a JSON object")
+
+    def listed(value):
+        if not isinstance(value, list):
+            raise CliFormatError(f"malformed graph file: expected a list, got {value!r:.60}")
+        return value
+
     try:
-        h, p, m, n = (graph[k] for k in ("h", "p", "pigeons", "holes"))
+        h, p = ([[parse_natural(v) for v in listed(row)] for row in listed(graph[k])] for k in ("h", "p"))
+        return h, p, parse_natural(graph["pigeons"]), parse_natural(graph["holes"])
     except KeyError as exc:
         raise CliFormatError(f"malformed graph file: missing {exc}") from exc
-
-    def ints(values):
-        return isinstance(values, list) and all(type(v) is int for v in values)  # not bool
-
-    if not (ints([m, n]) and isinstance(h, list) and isinstance(p, list) and all(map(ints, h + p))):
-        raise CliFormatError(
-            "malformed graph file: pigeons and holes must be JSON integers, "
-            "and h and p lists of lists of JSON integers"
-        )
-    return h, p, m, n
+    except AlgebraError as exc:
+        raise CliFormatError(f"malformed graph file: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
     certificate_obj = None
+    n, pigeons, holes = (parse_natural(v) for v in (args.n, args.pigeons, args.holes))
     if args.family == "fphp":
-        instance = gen_fphp(args.pigeons, args.holes)
+        instance = gen_fphp(pigeons, holes)
         if args.with_cert:
-            cert = gen_fphp_sos(args.pigeons, args.holes)
+            cert = gen_fphp_sos(pigeons, holes)
             if args.normalize:
                 cert = normalize_refutation(cert)
             certificate_obj = sos_to_json(cert)
     elif args.family == "bphp-graph":
         instance = gen_bphp_graph(*_graph_spec(load_json(args.graph)))
     elif args.family == "subset-sum":
-        instance = gen_subset_sum(args.n)
+        instance = gen_subset_sum(n)
         if args.with_cert:
             if instance.certificate is None:
                 raise UnsupportedConstruct(
@@ -238,7 +241,7 @@ def _cmd_gen(args) -> int:
                 )
             certificate_obj = derivation_to_json(instance.certificate)
     else:
-        instance = gen_chain(args.n)
+        instance = gen_chain(n)
         if args.with_cert:
             certificate_obj = node_to_json(instance.certificate)
 
@@ -321,11 +324,10 @@ def _cmd_search(args) -> int:
         query = parse_poly(args.query, eqs.ring)
     except AlgebraError as exc:
         raise CliFormatError(str(exc)) from exc
-    if args.degree < 0:
-        raise CliFormatError(f"--degree must be nonnegative, got {args.degree}")
-    if query.degree > args.degree:
-        raise CliFormatError(f"query degree {query.degree} exceeds --degree {args.degree}")
-    basis = pc_closure(eqs, args.degree, monomial_cap=args.cap)
+    degree = parse_natural(args.degree)
+    if query.degree > degree:
+        raise CliFormatError(f"query degree {query.degree} exceeds --degree {degree}")
+    basis = pc_closure(eqs, degree, monomial_cap=parse_natural(args.cap))
     derivation = extract_derivation(basis, query)
     if derivation is None:
         _summary(args, {"valid": False, "degree": None, "derivable": False})
@@ -373,9 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate benchmark families")
     p.add_argument("family", choices=["fphp", "bphp-graph", "subset-sum", "chain"])
-    p.add_argument("--pigeons", type=int, default=3)
-    p.add_argument("--holes", type=int, default=2)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--pigeons", default=3)
+    p.add_argument("--holes", default=2)
+    p.add_argument("--n", default=3)
     p.add_argument("--graph", help="graph spec JSON for bphp-graph")
     p.add_argument("--with-cert", action="store_true")
     p.add_argument("--normalize", action="store_true")
@@ -406,9 +408,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="degree-bounded derivability search")
     p.add_argument("mode", choices=["closure"])
     p.add_argument("input", help="equation set JSON file")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", required=True)
     p.add_argument("--query", required=True, help="polynomial text to test")
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--cap", default=200_000)
     common(p)
     p.set_defaults(fn=_cmd_search)
 

@@ -237,11 +237,14 @@ def shift_graph(n: int, extra: int = 1):
 # -- subset sum -------------------------------------------------------------
 
 
-def _sum_plus_one(ring: Ring, n: int) -> Polynomial:
-    total = _const(ring, 1)
+def _subset_sum_equations(n: int, ring: Ring) -> tuple[EquationSet, Polynomial]:
+    """The Boolean axioms x_v^2 - x_v and the square of l = 1 + x1 + ... + xn,
+    with l."""
+    ell = _const(ring, 1)
     for v in range(1, n + 1):
-        total = total + _x(ring, v)
-    return total
+        ell = ell + _x(ring, v)
+    members = [_x(ring, v) * _x(ring, v) - _x(ring, v) for v in range(1, n + 1)]
+    return EquationSet(ring, tuple(members) + (ell * ell,), boolean_axioms=True), ell
 
 
 def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> FamilyInstance:
@@ -254,11 +257,7 @@ def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> F
     """
     if n < 1:
         raise FamilyError("subset sum needs n >= 1")
-    members = [_x(ring, v) * _x(ring, v) - _x(ring, v) for v in range(1, n + 1)]
-    ell = _sum_plus_one(ring, n)
-    members.append(ell * ell)
-    equations = EquationSet(ring, tuple(members), boolean_axioms=True)
-
+    equations, ell = _subset_sum_equations(n, ring)
     builder = DerivationBuilder("pc_rad", ring, equations, boolean_axioms=True)
     square = builder.axiom(n)
     builder.radical_of(square, ell)
@@ -295,10 +294,7 @@ def subset_sum_refutation(n: int, ring: Ring = RATIONAL) -> Derivation:
             f"subset sum n = {n} is satisfiable over GF({ring.p}): "
             f"{ring.p - 1} variables set to 1 are a root"
         )
-    instance_members = [_x(ring, v) * _x(ring, v) - _x(ring, v) for v in range(1, n + 1)]
-    ell = _sum_plus_one(ring, n)
-    instance_members.append(ell * ell)
-    equations = EquationSet(ring, tuple(instance_members), boolean_axioms=True)
+    equations, ell = _subset_sum_equations(n, ring)
     builder = DerivationBuilder("pc_rad", ring, equations, boolean_axioms=True)
 
     square = builder.axiom(n)

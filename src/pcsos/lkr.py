@@ -23,10 +23,12 @@ target.
 
 Each rule is defined once, in RULES, keyed by its name: its premise
 count, the codecs of its parameters (for the JSON reader and writer and
-for values given through the Python API), its schema check and its
-compile step.  A check returns what it resolves (the principal formula,
-the chosen part, the induction contexts) and the compile step receives
-it; neither writes into the proof.
+for values given through the Python API), its schema check, its compile
+step and the compile targets that admit it.  A check returns what it
+resolves (the principal formula, the chosen part, the induction
+contexts) and the compile step receives it; neither writes into the
+proof.  compile_lkr reads target support from RULES for every node of
+the checked proof before it emits a line.
 """
 
 from __future__ import annotations
@@ -573,20 +575,27 @@ class _Compiler:
     of the node's succedent translation to a line whose polynomial is m*w;
     asm maps each member g of the antecedent translation to a line with
     polynomial g*w.  The scale w threads products through or-l, induction
-    and cut without replaying sub-derivations after the fact.  The compile
-    steps of RULES are the methods below the helpers.
+    and cut without replaying sub-derivations after the fact.
+
+    A zero scale derives only 0 = 0, so emit answers it with the zero line
+    for every member and never calls a compile step: every step sees a
+    nonzero w.  Over Q and GF(p) a product is zero exactly when a factor
+    is, so a step tests its own factors, never a product with w, and
+    mul_poly and _collapse return the zero line for a zero product.  The
+    compile steps of RULES are the methods below the helpers.
     """
 
     builder: DerivationBuilder
 
-    def __init__(self, reg, ring, target):
+    def __init__(self, reg, ring):
         self.reg = reg
         self.ring = ring
-        self.target = target
         self.model = PolyModel(reg, ring)
         self.one = Polynomial.const(ring, 1)
 
     def emit(self, step: _Step, alpha: dict, w: Polynomial, asm: dict) -> dict:
+        if w.is_zero:
+            return {m: self.builder.zero() for m in self.right(step.node.conclusion.succ, alpha)}
         return step.rule.compile(self, step, alpha, w, asm)
 
     # ---- helpers
@@ -603,15 +612,8 @@ class _Compiler:
         parts_by_formula = [self.members(phi, alpha) for phi in formulas]
         return [factor for _, factor in _product_members(parts_by_formula, self.ring)]
 
-    def _assumption(self, member: Polynomial, w: Polynomial, asm: dict) -> int:
-        if (member * w).is_zero:
-            return self.builder.zero()
-        return asm[member]
-
-    def _rescaled(self, member: Polynomial, factor: Polynomial, w, asm) -> int:
+    def _rescaled(self, member: Polynomial, factor: Polynomial, asm: dict) -> int:
         """Line for member*(w*factor) given asm lines at scale w."""
-        if (member * factor * w).is_zero:
-            return self.builder.zero()
         if factor == self.one:
             return asm[member]
         return self.builder.mul_poly(asm[member], factor)
@@ -632,7 +634,7 @@ class _Compiler:
 
     def assumed(self, s, alpha, w, asm):
         """Every succedent member is an antecedent member."""
-        return {m: self._assumption(m, w, asm) for m in self.right(s.node.conclusion.succ, alpha)}
+        return {m: asm[m] for m in self.right(s.node.conclusion.succ, alpha)}
 
     def identity(self, s, alpha, w, asm):
         """Every succedent member translates to 0."""
@@ -648,43 +650,33 @@ class _Compiler:
     def equality(self, s, alpha, w, asm):
         conc = s.node.conclusion
         target = self.right(conc.succ, alpha)[0]
-        if target.is_zero or (target * w).is_zero:
+        antes = self.left(conc.ante, alpha)  # one member per antecedent equality
+        if target.is_zero:
             return {target: self.builder.zero()}
-        if self.one in self.left(conc.ante, alpha):
+        if self.one in antes:
             return {target: self.builder.mul_poly(asm[self.one], target)}
         if "multipliers" not in s.args:
             raise CompileError("congruence instance should translate to 0 = 0")
         parts = []
-        for eq, h in zip(conc.ante, s.args["multipliers"]):
+        for member, h in zip(antes, s.args["multipliers"]):
             h_poly = ring_value(h, alpha, self.model)
-            member = self.members(eq, alpha)[0]
-            if member.is_zero or h_poly.is_zero:
-                continue
-            parts.append((self.builder.mul_poly(asm[member], h_poly), 1))
+            if not (member.is_zero or h_poly.is_zero):
+                parts.append((self.builder.mul_poly(asm[member], h_poly), 1))
         line = self.builder.combination(parts)
         if self.builder.poly(line) != target * w:
             raise CompileError("equality witness does not reproduce the succedent translation")
         return {target: line}
 
     def boolean_axiom(self, s, alpha, w, asm):
-        if self.target != PC_PLUS:
-            raise UnsupportedConstruct("boolean axiom sequents require the pc_plus target")
         succ = s.node.conclusion.succ
-        member = self.right(succ, alpha)[0]
-        if (member * w).is_zero:
-            return {member: self.builder.zero()}
         var = eval_index(succ[0].left.left.index, alpha, self.reg)
-        line = self.builder.bool_axiom(var)
-        line = self.builder.mul_poly(line, w)
-        line = self.builder.scale_line(line, self.ring.coerce(-1))
-        return {member: line}
+        line = self.builder.mul_poly(self.builder.bool_axiom(var), w)
+        return {self.right(succ, alpha)[0]: self.builder.scale_line(line, -1)}
 
     def sos_axiom(self, s, alpha, w, asm):
-        if self.target != PC_PLUS:
-            raise UnsupportedConstruct("sum-of-squares axiom sequents require the pc_plus target")
         head, side = s.node.conclusion.ante
         member = self.right(s.node.conclusion.succ, alpha)[0]
-        if (member * w).is_zero:
+        if member.is_zero:
             return {member: self.builder.zero()}
         if not eval_formula(side, alpha, {}, self.reg, self.ring):
             # vacuous instance: the index bound fails, so 1 is an assumption
@@ -697,9 +689,7 @@ class _Compiler:
         src = asm[total]  # poly total*w
         scaled = self.builder.mul_poly(src, w)  # total*w^2 == sum over j of (T_j w)^2
         witness = summands[k] * w
-        squares = tuple(
-            t * w for j, t in enumerate(summands) if j != k and not (t * w).is_zero
-        )
+        squares = tuple(t * w for j, t in enumerate(summands) if j != k and not t.is_zero)
         step = self.builder.sos_step(scaled, witness, squares)
         return {member: self.builder.radical_of(step, witness)}
 
@@ -727,11 +717,7 @@ class _Compiler:
         for q, line in inner.items():
             for p in extra_members:
                 m = q * p
-                if m in out:
-                    continue
-                if (m * w).is_zero:
-                    out[m] = self.builder.zero()
-                else:
+                if m not in out:
                     out[m] = self.builder.mul_poly(line, p)
         return out
 
@@ -744,13 +730,8 @@ class _Compiler:
         for q in delta_members:
             for p in phi_members:
                 m = q * p
-                if m in out:
-                    continue
-                if (m * w).is_zero:
-                    out[m] = self.builder.zero()
-                    continue
-                diag = inner[q * p * p]  # poly q p^2 w
-                out[m] = self._collapse(diag, m * w, q * w)
+                if m not in out:  # inner[m p] has poly q p^2 w
+                    out[m] = self._collapse(inner[m * p], m * w, q * w)
         return out
 
     def and_r(self, s, alpha, w, asm):
@@ -771,9 +752,6 @@ class _Compiler:
                 m = q * factor
                 if m in out:
                     continue
-                if (m * w).is_zero:
-                    out[m] = self.builder.zero()
-                    continue
                 others = self.one
                 for j, p in enumerate(combo):
                     if j != child_index:
@@ -785,33 +763,29 @@ class _Compiler:
     def or_l(self, s, alpha, w, asm):
         target, conc = s.found, s.node.conclusion
         gamma_members = self.left(_minus(conc.ante, (target,)), alpha)
-        delta_members = self.right(conc.succ, alpha)
         parts_by_child = [self.members(c, alpha) for c in target.parts]
-        product_asm = {
-            factor: self._assumption(factor, w, asm)
-            for _, factor in _product_members(parts_by_child, self.ring)
-        }
-        gamma = lambda g, factor: self._rescaled(g, factor, w, asm)
+        product_asm = {factor: asm[factor] for _, factor in _product_members(parts_by_child, self.ring)}
         return self._or_l(
             list(s.premises), parts_by_child, alpha, w, self.one,
-            gamma_members, gamma, product_asm, delta_members,
+            gamma_members, asm, product_asm, self.right(conc.succ, alpha),
         )
 
     def _or_l(
         self, premises, parts_by_child, alpha, w, prefix,
-        gamma_members, gamma, product_asm, delta_members,
+        gamma_members, asm, product_asm, delta_members,
     ):
         """Derive q*prefix*w for each q from lines for the product members.
 
         product_asm maps each member of the remaining disjuncts' product to
-        a line with polynomial member*prefix*w; prefix accumulates the
-        factors already cut away by outer recursion levels.
+        a line with polynomial member*prefix*w, and asm each Gamma member g
+        to a line with polynomial g*w; prefix accumulates the factors
+        already cut away by outer recursion levels.
         """
         first_members = parts_by_child[0]
         if len(premises) == 1:
             sub_asm = dict(product_asm)
             for g in gamma_members:
-                sub_asm[g] = gamma(g, prefix)
+                sub_asm[g] = self._rescaled(g, prefix, asm)
             return self.emit(premises[0], alpha, w * prefix, sub_asm)
 
         rest_parts = parts_by_child[1:]
@@ -821,27 +795,21 @@ class _Compiler:
         # step A: the first premise, once per member b of the remaining product
         a_outputs = {}
         for b in rest_members:
-            sub_asm = {}
-            for a in first_members:
-                sub_asm[a] = self._assumption(a * b, prefix * w, product_asm)
+            sub_asm = {a: product_asm[a * b] for a in first_members}
             for g in gamma_members:
-                sub_asm[g] = gamma(g, prefix * b)
+                sub_asm[g] = self._rescaled(g, prefix * b, asm)
             a_outputs[b] = self.emit(premises[0], alpha, w * prefix * b, sub_asm)
 
         # step B: the remaining disjunction, against each requested member q
         out = {}
         for q in delta_members:
-            if q in out:
-                continue
-            if (q * prefix * w).is_zero:
-                out[q] = self.builder.zero()
-                continue
-            inner_asm = {b: a_outputs[b][q] for b in rest_members}  # poly q*b*prefix*w
-            inner = self._or_l(
-                premises[1:], rest_parts, alpha, w, prefix * q,
-                gamma_members, gamma, inner_asm, [q],
-            )
-            out[q] = self._collapse(inner[q], q * prefix * w, prefix * w)
+            if q not in out:
+                inner_asm = {b: a_outputs[b][q] for b in rest_members}  # poly q*b*prefix*w
+                inner = self._or_l(
+                    premises[1:], rest_parts, alpha, w, prefix * q,
+                    gamma_members, asm, inner_asm, [q],
+                )
+                out[q] = self._collapse(inner[q], q * prefix * w, prefix * w)
         return out
 
     def forall_r(self, s, alpha, w, asm):
@@ -863,13 +831,7 @@ class _Compiler:
             return self.members(template, {**alpha, var: n})
 
         now = phi_at(0)
-        stage: dict[tuple[Polynomial, Polynomial], int] = {}
-        for r in now:
-            for q in delta_members:
-                if (r * q * w).is_zero:
-                    stage[(r, q)] = self.builder.zero()
-                else:
-                    stage[(r, q)] = self._rescaled(r, q, w, asm)
+        stage = {(r, q): self._rescaled(r, q, asm) for r in now for q in delta_members}
 
         # the Gamma lines at scale w*q are the same at every step: built on first use
         gamma_at: dict[Polynomial, dict] = {}
@@ -878,7 +840,7 @@ class _Compiler:
             after = phi_at(n + 1)
             for q in delta_members:
                 if q not in gamma_at:
-                    gamma_at[q] = {g: self._rescaled(g, q, w, asm) for g in gamma_members}
+                    gamma_at[q] = {g: self._rescaled(g, q, asm) for g in gamma_members}
                 sub_asm = dict(gamma_at[q])
                 for r in now:
                     sub_asm[r] = stage[(r, q)]
@@ -893,31 +855,20 @@ class _Compiler:
     def cut(self, s, alpha, w, asm):
         phi_members = self.members(s.found, alpha)
         gamma_members = self.left(s.node.conclusion.ante, alpha)
-        delta_members = self.right(s.node.conclusion.succ, alpha)
         out = {}
-        for q in delta_members:
+        for q in self.right(s.node.conclusion.succ, alpha):
             if q in out:
                 continue
-            if (q * w).is_zero:
-                out[q] = self.builder.zero()
-                continue
-            diag_lines: dict[Polynomial, int] = {}
-            if any(not (a * q * q * w).is_zero for a in phi_members):
-                sub_asm = {g: self._rescaled(g, q, w, asm) for g in gamma_members}
+            if any(not a.is_zero for a in phi_members):  # else the left premise gives only 0 = 0
+                sub_asm = {g: self._rescaled(g, q, asm) for g in gamma_members}
                 left = self.emit(s.premises[0], alpha, w * q, sub_asm)
-                for a in phi_members:
-                    diag_lines[a] = left[q * a]  # poly q*a*q*w
-            sub_asm2 = {}
-            for a in phi_members:
-                if (a * q * q * w).is_zero:
-                    sub_asm2[a] = self.builder.zero()
-                else:
-                    sub_asm2[a] = diag_lines[a]
+                sub_asm = {a: left[q * a] for a in phi_members}  # poly q*a*q*w
+            else:
+                sub_asm = {a: self.builder.zero() for a in phi_members}
             for g in gamma_members:
-                sub_asm2[g] = self._rescaled(g, q * q, w, asm)
-            right = self.emit(s.premises[1], alpha, w * q * q, sub_asm2)
-            line = right[q]  # poly q^3*w
-            mid = self._collapse(line, q * q * w, q * w)
+                sub_asm[g] = self._rescaled(g, q * q, asm)
+            right = self.emit(s.premises[1], alpha, w * q * q, sub_asm)
+            mid = self._collapse(right[q], q * q * w, q * w)  # right[q] has poly q^3*w
             out[q] = self._collapse(mid, q * w, w)
         return out
 
@@ -939,6 +890,7 @@ class Rule:
     check: Callable
     compile: Callable
     params: dict = field(default_factory=dict)  # parameter name -> _Codec
+    targets: tuple[str, ...] = (PC_RAD, PC_PLUS)  # the compile targets that admit the rule
 
 
 RULES: dict[str, Rule] = {
@@ -948,8 +900,8 @@ RULES: dict[str, Rule] = {
     "integral-domain": Rule(0, _check_integral_domain, _Compiler.assumed),
     "equality": Rule(0, _check_equality, _Compiler.equality, {"multipliers": _MULTIPLIERS}),
     "background-truth": Rule(0, _check_background_truth, _Compiler.identity),
-    "sos-axiom": Rule(0, _check_sos_axiom, _Compiler.sos_axiom),
-    "boolean-axiom": Rule(0, _check_boolean_axiom, _Compiler.boolean_axiom),
+    "sos-axiom": Rule(0, _check_sos_axiom, _Compiler.sos_axiom, targets=(PC_PLUS,)),
+    "boolean-axiom": Rule(0, _check_boolean_axiom, _Compiler.boolean_axiom, targets=(PC_PLUS,)),
     "weakening-l": Rule(1, _check_weakening, _Compiler.premise),
     "weakening-r": Rule(1, _check_weakening, _Compiler.weakening_r),
     "contraction-l": Rule(1, _check_contraction, _Compiler.premise),
@@ -989,13 +941,20 @@ def compile_lkr(
         root = _check(proof, reg, ())
     except _CheckFailure as fail:
         raise LkrError(f"proof rejected at node {fail.path}: {fail.reason}") from None
+    steps = [root]
+    for step in steps:  # every node, reached at this assignment or not
+        if target not in step.rule.targets:
+            raise UnsupportedConstruct(
+                f"{step.node.rule} sequents require the {' or '.join(step.rule.targets)} target"
+            )
+        steps.extend(step.premises)
     missing: set[str] = set()
     for phi in proof.conclusion.ante + proof.conclusion.succ:
         missing |= free_index_vars(phi) - set(alpha)
     if missing:
         raise CompileError(f"assignment does not cover index variables {sorted(missing)}")
 
-    compiler = _Compiler(reg, ring, target)
+    compiler = _Compiler(reg, ring)
     gamma_members = compiler.left(proof.conclusion.ante, alpha)
     axioms = EquationSet(ring, tuple(dict.fromkeys(gamma_members)), False)
     builder = compiler.builder = DerivationBuilder(target, ring, axioms)

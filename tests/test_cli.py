@@ -468,11 +468,25 @@ class TestGen:
         good = {"pigeons": 2, "holes": 2, "h": [[0], [1]], "p": [[0], [1]]}
         bad = [{"pigeons": "a"}, {"pigeons": 2.7}, {"holes": True}, {"h": [["a"], [1]]}, {"p": [[0], 1]}, {"h": 3}]
         bad += [{"h": [[2], [1]]}, {"p": [[0], [-1]]}]  # outside 0..holes-1 and 0..pigeons-1
+        bad += [{"h": ["0", [1]]}, {"p": {"0": [0]}}, {"holes": "1_0"}, {"p": [[0], [" 1"]]}]
         out = str(tmp_path / "bphp.json")
         for change in bad:
             graph = write(tmp_path, "graph.json", dict(good, **change))
             assert main(["gen", "bphp-graph", "--graph", graph, "-o", out]) == 2, change
         assert_format_errors(capsys, len(bad))
+
+
+    def test_gen_bphp_graph_reads_digit_strings(self, tmp_path):
+        # every number of a graph file is read by parse_natural, as elsewhere
+        as_ints = {"pigeons": 2, "holes": 2, "h": [[0], [1]], "p": [[0], [1]]}
+        as_text = {"pigeons": "2", "holes": "2", "h": [["0"], ["1"]], "p": [[0], ["1"]]}
+        written = []
+        for k, spec in enumerate((as_ints, as_text)):
+            out = tmp_path / f"bphp{k}.json"
+            graph = write(tmp_path, f"graph{k}.json", spec)
+            assert main(["gen", "bphp-graph", "--graph", graph, "-o", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 def test_python_m_pcsos_help():

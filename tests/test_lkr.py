@@ -224,6 +224,35 @@ class TestCompileBasics:
         d = compile_lkr(node, {}, "pc_plus", REG)
         assert check_derivation(d).valid
 
+    def test_target_support_covers_nodes_not_reached(self):
+        # at n = 0 forall-idx-r has no instance, so the boolean axiom above
+        # it emits nothing; the pc_rad target still refuses the proof
+        eq = F("(= (* (X i) (- (rat 1) (X i))) (rat 0))")
+        axiom = LkrNode("boolean-axiom", Sequent((), (eq,)))
+        node = LkrNode(
+            "forall-idx-r", Sequent((), (ForallIdx("i", IdxVar("n"), eq),)), (axiom,), {"var": "i"}
+        )
+        assert check_derivation(compile_lkr(node, {"n": 0}, "pc_plus", REG)).valid
+        with pytest.raises(UnsupportedConstruct, match="boolean-axiom sequents require the pc_plus"):
+            compile_lkr(node, {"n": 0}, "pc_rad", REG)
+
+    def test_zero_scale_derives_only_zero(self):
+        # or-l compiles the first disjunct's branch at scale 0, since the other
+        # disjunct translates to 0; that branch instantiates forall-idx-l
+        # out of its bound, which a branch at scale 0 never checks
+        bounded = "(forall i 1 (= (X i) (rat 0)))"
+        inst = _node("forall-idx-l", [bounded], [X1], _axiom(X1), term=IdxLit(1))
+        node = _node(
+            "or-l", [f"(or {bounded} {TRUE})"], [X1, TRUE],
+            _node("weakening-r", [bounded], [X1, TRUE], inst), _weakened(TRUE, [TRUE], [X1, TRUE]),
+        )
+        assert check_lkr(node, REG).valid
+        with pytest.raises(LkrError, match="outside the bound"):
+            compile_lkr(inst, {}, "pc_rad", REG)
+        d = compile_lkr(node, {}, "pc_rad", REG)
+        assert check_derivation(d).valid
+        assert {poly for poly, _ in d.lines} == {P("0")}
+
     def test_sos_axiom_compiles_with_sos_and_radical(self):
         body = OracleAt(IdxVar("i"))
         head = RingEq(BigSum("i", IdxLit(3), RingOp("*", body, body)), ZERO)

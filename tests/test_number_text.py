@@ -109,6 +109,15 @@ def _registry(kind, where):
 FORMULA = "(forall i n (= (X i) (rat 0)))"
 CLOSED = "(= (X 0) (rat 0))"
 
+
+def _gen(tmp_path, *argv):
+    return ["gen", *argv, "-o", str(tmp_path / "instance.json")]
+
+
+def _search(tmp_path, *argv, ring=None, value=None):
+    eqs = _file(tmp_path, {"ring": ring or {"kind": "rational"}, "equations": ["x1"]}, value)
+    return ["search", "closure", eqs, "--query", "1", *argv]
+
 # site -> (argv for a value, and how the value arrives: as an s-expression
 # atom, as the text of an option or a JSON string, or as any JSON value)
 SITES = {
@@ -125,6 +134,12 @@ SITES = {
         lambda tmp, v: ["fol", "eval", "--formula", CLOSED, "--oracle", _file(tmp, ["@"], v)],
         "json",
     ),
+    "pigeons": (lambda tmp, v: _gen(tmp, "fphp", f"--pigeons={v}"), "text"),
+    "holes": (lambda tmp, v: _gen(tmp, "fphp", "--pigeons=8", f"--holes={v}"), "text"),
+    "n": (lambda tmp, v: _gen(tmp, "chain", f"--n={v}"), "text"),
+    "degree": (lambda tmp, v: _search(tmp, f"--degree={v}"), "text"),
+    "cap": (lambda tmp, v: _search(tmp, "--degree=1", f"--cap={v}"), "text"),
+    "ring-p": (lambda tmp, v: _search(tmp, "--degree=1", ring={"kind": "gf", "p": "@"}, value=v), "json"),
     "add-coefficient": (lambda tmp, v: ["check", _file(tmp, _proof_with_coefficient(), v)], "json"),
     "sos-constant": (lambda tmp, v: ["check-sos", _file(tmp, _certificate("constant"), v)], "json"),
     "sos-weights": (lambda tmp, v: ["check-sos", _file(tmp, _certificate("weights"), v)], "json"),
@@ -173,9 +188,18 @@ def test_every_site_reads_good_numbers(tmp_path, site):
     argv, kind = SITES[site]
     values = ["7"] + ([7] if kind == "json" else [])
     if site in RATIONAL_SITES:
-        values += ["-1/2", "0.25"] + ([3] if kind == "json" else [])
+        # --eps takes positive rationals only (see test_eps_must_be_positive)
+        values += ["1/2" if site == "eps" else "-1/2", "0.25"] + ([3] if kind == "json" else [])
     for value in values:
         assert main(argv(tmp_path, value)) in (0, 1), value
+
+
+@pytest.mark.parametrize("value", ["0", "-1/2"])
+def test_eps_must_be_positive(tmp_path, capsys, value):
+    # a bad option value is a format error, not an invalid proof
+    assert main(SITES["eps"][0](tmp_path, value)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: --eps must be positive, got {value}"]
 
 
 def test_huge_square_mismatch_is_reported(tmp_path, capsys):
