@@ -85,17 +85,23 @@ def _assignment(pairs) -> dict[str, int]:
     return out
 
 
+def _registry_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {value!r:.60}")
+    return value
+
+
 def _registry(path) -> FunctionRegistry:
     reg = FunctionRegistry.standard()
     if path is None:
         return reg
     obj = load_json(path)
-    if not isinstance(obj, dict):
-        raise CliFormatError("malformed registry file: expected a JSON object")
     tables = (("index_tables", reg.register_index_table), ("ring_tables", reg.register_ring_table))
     try:
+        obj = _registry_object(obj, "the file")
         for key, register in tables:
-            for name, spec in obj.get(key, {}).items():
+            for name, spec in _registry_object(obj.get(key, {}), key).items():
+                spec = _registry_object(spec, f"table {name!r}")
                 table = {tuple(map(parse_natural, args)): v for args, v in spec.get("entries", [])}
                 register(name, parse_natural(spec["arity"]), table, spec.get("default", 0))
     except (KeyError, TypeError, ValueError) as exc:

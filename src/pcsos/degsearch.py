@@ -74,7 +74,6 @@ def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int) -> list
 
 @dataclass
 class ClosureBasis:
-    ring: Ring
     degree_bound: int
     variables: tuple[int, ...]
     axioms: EquationSet
@@ -86,6 +85,10 @@ class ClosureBasis:
 
     def __post_init__(self):
         self._column_of = {m: c for c, m in enumerate(self.columns)}
+
+    @property
+    def ring(self) -> Ring:
+        return self.axioms.ring
 
     def span_dimension(self) -> int:
         return len(self.rows)
@@ -171,7 +174,7 @@ def pc_closure(
             f"{count} monomials of degree <= {degree_bound} exceeds the cap {monomial_cap}"
         )
     columns = _graded_lex_monomials(variables, degree_bound)
-    basis = ClosureBasis(ring, degree_bound, variables, axioms, tuple(columns))
+    basis = ClosureBasis(degree_bound, variables, axioms, tuple(columns))
     column_of = basis._column_of
 
     # shift[k][c - low] is the column of variables[k] * columns[c], defined
@@ -221,9 +224,7 @@ def extract_derivation(basis: ClosureBasis, target: Polynomial) -> Derivation | 
     if not remainder.is_zero:
         return None
 
-    builder = DerivationBuilder(
-        "pc", basis.ring, basis.axioms, boolean_axioms=basis.axioms.boolean_axioms
-    )
+    builder = DerivationBuilder("pc", basis.axioms)
     emitted: dict[int, int] = {}
 
     def emit_row(rid: int) -> int:

@@ -125,7 +125,6 @@ def gen_fphp_sos(m: int, n: int) -> SosCertificate:
         squares.append(Polynomial._raw(ring, terms))
     return SosCertificate(
         axioms=instance.equations,
-        boolean=True,
         multipliers=tuple(multipliers),
         bool_multipliers=bool_multipliers,
         squares=tuple(squares),
@@ -258,7 +257,7 @@ def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> F
     if n < 1:
         raise FamilyError("subset sum needs n >= 1")
     equations, ell = _subset_sum_equations(n, ring)
-    builder = DerivationBuilder("pc_rad", ring, equations, boolean_axioms=True)
+    builder = DerivationBuilder("pc_rad", equations)
     square = builder.axiom(n)
     builder.radical_of(square, ell)
     target_derivation = builder.build()
@@ -295,7 +294,7 @@ def subset_sum_refutation(n: int, ring: Ring = RATIONAL) -> Derivation:
             f"{ring.p - 1} variables set to 1 are a root"
         )
     equations, ell = _subset_sum_equations(n, ring)
-    builder = DerivationBuilder("pc_rad", ring, equations, boolean_axioms=True)
+    builder = DerivationBuilder("pc_rad", equations)
 
     square = builder.axiom(n)
     ell_line = builder.radical_of(square, ell)
@@ -303,20 +302,10 @@ def subset_sum_refutation(n: int, ring: Ring = RATIONAL) -> Derivation:
     a_line = ell_line  # A_1 = ml(l - 1) - c_1 = l
     c_v = Fraction(-1)
     for v in range(1, n + 1):
-        m_v = builder.poly(a_line) + _const(ring, c_v)  # multilinear ml(P_v)
         reduced_lines = []
         for var in range(1, n + 1):
             line = builder.mul_var(a_line, var)
-            # subtract h * (x_var^2 - x_var) where h collects the squared part
-            h_terms = {}
-            for mono, coeff in m_v.terms.items():
-                if (var, 1) in mono:
-                    h_terms[tuple((w, e) for w, e in mono if w != var)] = coeff
-            h = Polynomial(ring, h_terms)
-            if not h.is_zero:
-                correction = builder.mul_poly(builder.bool_axiom(var), h)
-                line = builder.add(line, correction, 1, -1)
-            reduced_lines.append(line)
+            reduced_lines.append(builder.boolean_reduce(line, builder.poly(line).multilinearize()))
         parts = [(line, 1) for line in reduced_lines]
         parts.append((a_line, ring.coerce(-v)))
         parts.append((ell_line, ring.coerce(c_v)))
@@ -431,7 +420,7 @@ def _chain_lkr_proof() -> LkrNode:
 def chain_pc_refutation(n: int, ring: Ring = RATIONAL) -> Derivation:
     """Direct degree-2 refutation: walk 1 - x_i down the chain."""
     instance = gen_chain(n, ring, with_proofs=False)
-    builder = DerivationBuilder("pc", ring, instance.equations)
+    builder = DerivationBuilder("pc", instance.equations)
     head = builder.axiom(0)  # x0 - 1
     carried = builder.scale_line(head, ring.coerce(-1))  # 1 - x0
     for i in range(n):

@@ -952,12 +952,12 @@ def compile_lkr(
     for phi in proof.conclusion.ante + proof.conclusion.succ:
         missing |= free_index_vars(phi) - set(alpha)
     if missing:
-        raise CompileError(f"assignment does not cover index variables {sorted(missing)}")
+        raise fol.FolError(f"assignment does not cover index variables {sorted(missing)}")
 
     compiler = _Compiler(reg, ring)
     gamma_members = compiler.left(proof.conclusion.ante, alpha)
     axioms = EquationSet(ring, tuple(dict.fromkeys(gamma_members)), False)
-    builder = compiler.builder = DerivationBuilder(target, ring, axioms)
+    builder = compiler.builder = DerivationBuilder(target, axioms)
 
     index_of = {p: k for k, p in enumerate(axioms.members)}
     asm = {}

@@ -27,7 +27,7 @@ memos belong to one codec call, so nothing is kept between files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable
@@ -317,15 +317,19 @@ def relabel(just: Justification, ring: Ring, line_of: Callable[[int], int]) -> J
 
 @dataclass(frozen=True)
 class Derivation:
+    """A line sequence over an axiom set, which holds its ring and Boolean axioms."""
+
     system: str
-    ring: Ring
-    boolean_axioms: bool
     axioms: EquationSet
     lines: tuple[tuple[Polynomial, Justification], ...]
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ProofStructureError(f"unknown system {self.system!r}")
+
+    @property
+    def ring(self) -> Ring:
+        return self.axioms.ring
 
     def final_polynomial(self) -> Polynomial:
         if not self.lines:
@@ -342,8 +346,7 @@ class SosCertificate:
     every weight is 1.
     """
 
-    axioms: EquationSet
-    boolean: bool
+    axioms: EquationSet  # its boolean_axioms admits the bool multipliers
     multipliers: tuple[tuple[int, Polynomial], ...]
     squares: tuple[Polynomial, ...]
     target: Polynomial
@@ -449,8 +452,6 @@ def _is_negative_constant(p: Polynomial) -> bool:
 def check_derivation(d: Derivation) -> CheckReport:
     """Replay every line of a PC / PC-rad / PC+ derivation exactly."""
     ring = d.ring
-    if d.axioms.ring != ring:
-        raise ProofStructureError("axioms ring differs from derivation ring")
     uses_radical = any(isinstance(j, Radical) for _, j in d.lines)
     uses_sos = any(isinstance(j, Sos) for _, j in d.lines)
     degree = MINUS_INF
@@ -475,7 +476,7 @@ def _check_line(d: Derivation, idx: int, poly: Polynomial, just) -> Polynomial |
     """Return the mismatch polynomial if the line fails, else None."""
     rule = rule_of(just)
     premises = _premises(rule, just, d.lines, d.axioms, idx)
-    if d.system not in rule.systems or (rule.boolean and not d.boolean_axioms):
+    if d.system not in rule.systems or (rule.boolean and not d.axioms.boolean_axioms):
         return poly  # the rule is not available in this derivation
     conclusion = rule.conclude(d.ring, just, premises, poly)
     mismatch = rule.side(just, premises, conclusion) if rule.side else None
@@ -488,7 +489,7 @@ def _check_line(d: Derivation, idx: int, poly: Polynomial, just) -> Polynomial |
 def check_sos(c: SosCertificate) -> CheckReport:
     if not c.axioms.ring.is_rational:
         raise ProofStructureError("sum-of-squares certificates require the rational ring")
-    if c.bool_multipliers and not c.boolean:
+    if c.bool_multipliers and not c.axioms.boolean_axioms:
         raise ProofStructureError("bool multipliers present but boolean flag is false")
     if c.constant < 0:
         raise ProofStructureError(f"negative certificate constant {c.constant}")
@@ -554,7 +555,6 @@ def scale_certificate(c: SosCertificate, scale: Fraction, target: Polynomial) ->
         raise ProofStructureError("certificate scale must be positive")
     return SosCertificate(
         axioms=c.axioms,
-        boolean=c.boolean,
         multipliers=tuple((k, r.scale(scale)) for k, r in c.multipliers),
         bool_multipliers=tuple((v, r.scale(scale)) for v, r in c.bool_multipliers),
         squares=c.squares,
@@ -567,6 +567,28 @@ def scale_certificate(c: SosCertificate, scale: Fraction, target: Polynomial) ->
 # -- derivation builder ------------------------------------------------
 
 
+def _boolean_cofactors(g: Polynomial) -> dict[int, Polynomial]:
+    """Cofactors q_v with g - ml(g) = sum_v (x_v^2 - x_v) q_v.
+
+    Each monomial is walked down one variable at a time: with the monomial
+    r * x^e and e >= 2, r x^e - r x = (x^2 - x) r (1 + x + ... + x^(e-2)).
+    """
+    ring = g.ring
+    acc: dict[int, dict] = {}
+    for mono, coeff in g.terms.items():
+        for k, (var, exp) in enumerate(mono):
+            if exp < 2:
+                continue
+            head = tuple((v, 1) for v, _ in mono[:k])  # already walked down
+            tail = mono[k + 1 :]
+            terms = acc.setdefault(var, {})
+            for j in range(exp - 1):
+                m = head + ((var, j),) + tail if j else head + tail
+                prev = terms.get(m)
+                terms[m] = coeff if prev is None else ring.add(prev, coeff)
+    return {var: Polynomial(ring, terms) for var, terms in acc.items()}
+
+
 class DerivationBuilder:
     """Incrementally assembles a valid derivation, caching duplicate lines.
 
@@ -576,16 +598,18 @@ class DerivationBuilder:
     the same table entry the checker replays.
     """
 
-    def __init__(self, system: str, ring: Ring, axioms: EquationSet, boolean_axioms: bool = False):
+    def __init__(self, system: str, axioms: EquationSet):
         self.system = system
-        self.ring = ring
         self.axioms = axioms
-        self.boolean_axioms = boolean_axioms
         self._lines: list[tuple[Polynomial, Justification]] = []
         self._by_key: dict = {}
 
     def __len__(self):
         return len(self._lines)
+
+    @property
+    def ring(self) -> Ring:
+        return self.axioms.ring
 
     def poly(self, idx: int) -> Polynomial:
         return self._lines[idx][0]
@@ -673,14 +697,24 @@ class DerivationBuilder:
         idx, coeff = layer[0]
         return self.scale_line(idx, coeff)
 
+    def boolean_reduce(self, i: int, target: Polynomial) -> int:
+        """Line with polynomial target, from line i whose polynomial has the
+        same multilinear form: subtracts the Boolean-axiom multiples
+        sum_v (x_v^2 - x_v) q_v that make up poly(i) - target."""
+        parts = [(i, 1)]
+        for var, q in sorted(_boolean_cofactors(self.poly(i) - target).items()):
+            parts.append((self.mul_poly(self.bool_axiom(var), q), -1))
+        line = self.combination(parts)
+        if self.poly(line) != target:
+            raise ProofStructureError("boolean reduction: the multilinear forms differ")
+        return line
+
     def build(self) -> Derivation:
-        return Derivation(
-            system=self.system,
-            ring=self.ring,
-            boolean_axioms=self.boolean_axioms or any(rule_of(j).boolean for _, j in self._lines),
-            axioms=self.axioms,
-            lines=tuple(self._lines),
-        )
+        """The derivation so far; a bool line turns the Boolean axioms on."""
+        axioms = self.axioms
+        if not axioms.boolean_axioms and any(rule_of(j).boolean for _, j in self._lines):
+            axioms = replace(axioms, boolean_axioms=True)
+        return Derivation(self.system, axioms, tuple(self._lines))
 
 
 # -- JSON file formats -------------------------------------------------
@@ -698,7 +732,7 @@ def derivation_to_json(d: Derivation) -> dict:
     return {
         "system": d.system,
         "ring": d.ring.to_json(),
-        "boolean_axioms": d.boolean_axioms,
+        "boolean_axioms": d.axioms.boolean_axioms,
         "axioms": out.polys(d.axioms),
         "lines": lines,
     }
@@ -731,16 +765,15 @@ def derivation_from_json(obj: dict) -> Derivation:
                 for f in rule.fields
             }
             lines.append((poly, rule.cls(**values)))
-        derivation = Derivation(system, ring, axioms.boolean_axioms, axioms, tuple(lines))
+        return Derivation(system, axioms, tuple(lines))
     except (KeyError, TypeError, AlgebraError) as exc:
         raise ProofFormatError(f"malformed proof file: {exc}") from exc
-    return derivation
 
 
 def sos_to_json(c: SosCertificate) -> dict:
     out = _Writer()
     obj = {
-        "boolean": c.boolean,
+        "boolean": c.axioms.boolean_axioms,
         "axioms": out.polys(c.axioms),
         "target": out.poly(c.target),
         "multipliers": [{"axiom": k, "poly": out.poly(r)} for k, r in c.multipliers],
@@ -773,9 +806,8 @@ def sos_from_json(obj: dict) -> SosCertificate:
         axioms = EquationSet(ring, src.polys(obj["axioms"]), bool(obj.get("boolean", False)))
         constant = parse_rational(obj.get("constant", 0))
         squares = src.polys(obj.get("squares", []))
-        cert = SosCertificate(
+        return SosCertificate(
             axioms=axioms,
-            boolean=bool(obj.get("boolean", False)),
             multipliers=tuple(
                 (_index_from_json(m["axiom"]), src.poly(m["poly"]))
                 for m in obj.get("multipliers", [])
@@ -791,7 +823,6 @@ def sos_from_json(obj: dict) -> SosCertificate:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProofFormatError(f"malformed certificate file: {exc}") from exc
-    return cert
 
 
 def ns_to_json(c: NsCertificate) -> dict:

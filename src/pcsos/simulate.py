@@ -32,7 +32,7 @@ kernel branch on one of its callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import EquationSet, Polynomial, four_square
@@ -100,8 +100,7 @@ class _Parts:
             return tuple((k, r) for k, r in sums if not r.is_zero)
 
         return SosCertificate(
-            axioms=axioms,
-            boolean=True,
+            axioms=replace(axioms, boolean_axioms=True),
             multipliers=summed(self.multipliers),
             bool_multipliers=summed(self.bool_multipliers),
             squares=tuple(s for s, _, _ in self.squares.values()),
@@ -138,23 +137,10 @@ def sos_to_pcplus(cert: SosCertificate) -> Derivation:
     c = -Fraction(cert.target.constant_value())
 
     ring = cert.axioms.ring
-    builder = DerivationBuilder(
-        PC_PLUS,
-        ring,
-        cert.axioms,
-        boolean_axioms=cert.boolean or bool(cert.bool_multipliers),
-    )
-    parts: list[tuple[int, Fraction]] = []
-    for k, r in cert.multipliers:
-        if r.is_zero:
-            continue
-        line = builder.mul_poly(builder.axiom(k), -r)
-        parts.append((line, Fraction(1)))
-    for v, r in cert.bool_multipliers:
-        if r.is_zero:
-            continue
-        line = builder.mul_poly(builder.bool_axiom(v), -r)
-        parts.append((line, Fraction(1)))
+    builder = DerivationBuilder(PC_PLUS, cert.axioms)
+    cited = [(builder.axiom, k, r) for k, r in cert.multipliers]
+    cited += [(builder.bool_axiom, v, r) for v, r in cert.bool_multipliers]
+    parts = [(builder.mul_poly(cite(k), -r), Fraction(1)) for cite, k, r in cited if not r.is_zero]
     u = builder.combination(parts)
 
     witness_parts = [a for a in four_square(c + cert.constant) if a != 0]
@@ -190,7 +176,7 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
     if epsilon <= 0:
         raise SimulationError("epsilon must be positive")
     if not d.ring.is_rational:
-        raise SimulationError("the simulation targets certificates over the rationals")
+        raise UnsupportedConstruct("the simulation targets certificates over the rationals")
     report = check_derivation(d)
     if not report.valid:
         raise SimulationError("input derivation does not verify")
@@ -270,9 +256,8 @@ def pcplus_refutation_to_sos(d: Derivation) -> SosCertificate:
     certificate of -1/2 >= 0, then doubles every multiplier, the constant
     and every square weight.
     """
-    report = check_derivation(d)
-    if not report.valid or not report.refutation:
-        raise SimulationError("input is not a valid refutation (final line must be 1)")
+    if not d.lines or d.final_polynomial() != Polynomial.const(d.ring, 1):
+        raise SimulationError("input is not a refutation (final line must be 1)")
     approx = pcplus_to_sos_eps(d, Fraction(1, 2))
     return scale_certificate(approx.certificate, Fraction(2), Polynomial.const(d.ring, -1))
 
@@ -294,7 +279,7 @@ def eliminate_radical_char_p(d: Derivation) -> Derivation:
     ring = d.ring
     if ring.is_rational:
         raise UnsupportedConstruct("radical elimination requires a prime field GF(p)")
-    if not d.boolean_axioms:
+    if not d.axioms.boolean_axioms:
         raise UnsupportedConstruct("radical elimination needs the Boolean axioms")
     for _, just in d.lines:
         rule = rule_of(just)
@@ -304,7 +289,7 @@ def eliminate_radical_char_p(d: Derivation) -> Derivation:
     if not report.valid:
         raise SimulationError("input derivation does not verify")
 
-    builder = DerivationBuilder(PC, ring, d.axioms, boolean_axioms=True)
+    builder = DerivationBuilder(PC, d.axioms)
     remap: dict[int, int] = {}
 
     for idx, (poly, just) in enumerate(d.lines):
@@ -324,33 +309,4 @@ def _expand_radical(builder: DerivationBuilder, square_line: int, f: Polynomial)
         h = (h * h).multilinearize()
         if bit == "1":
             h = (h * f).multilinearize()
-    line = builder.mul_poly(square_line, h)
-    parts = [(line, 1)]
-    cofactors = _boolean_cofactors(builder.poly(line) - f)
-    for var, q in sorted(cofactors.items()):
-        parts.append((builder.mul_poly(builder.bool_axiom(var), q), -1))
-    line = builder.combination(parts)
-    assert builder.poly(line) == f
-    return line
-
-
-def _boolean_cofactors(g: Polynomial) -> dict[int, Polynomial]:
-    """Cofactors q_v with g - ml(g) = sum_v (x_v^2 - x_v) q_v.
-
-    Each monomial is walked down one variable at a time: with the monomial
-    r * x^e and e >= 2, r x^e - r x = (x^2 - x) r (1 + x + ... + x^(e-2)).
-    """
-    ring = g.ring
-    acc: dict[int, dict] = {}
-    for mono, coeff in g.terms.items():
-        for k, (var, exp) in enumerate(mono):
-            if exp < 2:
-                continue
-            head = tuple((v, 1) for v, _ in mono[:k])  # already walked down
-            tail = mono[k + 1 :]
-            terms = acc.setdefault(var, {})
-            for j in range(exp - 1):
-                m = head + ((var, j),) + tail if j else head + tail
-                prev = terms.get(m)
-                terms[m] = coeff if prev is None else ring.add(prev, coeff)
-    return {var: Polynomial(ring, terms) for var, terms in acc.items()}
+    return builder.boolean_reduce(builder.mul_poly(square_line, h), f)

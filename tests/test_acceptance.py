@@ -60,8 +60,6 @@ def mixed_rule_refutation():
     axioms = eqset(RATIONAL, [P("x1^2 + x2^2"), P("x1 - 1")])
     return Derivation(
         "pc_plus",
-        RATIONAL,
-        False,
         axioms,
         (
             (P("x1^2 + x2^2"), Axiom(0)),
@@ -79,8 +77,6 @@ def product_refutation(k):
     axioms = eqset(RATIONAL, [P(f"{mono} - 1"), P(mono)])
     return Derivation(
         "pc_plus",
-        RATIONAL,
-        False,
         axioms,
         (
             (P(f"{mono} - 1"), Axiom(0)),
@@ -96,7 +92,6 @@ def certificate_fixtures():
     fixtures.append(
         SosCertificate(
             axioms=eqset(RATIONAL, [P("-1")]),
-            boolean=False,
             multipliers=((0, P("1")),),
             squares=(),
             target=P("-1"),
@@ -105,7 +100,6 @@ def certificate_fixtures():
     fixtures.append(
         SosCertificate(
             axioms=eqset(RATIONAL, [P("x1 + 1")], boolean_axioms=True),
-            boolean=True,
             multipliers=((0, P("1/2*x1 - 1")),),
             bool_multipliers=((1, P("-1/2")),),
             squares=(),
@@ -115,7 +109,6 @@ def certificate_fixtures():
     fixtures.append(
         SosCertificate(
             axioms=eqset(RATIONAL, [P("x1 + 1")], boolean_axioms=True),
-            boolean=True,
             multipliers=((0, P("3/2*x1 - 3")), (0, P("-x1 - 1"))),
             bool_multipliers=((1, P("-3/2")),),
             squares=(P("x1 + 1"),),
@@ -135,8 +128,6 @@ def radical_fixtures():
 
         one_step = Derivation(
             "pc_rad",
-            g,
-            True,
             eqset(g, [poly("x1^2")], boolean_axioms=True),
             ((poly("x1^2"), Axiom(0)), (poly("x1"), Radical(0))),
         )
@@ -144,8 +135,6 @@ def radical_fixtures():
         f2 = f * f
         two_step = Derivation(
             "pc_rad",
-            g,
-            True,
             eqset(g, [f2 * f2], boolean_axioms=True),
             ((f2 * f2, Axiom(0)), (f2, Radical(0)), (f, Radical(1))),
         )
@@ -154,8 +143,6 @@ def radical_fixtures():
         h8 = h4 * h4
         three_step = Derivation(
             "pc_rad",
-            g,
-            True,
             eqset(g, [h8], boolean_axioms=True),
             (
                 (h8, Axiom(0)),
@@ -402,7 +389,7 @@ def test_criterion_10_checker_integrity():
     # exhaustive 0/1 soundness for accepted Boolean-flagged proofs
     checked = 0
     for fixture in derivation_fixtures:
-        if not fixture.boolean_axioms:
+        if not fixture.axioms.boolean_axioms:
             continue
         variables = sorted(
             set().union(*[poly.variables() for poly, _ in fixture.lines]) | fixture.axioms.variables()
@@ -429,7 +416,7 @@ def _boolean_flag_fixture():
         (P("x1^2*x2 - x1*x2"), Mul(1, 2)),
         (P("x1*x2 - x1"), Add(2, 3, 1, -1)),
     )
-    return Derivation("pc_rad", RATIONAL, True, axioms, lines)
+    return Derivation("pc_rad", axioms, lines)
 
 
 def _mutate_derivation(d, rng):
@@ -447,7 +434,7 @@ def _mutate_derivation(d, rng):
             return None
     lines = list(d.lines)
     lines[idx] = (mutated, just)
-    return Derivation(d.system, d.ring, d.boolean_axioms, d.axioms, tuple(lines))
+    return Derivation(d.system, d.axioms, tuple(lines))
 
 
 def _mutate_certificate(cert, rng):
@@ -461,7 +448,7 @@ def _mutate_certificate(cert, rng):
         multipliers = list(cert.multipliers)
         multipliers[pos] = (k, bumped)
         return SosCertificate(
-            cert.axioms, cert.boolean, tuple(multipliers), cert.squares, cert.target,
+            cert.axioms, tuple(multipliers), cert.squares, cert.target,
             cert.bool_multipliers, cert.constant,
         )
     if kind == "square" and cert.squares:
@@ -469,18 +456,18 @@ def _mutate_certificate(cert, rng):
         squares = list(cert.squares)
         squares[pos] = squares[pos] + Polynomial.variable(RATIONAL, 7)
         return SosCertificate(
-            cert.axioms, cert.boolean, cert.multipliers, tuple(squares), cert.target,
+            cert.axioms, cert.multipliers, tuple(squares), cert.target,
             cert.bool_multipliers, cert.constant,
         )
     if kind == "target":
         return SosCertificate(
-            cert.axioms, cert.boolean, cert.multipliers, cert.squares,
+            cert.axioms, cert.multipliers, cert.squares,
             cert.target + Polynomial.const(RATIONAL, rng.choice([1, -2])),
             cert.bool_multipliers, cert.constant,
         )
     if kind == "constant":
         return SosCertificate(
-            cert.axioms, cert.boolean, cert.multipliers, cert.squares, cert.target,
+            cert.axioms, cert.multipliers, cert.squares, cert.target,
             cert.bool_multipliers, cert.constant + 1,
         )
     return None

@@ -43,8 +43,6 @@ def valid_pc_rad_proof():
     axioms = eqset(RATIONAL, [P("x1^2")])
     return Derivation(
         "pc_rad",
-        RATIONAL,
-        False,
         axioms,
         ((P("x1^2"), Axiom(0)), (P("x1"), Radical(0))),
     )
@@ -54,8 +52,6 @@ def refutation_proof():
     axioms = eqset(RATIONAL, [P("x1"), P("1 - x1")])
     return Derivation(
         "pc_plus",
-        RATIONAL,
-        False,
         axioms,
         (
             (P("x1"), Axiom(0)),
@@ -299,13 +295,18 @@ class TestMalformedFiles:
 
     def test_malformed_fol_side_files_exit_two(self, tmp_path, capsys):
         formula = "(= (X 0) (rat 1))"
-        registry = write(tmp_path, "registry.json", [])
-        assert main(["fol", "classify", "--formula", formula, "--registry", registry]) == 2
+        registries = [[]]
+        for key in ("index_tables", "ring_tables"):
+            registries += [{key: bad} for bad in ([0], None, 5, "s", True)]
+        registries += [{"ring_tables": {"r": 5}}, {"index_tables": {"f": []}}]
+        for obj in registries:
+            registry = write(tmp_path, "registry.json", obj)
+            assert main(["fol", "classify", "--formula", formula, "--registry", registry]) == 2
         for oracle in [5, ["abc"]]:
             path = write(tmp_path, "oracle.json", oracle)
             assert main(["fol", "eval", "--formula", formula, "--oracle", path]) == 2
         assert main(["fol", "eval", "--formula", formula]) == 2
-        assert_format_errors(capsys, 4)
+        assert_format_errors(capsys, len(registries) + 3)
 
     @pytest.mark.parametrize(
         "rule, key, value",
@@ -414,6 +415,18 @@ class TestTranslate:
         proof = write(tmp_path, "proof.json", derivation_to_json(valid_pc_rad_proof()))
         assert main(["translate", "elim-radical", proof]) == 3
 
+    def test_pcplus_to_sos_requires_rationals(self, tmp_path, capsys):
+        obj = derivation_to_json(refutation_proof())
+        obj["ring"] = {"kind": "gf", "p": 7}
+        proof = write(tmp_path, "proof.json", obj)
+        assert main(["check", proof]) == 0
+        capsys.readouterr()
+        for extra in ([], ["--eps", "1/2"]):
+            assert main(["translate", "pcplus-to-sos", proof, *extra]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["unsupported"] * 2
+
     def test_elim_radical_gf3(self, tmp_path):
         obj = {
             "system": "pc_rad",
@@ -449,6 +462,15 @@ class TestGen:
         compiled = str(tmp_path / "chain.proof.json")
         assert main(["lkr", "compile", cert_path, "--assign", "n=3", "-o", compiled]) == 0
         assert main(["check", compiled]) == 0
+
+    def test_lkr_compile_without_assignment_exit_two(self, tmp_path, capsys):
+        out = str(tmp_path / "chain.json")
+        assert main(["gen", "chain", "--n", "3", "--with-cert", "-o", out]) == 0
+        cert_path = str(tmp_path / "chain.cert.json")
+        assert main(["lkr", "check", cert_path]) == 0
+        capsys.readouterr()
+        assert main(["lkr", "compile", cert_path]) == 2
+        assert_format_errors(capsys, 1)
 
     def test_gen_subset_sum(self, tmp_path):
         out = str(tmp_path / "ss.json")

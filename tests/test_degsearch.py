@@ -178,7 +178,7 @@ class TestCompletenessAgainstChecker:
         for _ in range(40):
             axioms = [_random_poly(rng) for _ in range(3)]
             eqs = eqset(RATIONAL, [p for p in axioms if not p.is_zero] or [P("x1")])
-            builder = DerivationBuilder("pc", RATIONAL, eqs)
+            builder = DerivationBuilder("pc", eqs)
             last = builder.axiom(rng.randrange(len(eqs)))
             for _ in range(rng.randrange(1, 6)):
                 op = rng.choice(["mul", "add", "axiom"])
@@ -209,7 +209,7 @@ class TestSubsetSumLowerBoundProperty:
                 basis = pc_closure(eqs, d)
                 assert not basis.contains(target), (n, d)
             square_index = len(eqs) - 1
-            builder = DerivationBuilder("pc_rad", RATIONAL, eqs)
+            builder = DerivationBuilder("pc_rad", eqs)
             sq = builder.axiom(square_index)
             builder.radical_of(sq, target)
             rep = check_derivation(builder.build())

@@ -248,6 +248,21 @@ class TestSemanticsAgreement:
             truth = eval_formula(phi, {}, oracle, REG)
             assert truth == eqs.vanishes_at(oracle)
 
+    def test_sum_agrees_with_translation_on_every_point(self):
+        phi = F("(= (sum i 3 (X i)) (rat 2))")
+        eqs = translate_formula(phi, {}, REG)
+        seen = set()
+        for bits in range(8):
+            oracle = {v: (bits >> v) & 1 for v in range(3)}
+            truth = eval_formula(phi, {}, oracle, REG)
+            assert truth == eqs.vanishes_at(oracle)
+            seen.add(truth)
+        assert seen == {True, False}
+
+    def test_exists_ranges_below_its_bound(self):
+        assert eval_formula(F("(exists i 3 (i= i 2))"), {}, {}, REG)
+        assert not eval_formula(F("(exists i 2 (i= i 2))"), {}, {}, REG)
+
     def test_oracle_gap_reported(self):
         with pytest.raises(FolError):
             eval_formula(F("(= (X 5) (rat 0))"), {}, {0: 1}, REG)

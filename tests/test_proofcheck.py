@@ -47,7 +47,7 @@ def P(text, ring=RATIONAL):
 
 
 def lines_derivation(system, axioms, lines, ring=RATIONAL, boolean=False):
-    return Derivation(system, ring, boolean, eqset(ring, axioms, boolean), tuple(lines))
+    return Derivation(system, eqset(ring, axioms, boolean), tuple(lines))
 
 
 class TestCheckDerivation:
@@ -81,7 +81,7 @@ class TestCheckDerivation:
         lines[1] = (P("x1^2"), Sos(0, P("x1"), ()))
         bad = check_derivation(lines_derivation("pc_plus", [P("x1^2 + x2^2")], lines))
         assert bad.failure == (1, P("x2^2"))
-        b = DerivationBuilder("pc_plus", RATIONAL, eqset(RATIONAL, [P("x1^2 + x2^2")]))
+        b = DerivationBuilder("pc_plus", eqset(RATIONAL, [P("x1^2 + x2^2")]))
         with pytest.raises(ProofStructureError):
             b.sos_step(b.axiom(0), P("x1"), ())
 
@@ -145,7 +145,6 @@ class TestCheckSos:
         axioms = eqset(RATIONAL, [P("x0 - 1"), P("x1 - 1"), P("x0*x1")], boolean_axioms=False)
         return SosCertificate(
             axioms=axioms,
-            boolean=False,
             multipliers=((2, P("-1")), (0, P("x1")), (1, P("1"))),
             squares=(),
             target=P("-1"),
@@ -158,7 +157,6 @@ class TestCheckSos:
     def test_square_of_one(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, []),
-            boolean=False,
             multipliers=(),
             squares=(P("1"),),
             target=P("1"),
@@ -169,7 +167,6 @@ class TestCheckSos:
     def test_identity_mismatch_reported(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1")]),
-            boolean=False,
             multipliers=((0, P("1")),),
             squares=(),
             target=P("-1"),
@@ -181,7 +178,6 @@ class TestCheckSos:
     def test_bool_multiplier_gate(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, []),
-            boolean=False,
             multipliers=(),
             bool_multipliers=((1, P("1")),),
             squares=(),
@@ -193,7 +189,6 @@ class TestCheckSos:
     def test_negative_constant_rejected(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, []),
-            boolean=False,
             multipliers=(),
             squares=(),
             constant=Fraction(-1),
@@ -207,7 +202,6 @@ class TestCheckSos:
         axioms = eqset(RATIONAL, [P("x1 - 1")], boolean_axioms=True)
         cert = SosCertificate(
             axioms=axioms,
-            boolean=True,
             multipliers=((0, P("3")),),
             bool_multipliers=((1, P("-3")),),
             squares=(P("x1 - 1"), P("x1 - 1")),
@@ -219,7 +213,6 @@ class TestCheckSos:
         # refutation of {x1 + 1} over the Booleans, scaled to target -3
         const_cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1 + 1")], boolean_axioms=True),
-            boolean=True,
             multipliers=((0, P("3/2*x1 - 3")), (0, P("-x1 - 1"))),
             bool_multipliers=((1, P("-3/2")),),
             squares=(P("x1 + 1"),),
@@ -238,7 +231,6 @@ def weighted_refutation():
     # -(x1^2 + 3*x2^2 + 1) + 1/4*(2*x1)^2 + 3*x2^2 == -1
     return SosCertificate(
         axioms=eqset(RATIONAL, [P("x1^2 + 3*x2^2 + 1")]),
-        boolean=False,
         multipliers=((0, P("-1")),),
         squares=(P("2*x1"), P("x2")),
         target=P("-1"),
@@ -271,7 +263,6 @@ class TestWeightedSquares:
     def test_unit_weights_are_not_written(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1^2 + x2^2 + 1")]),
-            boolean=False,
             multipliers=((0, P("-1")),),
             squares=(P("x1"), P("x2")),
             target=P("-1"),
@@ -319,7 +310,7 @@ class TestCheckNullstellensatz:
 class TestBuilder:
     def test_mul_poly_and_combination(self):
         axioms = eqset(RATIONAL, [P("x1 + 1")])
-        b = DerivationBuilder("pc", RATIONAL, axioms)
+        b = DerivationBuilder("pc", axioms)
         base = b.axiom(0)
         prod = b.mul_poly(base, P("2*x2^2 - 3"))
         assert b.poly(prod) == P("x1 + 1") * P("2*x2^2 - 3")
@@ -329,7 +320,7 @@ class TestBuilder:
 
     def test_radical_of_validates_root(self):
         axioms = eqset(RATIONAL, [P("x1^2")])
-        b = DerivationBuilder("pc_rad", RATIONAL, axioms)
+        b = DerivationBuilder("pc_rad", axioms)
         i = b.axiom(0)
         j = b.radical_of(i, P("x1"))
         assert b.poly(j) == P("x1")
@@ -339,12 +330,24 @@ class TestBuilder:
 
     def test_line_cache_dedups(self):
         axioms = eqset(RATIONAL, [P("x1")])
-        b = DerivationBuilder("pc", RATIONAL, axioms)
+        b = DerivationBuilder("pc", axioms)
         a1 = b.axiom(0)
         a2 = b.axiom(0)
         m1 = b.mul_var(a1, 2)
         m2 = b.mul_var(a2, 2)
         assert a1 == a2 and m1 == m2 and len(b) == 2
+
+    def test_boolean_reduce_and_the_flag_it_turns_on(self):
+        axioms = eqset(RATIONAL, [P("x1^3*x2^2 + x2")])
+        b = DerivationBuilder("pc", axioms)
+        line = b.boolean_reduce(b.axiom(0), P("x1*x2 + x2"))
+        assert b.poly(line) == P("x1*x2 + x2")
+        with pytest.raises(ProofStructureError):
+            b.boolean_reduce(b.axiom(0), P("x1 + x2"))
+        d = b.build()
+        assert d.axioms.boolean_axioms and not axioms.boolean_axioms
+        assert d.axioms.members == axioms.members and d.ring == RATIONAL
+        assert check_derivation(d).valid
 
 
 class TestRuleTable:
@@ -550,8 +553,6 @@ class TestDegreeRecomputation:
         axioms = eqset(RATIONAL, [P("x1^2 + x2^2"), P("x1 - 1")])
         d = Derivation(
             "pc_plus",
-            RATIONAL,
-            False,
             axioms,
             (
                 (P("x1^2 + x2^2"), Axiom(0)),
@@ -577,7 +578,7 @@ class TestDegreeRecomputation:
 class TestSoundnessAndMutation:
     def boolean_fixture(self):
         axioms = [P("x1*x2 - 1")]
-        b = DerivationBuilder("pc_rad", RATIONAL, eqset(RATIONAL, axioms, True), True)
+        b = DerivationBuilder("pc_rad", eqset(RATIONAL, axioms, True))
         ax = b.axiom(0)
         b1 = b.bool_axiom(1)
         t = b.mul_var(ax, 1)  # x1^2 x2 - x1
@@ -630,4 +631,4 @@ def _mutate_derivation(d, rng):
             return None
     lines = list(d.lines)
     lines[idx] = (mutated_poly, just)
-    return Derivation(d.system, d.ring, d.boolean_axioms, d.axioms, tuple(lines))
+    return Derivation(d.system, d.axioms, tuple(lines))

@@ -13,6 +13,7 @@ from pcsos.proofcheck import (
     Radical,
     Sos,
     SosCertificate,
+    ZeroIntro,
     check_derivation,
     check_sos,
 )
@@ -34,7 +35,6 @@ def fphp21_certificate():
     axioms = eqset(RATIONAL, [P("x0 - 1"), P("x1 - 1"), P("x0*x1")])
     return SosCertificate(
         axioms=axioms,
-        boolean=False,
         multipliers=((2, P("-1")), (0, P("x1")), (1, P("1"))),
         squares=(),
         target=P("-1"),
@@ -51,7 +51,7 @@ def radical_sos_refutation():
         (P("x1 - 1"), Axiom(1)),
         (P("1"), Add(2, 3, 1, -1)),
     )
-    return Derivation("pc_plus", RATIONAL, False, axioms, lines)
+    return Derivation("pc_plus", axioms, lines)
 
 
 class TestSosToPcplus:
@@ -66,7 +66,6 @@ class TestSosToPcplus:
     def test_trivial_negative_axiom(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("-1")]),
-            boolean=False,
             multipliers=((0, P("1")),),
             squares=(),
             target=P("-1"),
@@ -81,7 +80,6 @@ class TestSosToPcplus:
     def test_degree_preserved_with_squares_and_bools(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1 + 1")], boolean_axioms=True),
-            boolean=True,
             multipliers=((0, P("1/2*x1 - 1")),),
             bool_multipliers=((1, P("-1/2")),),
             squares=(),
@@ -96,7 +94,6 @@ class TestSosToPcplus:
     def test_scaled_target_accepted_without_normalization(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1 + 1")], boolean_axioms=True),
-            boolean=True,
             multipliers=((0, P("3/2*x1 - 3")), (0, P("-x1 - 1"))),
             bool_multipliers=((1, P("-3/2")),),
             squares=(P("x1 + 1"),),
@@ -110,7 +107,6 @@ class TestSosToPcplus:
         # -(x1^2 + 3*x2^2 + 1) + 1/4*(2*x1)^2 + 3*x2^2 == -1; weight 3 needs three squares
         cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1^2 + 3*x2^2 + 1")]),
-            boolean=False,
             multipliers=((0, P("-1")),),
             squares=(P("2*x1"), P("x2")),
             target=P("-1"),
@@ -122,10 +118,20 @@ class TestSosToPcplus:
         (sos_step,) = [j for _, j in out.lines if isinstance(j, Sos)]
         assert P("x1") in sos_step.squares and sos_step.squares.count(P("x2")) == 3
 
+    def test_non_unit_witness_is_rescaled(self):
+        # target -4: the closing step's witness is 2, so a final rescale by 1/4 follows
+        cert = gen_fphp_sos(5, 1)
+        assert cert.target == P("-4")
+        out = sos_to_pcplus(cert)
+        (sos_step,) = [j for _, j in out.lines if isinstance(j, Sos)]
+        assert sos_step.witness == P("2")
+        assert out.lines[-1][1] == Add(len(out.lines) - 2, len(out.lines) - 2, Fraction(1, 4), 0)
+        rep = check_derivation(out)
+        assert rep.valid and rep.refutation and rep.degree == 2
+
     def test_rejects_non_refutation(self):
         cert = SosCertificate(
             axioms=eqset(RATIONAL, []),
-            boolean=False,
             multipliers=(),
             squares=(P("1"),),
             target=P("1"),
@@ -140,8 +146,6 @@ class TestPcplusToSosEps:
         axioms = eqset(RATIONAL, [P("x2")])
         d = Derivation(
             "pc_plus",
-            RATIONAL,
-            False,
             axioms,
             ((P("x2"), Axiom(0)), (P("x1*x2"), Mul(0, 1))),
         )
@@ -157,7 +161,7 @@ class TestPcplusToSosEps:
 
     def test_base_case(self):
         axioms = eqset(RATIONAL, [P("x1 + x2")])
-        d = Derivation("pc_plus", RATIONAL, False, axioms, ((P("x1 + x2"), Axiom(0)),))
+        d = Derivation("pc_plus", axioms, ((P("x1 + x2"), Axiom(0)),))
         out = pcplus_to_sos_eps(d, 1)
         assert dict(out.certificate.multipliers)[0] == P("-x1 - x2")
         assert out.certificate.constant == 1
@@ -167,8 +171,6 @@ class TestPcplusToSosEps:
         axioms = eqset(RATIONAL, [P("x1"), P("x2")])
         d = Derivation(
             "pc_plus",
-            RATIONAL,
-            False,
             axioms,
             ((P("x1"), Axiom(0)), (P("x2"), Axiom(1)), (P("x1 + x2"), Add(0, 1, 1, 1))),
         )
@@ -182,14 +184,26 @@ class TestPcplusToSosEps:
         axioms = eqset(RATIONAL, [P("x1")])
         d = Derivation(
             "pc_plus",
-            RATIONAL,
-            False,
             axioms,
             ((P("x1"), Axiom(0)), (P("3*x1"), Add(0, 0, 3, 0))),
         )
         out = pcplus_to_sos_eps(d, Fraction(1, 2))
         assert check_sos(out.certificate).valid
         assert out.certificate.target == P("1/2 - 9*x1^2")
+
+    def test_zero_line_and_zero_coefficient_additions(self):
+        axioms = eqset(RATIONAL, [P("x1"), P("x2")])
+        lines = ((P("x1"), Axiom(0)), (P("x2"), Axiom(1)))
+        for last in [
+            (P("0"), ZeroIntro()),
+            (P("-2*x2"), Add(0, 1, 0, -2)),
+            (P("0"), Add(0, 1, 0, 0)),
+        ]:
+            d = Derivation("pc_plus", axioms, lines + (last,))
+            for eps in (1, Fraction(1, 3)):
+                cert = pcplus_to_sos_eps(d, eps).certificate
+                assert check_sos(cert).valid
+                assert cert.target == Polynomial.const(RATIONAL, eps) - last[0] * last[0]
 
     def test_radical_and_sos_cases(self):
         d = radical_sos_refutation()
@@ -234,7 +248,7 @@ class TestPcplusToSosEps:
 class TestRefutationToSos:
     def test_axiom_one(self):
         axioms = eqset(RATIONAL, [P("1")])
-        d = Derivation("pc_plus", RATIONAL, False, axioms, ((P("1"), Axiom(0)),))
+        d = Derivation("pc_plus", axioms, ((P("1"), Axiom(0)),))
         cert = pcplus_refutation_to_sos(d)
         assert dict(cert.multipliers)[0] == P("-2")
         assert cert.constant == 1
@@ -250,9 +264,23 @@ class TestRefutationToSos:
 
     def test_rejects_non_refutation(self):
         axioms = eqset(RATIONAL, [P("x1")])
-        d = Derivation("pc_plus", RATIONAL, False, axioms, ((P("x1"), Axiom(0)),))
+        d = Derivation("pc_plus", axioms, ((P("x1"), Axiom(0)),))
         with pytest.raises(SimulationError):
             pcplus_refutation_to_sos(d)
+
+    def test_invalid_refutation_is_rejected_by_the_replay(self):
+        axioms = eqset(RATIONAL, [P("x1")])
+        d = Derivation("pc_plus", axioms, ((P("1"), Axiom(0)),))
+        with pytest.raises(SimulationError, match="does not verify"):
+            pcplus_refutation_to_sos(d)
+
+    def test_prime_field_is_unsupported(self):
+        g = GF(7)
+        axioms = eqset(g, [P("1", g)])
+        d = Derivation("pc_plus", axioms, ((P("1", g), Axiom(0)),))
+        for simulate in (pcplus_refutation_to_sos, lambda d: pcplus_to_sos_eps(d, 1)):
+            with pytest.raises(UnsupportedConstruct):
+                simulate(d)
 
 
 def random_root(rng, ring):
@@ -271,7 +299,7 @@ def radical_chain(ring, f, depth):
     lines = [(powers[-1], Axiom(0))]
     lines += [(root, Radical(k)) for k, root in enumerate(reversed(powers[:-1]))]
     axioms = eqset(ring, [powers[-1]], boolean_axioms=True)
-    return Derivation("pc_rad", ring, True, axioms, tuple(lines)), powers[:-1]
+    return Derivation("pc_rad", axioms, tuple(lines)), powers[:-1]
 
 
 def expansion_bound(root):
@@ -313,7 +341,7 @@ class TestEliminateRadical:
         g = GF(3)
         axioms = eqset(g, [P("x1^2", g)], boolean_axioms=True)
         d = Derivation(
-            "pc_rad", g, True, axioms, ((P("x1^2", g), Axiom(0)), (P("x1", g), Radical(0)))
+            "pc_rad", axioms, ((P("x1^2", g), Axiom(0)), (P("x1", g), Radical(0)))
         )
         out = eliminate_radical_char_p(d)
         rep = check_derivation(out)
@@ -326,7 +354,7 @@ class TestEliminateRadical:
         g = GF(3)
         f = P("x1 + x2", g)
         axioms = eqset(g, [f * f], boolean_axioms=True)
-        d = Derivation("pc_rad", g, True, axioms, ((f * f, Axiom(0)), (f, Radical(0))))
+        d = Derivation("pc_rad", axioms, ((f * f, Axiom(0)), (f, Radical(0))))
         out = eliminate_radical_char_p(d)
         rep = check_derivation(out)
         assert rep.valid and not rep.uses_radical
@@ -339,8 +367,6 @@ class TestEliminateRadical:
         axioms = eqset(g, [f2 * f2], boolean_axioms=True)
         d = Derivation(
             "pc_rad",
-            g,
-            True,
             axioms,
             ((f2 * f2, Axiom(0)), (f2, Radical(0)), (f, Radical(1))),
         )
@@ -355,7 +381,7 @@ class TestEliminateRadical:
         g = GF(3)
         axioms = eqset(g, [P("x1", g)], boolean_axioms=True)
         d = Derivation(
-            "pc_rad", g, True, axioms, ((P("x1", g), Axiom(0)), (P("x1^2", g), Mul(0, 1)))
+            "pc_rad", axioms, ((P("x1", g), Axiom(0)), (P("x1^2", g), Mul(0, 1)))
         )
         out = eliminate_radical_char_p(d)
         assert [line for line, _ in out.lines] == [line for line, _ in d.lines]
@@ -363,14 +389,14 @@ class TestEliminateRadical:
     def test_requires_gf_and_booleans(self):
         axioms = eqset(RATIONAL, [P("x1^2")], boolean_axioms=True)
         d = Derivation(
-            "pc_rad", RATIONAL, True, axioms, ((P("x1^2"), Axiom(0)), (P("x1"), Radical(0)))
+            "pc_rad", axioms, ((P("x1^2"), Axiom(0)), (P("x1"), Radical(0)))
         )
         with pytest.raises(UnsupportedConstruct):
             eliminate_radical_char_p(d)
         g = GF(3)
         axioms = eqset(g, [P("x1^2", g)])
         d = Derivation(
-            "pc_rad", g, False, axioms, ((P("x1^2", g), Axiom(0)), (P("x1", g), Radical(0)))
+            "pc_rad", axioms, ((P("x1^2", g), Axiom(0)), (P("x1", g), Radical(0)))
         )
         with pytest.raises(UnsupportedConstruct):
             eliminate_radical_char_p(d)
@@ -379,7 +405,7 @@ class TestEliminateRadical:
         g = GF(3)
         axioms = eqset(g, [P("0", g)], boolean_axioms=True)
         d = Derivation(
-            "pc_rad", g, True, axioms, ((P("0", g), Axiom(0)), (P("0", g), Radical(0)))
+            "pc_rad", axioms, ((P("0", g), Axiom(0)), (P("0", g), Radical(0)))
         )
         out = eliminate_radical_char_p(d)
         assert check_derivation(out).valid
