@@ -882,8 +882,8 @@ def load_json(path) -> dict:
 
 
 def dump_json(obj: dict, path) -> None:
-    """Write obj as indent-1, key-sorted ASCII JSON and a newline, in one
-    write: json.dump would write each of its many small chunks in turn."""
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    """Write obj as compact, key-sorted ASCII JSON on one line and a newline,
+    in one write.  Without indent json.dumps runs CPython's C encoder."""
+    text = json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)

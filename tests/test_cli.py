@@ -308,6 +308,21 @@ class TestMalformedFiles:
         assert main(["fol", "eval", "--formula", formula]) == 2
         assert_format_errors(capsys, len(registries) + 3)
 
+    def test_registry_entries_shape(self, tmp_path, capsys):
+        # each entry is [[arg, ...], value]; any other shape exits 2, and an
+        # object or a string is not read as a list of character pairs
+        formula = "(= (X (fn f 1)) (rat 0))"
+        out = tmp_path / "eqs.json"
+        bad = [{"12": 0}, [["1", 2]], "12", [[[1], 2, 3]], [[1]], [5]]
+        for entries in bad:
+            registry = write(tmp_path, "registry.json", {"index_tables": {"f": {"arity": 1, "entries": entries}}})
+            assert main(["fol", "translate", "--formula", formula, "--registry", registry, "-o", str(out)]) == 2
+        assert not out.exists()
+        assert_format_errors(capsys, len(bad))
+        registry = write(tmp_path, "registry.json", {"index_tables": {"f": {"arity": 1, "entries": [[[1], 2]]}}})
+        assert main(["fol", "translate", "--formula", formula, "--registry", registry, "-o", str(out)]) == 0
+        assert load_json(out)["equations"] == ["x2"]
+
     @pytest.mark.parametrize(
         "rule, key, value",
         [

@@ -4,16 +4,21 @@ Every file below is written through ``cli.main`` on a small instance, and
 its sha256 is compared with a frozen digest.  A change that alters any
 written byte fails here; a deliberate format change must update the
 digests and say so in CHANGES.md.
+
+Files are written compact (no whitespace between tokens), but readers take
+any JSON whitespace: each pinned file, re-indented as files were once
+written, still reads back to the same bytes and still checks.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from pcsos.algebra import GF
 from pcsos.cli import main
 from pcsos.families import gen_subset_sum
-from pcsos.proofcheck import derivation_to_json, dump_json
+from pcsos.proofcheck import derivation_to_json, dump_json, load_json
 
 # "{d}" is the output directory; later commands read files written by
 # earlier ones.
@@ -39,24 +44,24 @@ COMMANDS = [
 ]
 
 DIGESTS = {
-    "chain.cert.json": "73bb25cef743ccbf838b785649ca8cb1e069bb3b6797c99bfd19e47929b608f7",
-    "chain.json": "e348e1256c5ab6c3e921695a818283ae0ad5f38cdacb1d9a27016a1c94b3976b",
-    "chain.plus.json": "023592cb763682002da66bae3eec8f5d064c2825e24c7549f9a3896d12dc623c",
-    "chain.rad.json": "a8727799e3edd6124220dcbe45242f6761a1d06a58e1ab54f1072e25eeebecfb",
-    "fol.eqs.json": "e03fef0b85bd63cf27fa3be77312e2f65081be995b98eff9416972ea12c9b5be",
-    "fphp.cert.json": "cfdb8b9729df942cc1a489f3612e35109910830ce89c7dafc1c135a024c8059c",
-    "fphp.eps.json": "cc96e03fda0177d43a855bc732d63915a4c730725f5529d54042a12c833cee12",
-    "fphp.eps.norm.json": "1a88f262acb2eebff9673f2efa4d1aa3d73a7306410f1360cbf63b52a8f1f442",
-    "fphp.json": "296f8b106ba43959ce9355240c8b394fef62d4d8f53696607ced5031bdd0a167",
-    "fphp.pcplus.json": "55e3cdd3d91f3581834b4ed24a4d872e0c0976eb7a4804f1e5fe8fb13ecb1fef",
-    "fphp.sos.json": "3dbcebc03493032ac6e034e59b7d5b1377ed7d1385b585dbfdd6dccaa9632c85",
-    "fphp32.closure.json": "0eecc95a851d57ffe435b4fdc34c54f50796d5cee6b549fe26161ee56660d533",
-    "fphpn.cert.json": "cfdb8b9729df942cc1a489f3612e35109910830ce89c7dafc1c135a024c8059c",
-    "fphpn.json": "296f8b106ba43959ce9355240c8b394fef62d4d8f53696607ced5031bdd0a167",
-    "ss.cert.json": "e2ba3e78e3f7c60c267d24c41dbb8868cc09f70d41fb558f4e9d353bada01a2a",
-    "ss.json": "86763ee02488d47c4cf879996f1248888191d93bc527d4c6759f90e44479eba7",
-    "ss.sos.json": "2e679406967a450d07325f5201712ac6460d9b9aa52182177cc7e05e7da79311",
-    "ss7.flat.json": "e9cd4f15d18fffea4dfa58ee9d9c62f19e9a19828146d33aa579aad0d371d1f6",
+    "chain.cert.json": "9df10e58a1569b348421785b1a090707ea5c097fe6a4254bf537ad3d6d460525",
+    "chain.json": "6fc7071b930e32ff3ef54b9eaac0dfd4001e7d63f0a1726e83981118d15449ed",
+    "chain.plus.json": "830862a34c00868600eaf788f25fe28a49da1a38432d0b04998406e662f10ae6",
+    "chain.rad.json": "257a899c373e65f44b9ad49415e76ee423864dad9113f47b281ab45dfb890afb",
+    "fol.eqs.json": "48e0ca2e8ea093bbbe7e93919e9dca59f198be12b6fa8660cf481e6f492cbd05",
+    "fphp.cert.json": "5a4db513ad2f45ae552ee263277b52a0c954390eb7fd97612c5cd88a875002ec",
+    "fphp.eps.json": "d80b150672d28a557476af47ccb35f66906b74981001eae1001eb5e5959d9419",
+    "fphp.eps.norm.json": "4943043d48d2f9c473c637e17a0b2ab61661fb45c6b97229927aef3f64cdeb88",
+    "fphp.json": "7f18e2b8a0086f8caf733ea1b12a2326364546f46036d3a9bb25d3b21903d903",
+    "fphp.pcplus.json": "6c5ad35e05ac5af87aea7fbd50bc74c13dd60950f26eb4679c35ba1f2a24629e",
+    "fphp.sos.json": "54bee2bfab224fc7600f9c93e7ec58db300c951d9c2d8384fb1a42a6de5932d8",
+    "fphp32.closure.json": "58132db13d0c31912f780858e759a15702ea3fca2970f2aace751f871dd1291a",
+    "fphpn.cert.json": "5a4db513ad2f45ae552ee263277b52a0c954390eb7fd97612c5cd88a875002ec",
+    "fphpn.json": "7f18e2b8a0086f8caf733ea1b12a2326364546f46036d3a9bb25d3b21903d903",
+    "ss.cert.json": "ac0eb733cad625bcdb40466d163b903e9cb1e55b50a3841e4ff75bc818089f61",
+    "ss.json": "7fe14a7ef079c8ce4aa172a4a48f0590f6d8e3f7f954cc6a2f7d08b3bf9cf8e5",
+    "ss.sos.json": "d9445d3e6ef9784e61884823d06552706cf4783948387613c1375b2cec5868c5",
+    "ss7.flat.json": "73d9ae110b4b13942d5213fe78df3ed16f6bc9c5641866c34b11a0516f3233fa",
 }
 
 
@@ -81,3 +86,23 @@ def test_golden_output(written, name):
 def test_every_written_file_is_pinned(written):
     made = {p.name for p in written.iterdir()} - {"ss7.json", "fphp32.json"}
     assert made == set(DIGESTS)
+
+
+def _indented(written, tmp_path, name):
+    """A copy of a written file in the older indent-1 layout."""
+    path = tmp_path / name
+    path.write_text(json.dumps(json.loads((written / name).read_text()), indent=1, sort_keys=True) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_indented_file_reads_back_to_the_pinned_bytes(written, tmp_path, name):
+    indented = _indented(written, tmp_path, name)
+    assert indented.read_bytes() != (written / name).read_bytes()
+    dump_json(load_json(indented), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (written / name).read_bytes()
+
+
+def test_indented_files_still_check(written, tmp_path):
+    assert main(["check-sos", str(_indented(written, tmp_path, "fphp.cert.json"))]) == 0
+    assert main(["check", str(_indented(written, tmp_path, "fphp.pcplus.json"))]) == 0

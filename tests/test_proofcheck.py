@@ -1,4 +1,3 @@
-import io
 import json
 import random
 import re
@@ -506,14 +505,11 @@ def _random_json(rng: random.Random, depth: int):
 
 
 def _json_dump_bytes(obj) -> bytes:
-    fh = io.StringIO()
-    json.dump(obj, fh, indent=1, sort_keys=True)
-    fh.write("\n")
-    return fh.getvalue().encode("ascii")
+    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode("ascii")
 
 
 class TestDumpJson:
-    """dump_json writes exactly what json.dump(obj, fh, indent=1,
+    """dump_json writes exactly what json.dumps(obj, separators=(",", ":"),
     sort_keys=True) and a newline would."""
 
     def test_random_values(self, tmp_path):
@@ -531,7 +527,7 @@ class TestDumpJson:
                 value = [{"k": value}]
             return value
 
-        lo, hi = 1, 1000  # json.dump writes a list-of-dict nest of lo levels from here, not of hi
+        lo, hi = 1, 1000  # json.dumps encodes a list-of-dict nest of lo levels from here, not of hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
