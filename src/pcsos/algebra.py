@@ -166,6 +166,8 @@ class Ring:
 
     def inv(self, a):
         if self.p is None:
+            if type(a) is int and (a == 1 or a == -1):
+                return a  # a unit of the integers is its own inverse
             if a == 0:
                 raise AlgebraError("division by zero")
             return self.coerce(Fraction(1) / Fraction(a))

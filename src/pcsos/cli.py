@@ -91,12 +91,15 @@ def _registry_object(value, what: str) -> dict:
     return value
 
 
-def _registry_entries(value, name: str) -> dict:
-    """A table's entries: a list of [[arg, ...], value] pairs."""
+def _registry_entries(value, name: str, arity: int) -> dict:
+    """A table's entries: a list of [[arg, ...], value] pairs, arity args each."""
     if not isinstance(value, list) or not all(
         isinstance(e, list) and len(e) == 2 and isinstance(e[0], list) for e in value
     ):
         raise TypeError(f"entries of table {name!r} must be a list of [[arg, ...], value] pairs, got {value!r:.60}")
+    for args, _ in value:
+        if len(args) != arity:
+            raise ValueError(f"an entry of table {name!r} has {len(args)} arguments, not its arity {arity}")
     return {tuple(map(parse_natural, args)): v for args, v in value}
 
 
@@ -111,8 +114,9 @@ def _registry(path) -> FunctionRegistry:
         for key, register in tables:
             for name, spec in _registry_object(obj.get(key, {}), key).items():
                 spec = _registry_object(spec, f"table {name!r}")
-                table = _registry_entries(spec.get("entries", []), name)
-                register(name, parse_natural(spec["arity"]), table, spec.get("default", 0))
+                arity = parse_natural(spec["arity"])
+                table = _registry_entries(spec.get("entries", []), name, arity)
+                register(name, arity, table, spec.get("default", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliFormatError(f"malformed registry file: {exc}") from exc
     return reg

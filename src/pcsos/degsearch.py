@@ -10,28 +10,45 @@ be replayed into an explicit derivation that the checker accepts.
 
 This is the Macaulay-matrix view of degree-bounded PC (Clegg, Edmonds and
 Impagliazzo, STOC 1996) with F4-style sparse rows (Faugere, JPAA 1999).
-The monomials of degree <= d over the closure's variables are numbered
-once, in graded-lex order, so column 0 is the leading monomial of the
-whole space and the lead of a row is its smallest column.  Each row is a
-sparse {column: coeff} dict over the exact coefficient field (rationals
-or GF(p)), and one pivot map {lead column: row id} grows as rows are
-appended.  A top-reduction step is therefore one min() over the vector
-and one dict lookup, and multiplying a row by a variable is a table
-lookup per term.  Candidates are inserted breadth-first and reduced
-against the rows before them; rows are never normalised or
-back-substituted.  The cost is one sparse row update per elimination
-step, dominated by coefficient arithmetic.
+The columns are the monomials of degree <= d over the closure's
+variables, numbered once in graded-lex order, so the lead of a row is its
+smallest column.  Each row is a sparse {column: coeff} dict over the
+exact coefficient field (rationals or GF(p)), one pivot map {lead column:
+row id} grows as rows are appended, and multiplying a row by a variable
+is a table lookup per term.  Candidates are inserted breadth-first and
+reduced against the rows before them; rows are never normalised or
+back-substituted.
+
+With Boolean axioms and d >= 2 the columns are the multilinear monomials
+only, and ml(p) (every exponent cut to 1) stands for p.  Two facts make
+this sound.  First, p - ml(p) is a sum of Boolean multiples
+(x^2 - x) * r of degree <= deg p: each term r * x^e with e >= 2 walks
+down to r * x one factor at a time.  Second, for a multilinear m with x
+in m, x * m - m = (x^2 - x) * (m / x), one multiple of degree deg m + 1.
+Both multiples lie in the degree-d closure, since x^2 - x does and d >= 2.
+So the closure is {p of degree <= d : ml(p) in M}, where M is the span of
+ml(axiom) for the axioms of degree <= d, closed under q -> ml(x * q) for
+q of degree < d; the closure loop builds M over the multilinear columns,
+inserting ml(axiom) and never the Boolean axioms themselves.  The map p ->
+ml(p) sends the closure onto M with the monomials m - ml(m) spanning its
+kernel, so the closure's dimension is dim M plus the count of
+non-multilinear monomials of degree <= d.  A p of degree above d is
+outside the closure whatever ml(p) is.  Replay turns each row's raw line,
+which may hold squares, into its multilinear form with those multiples
+(DerivationBuilder.boolean_reduce), and turns the last line back into a
+non-multilinear target the same way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 
-from .algebra import EquationSet, Polynomial, Ring, merge_exps
-from .proofcheck import Axiom, BoolAxiom, Derivation, DerivationBuilder, Justification, Mul, relabel
+from .algebra import EquationSet, Polynomial, Ring
+from .proofcheck import Axiom, Derivation, DerivationBuilder, Justification, Mul, relabel
 
 DEFAULT_MONOMIAL_CAP = 200_000
 
@@ -49,7 +66,8 @@ class BasisRow:
     vec: dict  # {column: coeff}
     lead_column: int
     source: Justification  # how the raw row arose; a Mul cites its parent's row id
-    reductions: tuple[tuple[object, int], ...]  # poly = raw - sum coeff*rows[i].poly
+    # poly = raw - sum coeff*rows[i].poly, with ml(raw) for raw under multilinear columns
+    reductions: tuple[tuple[object, int], ...]
 
     @property
     def poly(self) -> Polynomial:
@@ -60,14 +78,30 @@ class BasisRow:
         return self.basis.columns[self.lead_column]
 
 
-def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int) -> list[tuple]:
-    """All monomials of degree <= degree_bound over sorted variables, in
-    graded-lex order (graded_lex_key ascending).  Within one degree,
-    the sorted variable multisets from combinations_with_replacement come
-    out in exactly that lexicographic order."""
+def _multilinear(axioms: EquationSet, degree_bound: int) -> bool:
+    """Whether the closure's columns are the multilinear monomials: the
+    Boolean axioms are on and within the degree bound."""
+    return axioms.boolean_axioms and degree_bound >= 2
+
+
+def _times_variable(m: tuple, v: int, multilinear: bool) -> tuple:
+    """The exponent tuple of v * m, or of ml(v * m) when multilinear (m is then multilinear)."""
+    i = bisect_left(m, (v, 0))
+    if i < len(m) and m[i][0] == v:
+        return m if multilinear else m[:i] + ((v, m[i][1] + 1),) + m[i + 1 :]
+    return m[:i] + ((v, 1),) + m[i:]
+
+
+def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int, multilinear: bool) -> list[tuple]:
+    """All monomials (multilinear ones only, if asked) of degree <=
+    degree_bound over sorted variables, in graded-lex order (graded_lex_key
+    ascending).  Within one degree, the sorted variable multisets from
+    combinations_with_replacement, and the sets from combinations, come out
+    in exactly that lexicographic order."""
+    pick = combinations if multilinear else combinations_with_replacement
     out = []
     for d in range(degree_bound, -1, -1):
-        for combo in combinations_with_replacement(variables, d):
+        for combo in pick(variables, d):
             out.append(tuple((v, len(tuple(g))) for v, g in groupby(combo)))
     return out
 
@@ -90,11 +124,21 @@ class ClosureBasis:
     def ring(self) -> Ring:
         return self.axioms.ring
 
+    @property
+    def multilinear(self) -> bool:
+        return _multilinear(self.axioms, self.degree_bound)
+
     def span_dimension(self) -> int:
-        return len(self.rows)
+        """Dimension of the degree-d closure: the rows, plus one element
+        m - ml(m) for each monomial m of degree <= d missing from the columns."""
+        full = comb(len(self.variables) + self.degree_bound, self.degree_bound)
+        return len(self.rows) + full - len(self.columns)
 
     def _vector(self, p: Polynomial) -> dict | None:
-        """p as {column: coeff}, or None if a monomial lies outside the columns."""
+        """p (ml(p) under multilinear columns) as {column: coeff}, or None
+        if a monomial lies outside the columns."""
+        if self.multilinear:
+            p = p.multilinearize()
         column_of = self._column_of
         vec = {}
         for m, c in p._terms.items():
@@ -141,8 +185,11 @@ class ClosureBasis:
         self.rows.append(BasisRow(self, vec, lead, source, tuple(used)))
 
     def reduce(self, p: Polynomial):
-        """Reduce p against the basis; returns (remainder, eliminations)."""
-        vec = self._vector(p)
+        """Reduce p against the basis; returns (remainder, eliminations).
+        Under multilinear columns the remainder is that of ml(p).  A p of
+        degree above d, or with a variable outside the closure, is
+        returned unreduced."""
+        vec = self._vector(p) if p.degree <= self.degree_bound else None
         if vec is None:
             return p, ()
         used = self._eliminate(vec)
@@ -166,22 +213,27 @@ def pc_closure(
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be nonnegative, got {degree_bound}")
-    ring = axioms.ring
+    coerce = axioms.ring.coerce
     variables = tuple(sorted(axioms.variables() | set(extra_variables)))
-    count = comb(len(variables) + degree_bound, degree_bound) if variables else 1
+    multilinear = _multilinear(axioms, degree_bound)
+    n = len(variables)
+    if multilinear:
+        count = sum(comb(n, k) for k in range(degree_bound + 1))
+        low = comb(n, degree_bound)
+    else:
+        count = comb(n + degree_bound, degree_bound)
+        low = comb(n + degree_bound - 1, degree_bound) if degree_bound else count
+    kind = "multilinear monomials" if multilinear else "monomials"
     if count > monomial_cap:
-        raise ClosureTooLarge(
-            f"{count} monomials of degree <= {degree_bound} exceeds the cap {monomial_cap}"
-        )
-    columns = _graded_lex_monomials(variables, degree_bound)
+        raise ClosureTooLarge(f"{count} {kind} of degree <= {degree_bound} exceeds the cap {monomial_cap}")
+    columns = _graded_lex_monomials(variables, degree_bound, multilinear)
     basis = ClosureBasis(degree_bound, variables, axioms, tuple(columns))
     column_of = basis._column_of
 
-    # shift[k][c - low] is the column of variables[k] * columns[c], defined
-    # for the columns of degree < d, which form the suffix starting at low
-    low = comb(len(variables) + degree_bound - 1, degree_bound) if degree_bound else count
-    var_monos = [((v, 1),) for v in variables]
-    shift = [[column_of[merge_exps(m, x)] for m in columns[low:]] for x in var_monos]
+    # shift[k][c - low] is the column of the normal form of variables[k] *
+    # columns[c], defined for the columns of degree < d, which form the
+    # suffix starting at low
+    shift = [[column_of[_times_variable(m, v, multilinear)] for m in columns[low:]] for v in variables]
 
     def insert(vec: dict, source: Justification) -> None:
         used = basis._eliminate(vec)
@@ -191,10 +243,6 @@ def pc_closure(
     for k, p in enumerate(axioms):
         if not p.is_zero and p.degree <= degree_bound:
             insert(basis._vector(p), Axiom(k))
-    if axioms.boolean_axioms and degree_bound >= 2:
-        for k, v in enumerate(variables):
-            x = column_of[var_monos[k]]
-            insert({shift[k][x - low]: 1, x: ring.neg(1)}, BoolAxiom(v))
 
     # every appended row is queued, so the queue is the row list itself
     rid = 0
@@ -204,7 +252,15 @@ def pc_closure(
             vec = row.vec
             for k, v in enumerate(variables):
                 table = shift[k]
-                product = {table[c - low]: coeff for c, coeff in vec.items()}
+                product = {}
+                for c, coeff in vec.items():
+                    t = table[c - low]
+                    if t in product:  # x*m and x*(m/x) share a multilinear column
+                        coeff = coerce(product[t] + coeff)
+                        if not coeff:
+                            del product[t]
+                            continue
+                    product[t] = coeff
                 insert(product, Mul(rid, v))
         rid += 1
     return basis
@@ -224,23 +280,31 @@ def extract_derivation(basis: ClosureBasis, target: Polynomial) -> Derivation | 
     if not remainder.is_zero:
         return None
 
+    ring = basis.ring
     builder = DerivationBuilder("pc", basis.axioms)
     emitted: dict[int, int] = {}
+
+    def normal(line: int) -> int:
+        """line turned into its multilinear form under multilinear columns."""
+        if not basis.multilinear:
+            return line
+        return builder.boolean_reduce(line, builder.poly(line).multilinearize())
 
     def emit_row(rid: int) -> int:
         if rid in emitted:
             return emitted[rid]
         row = basis.rows[rid]
-        line = builder.derive(relabel(row.source, basis.ring, emit_row))
+        line = normal(builder.derive(relabel(row.source, ring, emit_row)))
         for coeff, other in row.reductions:
-            line = builder.add(line, emit_row(other), 1, basis.ring.neg(coeff))
+            line = builder.add(line, emit_row(other), 1, ring.neg(coeff))
         emitted[rid] = line
         return line
 
     if target.is_zero:
         builder.zero()
     else:
-        parts = [(emit_row(rid), coeff) for coeff, rid in used]
-        final = builder.combination(parts)
+        final = builder.combination([(emit_row(rid), coeff) for coeff, rid in used])
+        if builder.poly(final) != target:  # a non-multilinear target
+            final = builder.boolean_reduce(final, target)
         assert builder.poly(final) == target
     return builder.build()

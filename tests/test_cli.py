@@ -309,11 +309,12 @@ class TestMalformedFiles:
         assert_format_errors(capsys, len(registries) + 3)
 
     def test_registry_entries_shape(self, tmp_path, capsys):
-        # each entry is [[arg, ...], value]; any other shape exits 2, and an
-        # object or a string is not read as a list of character pairs
+        # each entry is [[arg, ...], value] with as many args as the table's
+        # arity; any other shape exits 2, an object or a string is not read
+        # as a list of character pairs, and no entry is kept that never matches
         formula = "(= (X (fn f 1)) (rat 0))"
         out = tmp_path / "eqs.json"
-        bad = [{"12": 0}, [["1", 2]], "12", [[[1], 2, 3]], [[1]], [5]]
+        bad = [{"12": 0}, [["1", 2]], "12", [[[1], 2, 3]], [[1]], [5], [[[1, 2], 3]], [[[], 3]]]
         for entries in bad:
             registry = write(tmp_path, "registry.json", {"index_tables": {"f": {"arity": 1, "entries": entries}}})
             assert main(["fol", "translate", "--formula", formula, "--registry", registry, "-o", str(out)]) == 2

@@ -1,6 +1,7 @@
 """Seeded fuzz test of the CLI's exit-code contract.
 
-Files written by ``gen`` and ``translate`` are damaged at random (a byte
+Files written by ``gen`` and ``translate``, a Nullstellensatz certificate
+and the registry and oracle files of ``fol`` are damaged at random (a byte
 replaced, the tail cut, a span deleted or duplicated) and fed to every
 command that reads that kind of file.  Each case must exit 0, 1, 2 or 3,
 print no traceback and stay within a CPU-time limit.
@@ -9,7 +10,9 @@ print no traceback and stay within a CPU-time limit.
 import random
 import time
 
+from pcsos.algebra import RATIONAL, eqset, parse_poly
 from pcsos.cli import main
+from pcsos.proofcheck import NsCertificate, dump_json, ns_to_json
 
 SEED = 20261019
 FILES = 300
@@ -31,7 +34,29 @@ READERS = {
     ],
     "fphp.json": [["search", "closure", "{f}", "--degree", "2", "--query", "1"]],
     "chain.cert.json": [["lkr", "check", "{f}"], ["lkr", "compile", "{f}", "--assign", "n=2"]],
+    "ns.json": [["check-ns", "{f}"]],
+    "registry.json": [
+        ["fol", "translate", "--formula", "(= (X (fn f 1)) (rfn r 0 1))", "--registry", "{f}"],
+        ["fol", "classify", "--formula", "(= (X (fn f 1)) (rfn r 0 1))", "--registry", "{f}"],
+    ],
+    "oracle.json": [
+        ["fol", "eval", "--formula", "(and (= (X 0) (rat 1/2)) (= (X 2) (rat 3)))", "--oracle", "{f}"]
+    ],
 }
+
+
+def write_inputs(d) -> None:
+    """The files no CLI command writes: an NS certificate of 1 from
+    x1 - 1, x1*x2, x2 - 1, a registry and an oracle."""
+    one, x2 = (parse_poly(text, RATIONAL) for text in ("1", "x2"))
+    axioms = eqset(RATIONAL, [parse_poly(text, RATIONAL) for text in ("x1 - 1", "x1*x2", "x2 - 1")])
+    dump_json(ns_to_json(NsCertificate(axioms, ((1, one), (0, -x2), (2, -one)), one)), d / "ns.json")
+    tables = {
+        "index_tables": {"f": {"arity": 1, "entries": [[[1], 2]], "default": 0}},
+        "ring_tables": {"r": {"arity": 2, "entries": [[[0, 1], "1/2"]], "default": "-3"}},
+    }
+    dump_json(tables, d / "registry.json")
+    dump_json(["1/2", 0, 3], d / "oracle.json")
 
 
 def damage(rng: random.Random, data: bytes) -> bytes:
@@ -48,6 +73,11 @@ def damage(rng: random.Random, data: bytes) -> bytes:
 def test_damaged_files_keep_the_exit_code_contract(tmp_path, capsys):
     for argv in WRITE:
         assert main([a.format(d=tmp_path) for a in argv]) == 0, argv
+    write_inputs(tmp_path)
+    for name in ("ns.json", "registry.json", "oracle.json"):  # valid before the damage
+        for argv in READERS[name]:
+            assert main([a.format(f=tmp_path / name) for a in argv]) == 0, argv
+    capsys.readouterr()
     sources = {name: (tmp_path / name).read_bytes() for name in READERS}
     rng = random.Random(SEED)
     bad = tmp_path / "damaged.json"

@@ -1,8 +1,10 @@
 import random
+from collections import deque
+from functools import partial
 
 import pytest
 
-from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, graded_lex_key, parse_poly
+from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, graded_lex_key, merge_exps, parse_poly
 from pcsos.degsearch import ClosureTooLarge, extract_derivation, pc_closure
 from pcsos.families import gen_chain, gen_fphp, gen_subset_sum
 from pcsos.proofcheck import DerivationBuilder, check_derivation
@@ -92,6 +94,142 @@ class TestSpanDimension:
         assert pc_closure(eqs, d).span_dimension() == dim
 
 
+class DenseClosure:
+    """Reference degree-d closure over every monomial of degree <= d, with
+    the Boolean axioms as rows: an echelon basis of {monomial: coeff} rows
+    keyed by lead monomial, built apart from pc_closure's columns, shift
+    tables and normal forms."""
+
+    def __init__(self, eqs, d):
+        ring = self.ring = eqs.ring
+        variables = sorted(eqs.variables())
+        monomials = {()}
+        for _ in range(d):
+            monomials |= {merge_exps(m, ((v, 1),)) for m in monomials for v in variables}
+        self.rank = {m: r for r, m in enumerate(sorted(monomials, key=graded_lex_key))}
+        self.pivots = {}  # lead monomial -> row
+        queue = deque(dict(p.terms) for p in eqs if not p.is_zero and p.degree <= d)
+        if eqs.boolean_axioms and d >= 2:
+            queue += [{((v, 2),): 1, ((v, 1),): ring.neg(1)} for v in variables]
+        while queue:
+            row = self._reduce(queue.popleft())
+            if row:
+                lead = min(row, key=self.rank.__getitem__)
+                self.pivots[lead] = row
+                if sum(e for _, e in lead) < d:
+                    queue += [{merge_exps(m, ((v, 1),)): c for m, c in row.items()} for v in variables]
+
+    def _reduce(self, vec):
+        ring = self.ring
+        while vec:
+            lead = min(vec, key=self.rank.__getitem__)
+            row = self.pivots.get(lead)
+            if row is None:
+                break
+            factor = ring.coerce(vec[lead] * ring.inv(row[lead]))
+            for m, c in row.items():
+                value = ring.coerce(vec.get(m, 0) - factor * c)
+                if value:
+                    vec[m] = value
+                else:
+                    del vec[m]
+        return vec
+
+    def contains(self, p):
+        return all(m in self.rank for m in p.terms) and not self._reduce(dict(p.terms))
+
+    def rows(self):
+        return [Polynomial(self.ring, row) for row in self.pivots.values()]
+
+
+def _queries(eqs, d):
+    """Members, the linear form 1 + x1 + ... + xn and products of it, with
+    squares and cubes mixed in; every query has degree <= d + 1."""
+    ring = eqs.ring
+    variables = sorted(eqs.variables())
+    one = Polynomial.const(ring, 1)
+    ell = Polynomial.sum(ring, [one] + [Polynomial.variable(ring, v) for v in variables])
+    x, y = (Polynomial.variable(ring, v) for v in variables[:2])
+    out = [one, ell, ell * ell, ell * x, ell * x * x, x * x, x * x - x, x * x * x - x]
+    out += [x * x * y - x * y + one]
+    out += [x * x * y + y * y - x, ell * (x * x - y), ell * x * y - x * y * y]
+    out += [p * x for p in eqs] + [p * x * x - p * y for p in eqs] + list(eqs)
+    return [q for q in out if q.degree <= d + 1]
+
+
+CROSS_CHECK = [
+    pytest.param(partial(gen_subset_sum, n, refutation_cap=0), d, id=f"subset-sum-{n}-d{d}")
+    for n in (4, 6, 8)
+    for d in range(n // 2 + 2)
+] + [
+    pytest.param(partial(gen_fphp, m, n), d, id=f"fphp-{m}-{n}-d{d}")
+    for m, n in ((3, 2), (4, 3))
+    for d in (2, 3)
+]
+
+
+class TestMultilinearColumns:
+    """Under Boolean axioms the closure runs over multilinear columns; it
+    must decide membership and count dimension as the dense closure does."""
+
+    @pytest.mark.parametrize("family, d", CROSS_CHECK)
+    def test_agrees_with_dense_closure(self, family, d):
+        eqs = family().equations
+        basis, dense = pc_closure(eqs, d), DenseClosure(eqs, d)
+        assert basis.span_dimension() == len(dense.pivots)
+        for q in _queries(eqs, d) + dense.rows():
+            assert basis.contains(q) == dense.contains(q), q
+        for row in basis.rows:
+            assert dense.contains(row.poly)
+
+    def test_columns_are_multilinear(self):
+        # 386 multilinear monomials of degree <= 4 over 10 variables, of 1,001
+        basis = pc_closure(gen_subset_sum(10, refutation_cap=0).equations, 4)
+        assert len(basis.columns) == 386
+        assert list(basis.columns) == sorted(basis.columns, key=graded_lex_key)
+        assert all(e == 1 for m in basis.columns for _, e in m)
+        assert basis.span_dimension() == len(basis.rows) + 1001 - 386 == 671
+
+    def test_cap_counts_built_columns(self):
+        eqs = gen_subset_sum(10, refutation_cap=0).equations
+        pc_closure(eqs, 4, monomial_cap=386)
+        with pytest.raises(ClosureTooLarge, match="386 multilinear monomials"):
+            pc_closure(eqs, 4, monomial_cap=385)
+
+    def test_non_multilinear_target_extraction(self):
+        basis = pc_closure(gen_fphp(3, 2).equations, 2)
+        target = P("1 + x0^2 - x0")
+        d = extract_derivation(basis, target)
+        rep = check_derivation(d)
+        assert rep.valid and rep.degree <= 2
+        assert d.final_polynomial() == target
+
+    def test_degree_above_bound_is_outside(self):
+        # ml(x1^3 - x1) is 0, but the polynomial is not in the degree-2 closure
+        basis = pc_closure(gen_subset_sum(4, refutation_cap=0).equations, 2)
+        assert basis.contains(P("x1^2 - x1"))
+        assert not basis.contains(P("x1^3 - x1"))
+        assert basis.reduce(P("x1^3 - x1"))[0] == P("x1^3 - x1")
+
+    def test_rows_replay_in_multilinear_form(self):
+        # the axiom's line x1^2 + 1 stands for the row x1 + 1; multiplied by
+        # x1 before its square is reduced, it would reach degree 3
+        basis = pc_closure(eqset(RATIONAL, [P("x1^2 + 1")], boolean_axioms=True), 2)
+        for row in basis.rows:
+            rep = check_derivation(extract_derivation(basis, row.poly))
+            assert rep.valid and rep.degree <= 2
+
+    def test_extraction_replays_squares(self):
+        # raw rows and targets with squares and cubes, replayed at degree 3
+        basis = pc_closure(bool_plus_square(4), 3)
+        ell = sum_plus_one(4)
+        targets = [P("x1^2*x2 + x3^3 - x1*x2 - x3"), ell * ell * P("x1"), ell * ell * P("x1") + P("x2^2 - x2")]
+        for target in targets:
+            d = extract_derivation(basis, target)
+            rep = check_derivation(d)
+            assert rep.valid and rep.degree <= 3 and d.final_polynomial() == target
+
+
 class TestClosureInvariants:
     def test_random_systems(self):
         rng = random.Random(29)
@@ -103,6 +241,9 @@ class TestClosureInvariants:
             d = rng.randrange(0, 4)
             basis = pc_closure(eqs, d)
             _assert_closed(basis, eqs, d)
+            for row in basis.rows:
+                rep = check_derivation(extract_derivation(basis, row.poly))
+                assert rep.valid and rep.degree <= d
 
     def test_degree_zero(self):
         basis = pc_closure(eqset(RATIONAL, [P("x1 + 1"), P("2")]), 0)
