@@ -9,7 +9,6 @@ from .algebra import (
     Polynomial,
     Ring,
     eqset,
-    four_square,
     parse_poly,
 )
 from .degsearch import ClosureBasis, extract_derivation, pc_closure

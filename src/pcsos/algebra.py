@@ -24,8 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
 
 MINUS_INF = float("-inf")
 
@@ -425,12 +423,13 @@ class Polynomial:
         return total
 
     def multilinearize(self) -> "Polynomial":
-        """Collapse every exponent >= 1 to 1; agrees on all 0/1 points."""
+        """Collapse every exponent >= 1 to 1; agrees on all 0/1 points.
+        A merged coefficient is coerced, so 1/2 + 1/2 is the int 1."""
         out: dict = {}
         for m, c in self._terms.items():
             flat = tuple((v, 1) for v, _ in m)
             prev = out.get(flat)
-            out[flat] = c if prev is None else self.ring.add(prev, c)
+            out[flat] = c if prev is None else self.ring.coerce(self.ring.add(prev, c))
         return Polynomial._make(self.ring, out)
 
     # -- canonical text -----------------------------------------------
@@ -642,83 +641,3 @@ class EquationSet:
 def eqset(ring: Ring, polys, boolean_axioms: bool = False) -> EquationSet:
     return EquationSet(ring, tuple(polys), boolean_axioms)
 
-
-# -- four-square decomposition ----------------------------------------
-
-
-# Below this a two-square split is searched for directly, largest part first.
-_DIRECT_SPLIT = 1 << 16
-
-
-def _two_squares(m: int, bound: int) -> tuple[int, int] | None:
-    """(c, d) with c*c + d*d == m and bound >= c >= d >= 0, the one with the
-    largest c.  None when there is none, and also when m is at least
-    _DIRECT_SPLIT and not a power of two times 1 or a prime 1 mod 4."""
-    if m < _DIRECT_SPLIT:
-        for c in range(min(bound, isqrt(m)), -1, -1):
-            d = isqrt(m - c * c)
-            if d > c:
-                return None
-            if d * d == m - c * c:
-                return c, d
-        return None
-    odd, twos = m, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    if odd == 1:
-        c, d = 1, 0
-    elif odd % 4 == 1 and _probable_prime(odd):
-        # Cornacchia: a square root t of -1 from a non-residue, then Euclid
-        # on (odd, t) down to the first remainder below sqrt(odd).  Under
-        # GRH the least non-residue is below 2 ln(odd)^2.
-        roots = (pow(g, odd // 4, odd) for g in range(2, 2 * odd.bit_length() ** 2))
-        t = next((t for t in roots if t * t % odd == odd - 1), None)
-        if t is None:
-            return None
-        c, d = odd, t
-        while d * d > odd:
-            c, d = d, c % d
-        c, d = d, isqrt(odd - d * d)
-    else:
-        return None
-    for _ in range(twos):  # times 1 + i
-        c, d = c + d, abs(c - d)
-    c, d = max(c, d), min(c, d)
-    return (c, d) if c <= bound and c * c + d * d == m else None
-
-
-@lru_cache(maxsize=4096)
-def _four_square_int(n: int) -> tuple[int, int, int, int]:
-    # Rabin-Shallit in a fixed order: a descends from isqrt(n), skipping each
-    # a with n - a^2 of the form 4^k(8j+7), not a sum of three squares
-    # (Legendre); then b descends from min(a, isqrt(n - a^2)) until
-    # n - a^2 - b^2 splits into two squares no larger than b.  Small ones
-    # are split by search, so on small n the answer is the lexicographically
-    # greatest descending one; a large one must be a power of two times 1 or
-    # a prime 1 mod 4.  Factors of 4 are stripped first and restored as
-    # doublings.
-    shift = 0
-    while n and n % 4 == 0:
-        n //= 4
-        shift += 1
-    for a in range(isqrt(n), -1, -1):
-        rest = core = n - a * a
-        while core and core % 4 == 0:
-            core //= 4
-        if core % 8 == 7:
-            continue
-        for b in range(min(a, isqrt(rest)), -1, -1):
-            split = _two_squares(rest - b * b, b)
-            if split is not None:
-                return tuple(x << shift for x in (a, b, *split))
-    raise AlgebraError(f"no four-square split of {n} found")
-
-
-def four_square(q) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Four rationals whose squares sum exactly to q >= 0."""
-    q = Fraction(q)
-    if q < 0:
-        raise AlgebraError(f"four_square needs a nonnegative input, got {q}")
-    num, den = q.numerator, q.denominator
-    ints = _four_square_int(num * den)
-    return tuple(Fraction(a, den) for a in ints)

@@ -855,21 +855,20 @@ class _Compiler:
     def cut(self, s, alpha, w, asm):
         phi_members = self.members(s.found, alpha)
         gamma_members = self.left(s.node.conclusion.ante, alpha)
+        # the left premise once, at scale w: its line for q*a has poly q*a*w,
+        # which is a at the right premise's scale w*q; it gives only 0 = 0
+        # when every member of phi is 0
+        nonzero = any(not a.is_zero for a in phi_members)
+        left = self.emit(s.premises[0], alpha, w, asm) if nonzero else None
         out = {}
         for q in self.right(s.node.conclusion.succ, alpha):
             if q in out:
                 continue
-            if any(not a.is_zero for a in phi_members):  # else the left premise gives only 0 = 0
-                sub_asm = {g: self._rescaled(g, q, asm) for g in gamma_members}
-                left = self.emit(s.premises[0], alpha, w * q, sub_asm)
-                sub_asm = {a: left[q * a] for a in phi_members}  # poly q*a*q*w
-            else:
-                sub_asm = {a: self.builder.zero() for a in phi_members}
+            sub_asm = {a: left[q * a] if left else self.builder.zero() for a in phi_members}
             for g in gamma_members:
-                sub_asm[g] = self._rescaled(g, q * q, asm)
-            right = self.emit(s.premises[1], alpha, w * q * q, sub_asm)
-            mid = self._collapse(right[q], q * q * w, q * w)  # right[q] has poly q^3*w
-            out[q] = self._collapse(mid, q * w, w)
+                sub_asm[g] = self._rescaled(g, q, asm)
+            right = self.emit(s.premises[1], alpha, w * q, sub_asm)
+            out[q] = self._collapse(right[q], q * w, w)  # right[q] has poly q^2*w
         return out
 
 

@@ -14,6 +14,11 @@ radical elimination.  The eps-simulation keeps its own case analysis: its
 cases are the simulation itself, and a per-rule hook for them here would
 make the kernel branch on one of its callers.
 
+The PC+ sum-of-squares step concludes w^2 = 0 from p = w^2 + sum_j c_j q_j^2
+with rationals c_j > 0.  It is sound because over the reals such a sum
+vanishes only where every summand does.  Over GF(p) a sum of nonzero
+squares can vanish (1^2 + 2^2 = 0 mod 5), so it is admitted only over Q.
+
 Structural defects (bad indices, wrong ring, malformed witnesses) raise
 ProofStructureError; proofs that are well-formed but wrong yield an invalid
 CheckReport with the offending line and mismatch polynomial.
@@ -97,11 +102,21 @@ class Radical:
     i: int
 
 
+class _WeightedSquares:
+    """Squares, each with a positive rational weight; an empty weights
+    tuple means every weight is 1."""
+
+    def weighted_squares(self):
+        """(square, weight) pairs."""
+        return zip(self.squares, self.weights or repeat(1))
+
+
 @dataclass(frozen=True)
-class Sos:
+class Sos(_WeightedSquares):
     i: int
     witness: Polynomial
     squares: tuple[Polynomial, ...]
+    weights: tuple[Fraction | int, ...] = ()
 
 
 Justification = Axiom | ZeroIntro | BoolAxiom | Add | Mul | Radical | Sos
@@ -205,6 +220,20 @@ POLY = _Codec(_Writer.poly, _Reader.poly)
 POLYS = _Codec(_Writer.polys, _Reader.polys)
 
 
+def _weights_to_json(out, weights) -> list[str] | None:
+    """None, so the key is left out as files without weights have it, when every weight is 1."""
+    return list(map(format_rational, weights)) if any(w != 1 for w in weights) else None
+
+
+def _weights_from_json(src, values) -> tuple[Fraction, ...]:
+    if not isinstance(values, list):
+        raise ProofFormatError(f"weights must be a list of rationals, got {values!r:.60}")
+    return tuple(map(parse_rational, values))
+
+
+WEIGHTS = _Codec(_weights_to_json, _weights_from_json)
+
+
 @dataclass(frozen=True)
 class _Field:
     key: str  # JSON key
@@ -236,6 +265,7 @@ class Rule:
     conclude: Callable
     side: Callable | None = None
     boolean: bool = False  # admitted only with the Boolean axioms
+    rational: bool = False  # admitted only over the rationals
 
 
 def _bool_poly(ring: Ring, var: int) -> Polynomial:
@@ -254,9 +284,13 @@ def _add_conclusion(ring: Ring, just: Add, premises, claimed) -> Polynomial:
 
 
 def _sos_recomposition(just: Sos, premises, witness_square: Polynomial) -> Polynomial | None:
+    """The cited line must be witness^2 + sum_j c_j q_j^2 with one weight
+    c_j > 0 per square; else the cited line is the mismatch."""
+    if just.weights and len(just.weights) != len(just.squares) or any(c <= 0 for c in just.weights):
+        return premises[0]
     recomposed = witness_square
-    for q in just.squares:
-        recomposed = recomposed + q * q
+    for q, c in just.weighted_squares():
+        recomposed = recomposed + (q * q).scale(c)
     return _diff(premises[0], recomposed)
 
 
@@ -284,9 +318,13 @@ RULES: dict[type, Rule] = {
             side=lambda just, ps, root: _diff(ps[0], root * root),
         ),
         Rule(
-            "sos", Sos, (_I, _Field("p", POLY, "witness"), _Field("squares", POLYS, default=[])),
+            "sos", Sos,
+            (
+                _I, _Field("p", POLY, "witness"), _Field("squares", POLYS, default=[]),
+                _Field("weights", WEIGHTS, default=[]),
+            ),
             (PC_PLUS,), lambda ring, just, ps, _: just.witness * just.witness,
-            side=_sos_recomposition,
+            side=_sos_recomposition, rational=True,
         ),
     )
 }
@@ -338,12 +376,11 @@ class Derivation:
 
 
 @dataclass(frozen=True)
-class SosCertificate:
+class SosCertificate(_WeightedSquares):
     """Static witness for  sum_i r_i p_i + sum_v b_v (x_v^2-x_v) + sum_j w_j s_j^2 + const == target.
 
-    Each square s_j carries a positive rational weight w_j (the weighted
-    form sum_j w_j s_j^2 of a Gram matrix); an empty weights tuple means
-    every weight is 1.
+    The weighted squares sum_j w_j s_j^2 are the weighted form of a Gram
+    matrix.
     """
 
     axioms: EquationSet  # its boolean_axioms admits the bool multipliers
@@ -353,10 +390,6 @@ class SosCertificate:
     bool_multipliers: tuple[tuple[int, Polynomial], ...] = ()
     constant: Fraction = Fraction(0)
     weights: tuple[Fraction, ...] = ()
-
-    def weighted_squares(self):
-        """(square, weight) pairs; every weight is 1 when weights is empty."""
-        return zip(self.squares, self.weights or repeat(1))
 
 
 @dataclass(frozen=True)
@@ -476,7 +509,9 @@ def _check_line(d: Derivation, idx: int, poly: Polynomial, just) -> Polynomial |
     """Return the mismatch polynomial if the line fails, else None."""
     rule = rule_of(just)
     premises = _premises(rule, just, d.lines, d.axioms, idx)
-    if d.system not in rule.systems or (rule.boolean and not d.axioms.boolean_axioms):
+    if d.system not in rule.systems or (rule.boolean and not d.axioms.boolean_axioms) or (
+        rule.rational and not d.ring.is_rational
+    ):
         return poly  # the rule is not available in this derivation
     conclusion = rule.conclude(d.ring, just, premises, poly)
     mismatch = rule.side(just, premises, conclusion) if rule.side else None
@@ -657,8 +692,10 @@ class DerivationBuilder:
     def radical_of(self, i: int, root: Polynomial) -> int:
         return self.derive(Radical(i), root)
 
-    def sos_step(self, i: int, witness: Polynomial, squares: tuple[Polynomial, ...]) -> int:
-        return self.derive(Sos(i, witness, squares))
+    def sos_step(self, i: int, witness: Polynomial, squares: tuple[Polynomial, ...], weights=()) -> int:
+        """All-one weights are stored as (), the form a file without weights reads as."""
+        weights = tuple(weights) if any(c != 1 for c in weights) else ()
+        return self.derive(Sos(i, witness, tuple(squares), weights))
 
     def ensure_last(self, i: int) -> int:
         """Restate line i at the end of the derivation if it is not already there."""
@@ -727,7 +764,9 @@ def derivation_to_json(d: Derivation) -> dict:
         rule = rule_of(just)
         entry = {"kind": rule.kind}
         for f in rule.fields:
-            entry[f.key] = f.codec.to_json(out, getattr(just, f.name))
+            value = f.codec.to_json(out, getattr(just, f.name))
+            if value is not None:  # None: a default the file leaves out
+                entry[f.key] = value
         lines.append({"poly": out.poly(poly), "rule": entry})
     return {
         "system": d.system,
@@ -781,20 +820,18 @@ def sos_to_json(c: SosCertificate) -> dict:
         "squares": out.polys(c.squares),
         "constant": format_rational(c.constant),
     }
-    if any(w != 1 for w in c.weights):  # so unweighted files keep their old bytes
-        obj["weights"] = list(map(format_rational, c.weights))
+    weights = _weights_to_json(out, c.weights)
+    if weights is not None:
+        obj["weights"] = weights
     return obj
 
 
-def _weights_from_json(obj: dict, squares: int) -> tuple[Fraction, ...]:
+def _certificate_weights(obj: dict, squares: int) -> tuple[Fraction, ...]:
     if "weights" not in obj:
         return ()
-    values = obj["weights"]
-    if not isinstance(values, list) or len(values) != squares:
+    weights = _weights_from_json(None, obj["weights"])
+    if len(weights) != squares or any(w <= 0 for w in weights):
         raise ProofFormatError(f"weights must be a list of {squares} positive rationals, one per square")
-    weights = tuple(map(parse_rational, values))
-    if any(w <= 0 for w in weights):
-        raise ProofFormatError(f"square weights must be positive, got {values!r:.200}")
     return weights
 
 
@@ -819,7 +856,7 @@ def sos_from_json(obj: dict) -> SosCertificate:
             squares=squares,
             constant=constant,
             target=src.poly(obj["target"]),
-            weights=_weights_from_json(obj, len(squares)),
+            weights=_certificate_weights(obj, len(squares)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProofFormatError(f"malformed certificate file: {exc}") from exc

@@ -5,7 +5,7 @@ corresponding checker:
 
 * sos_to_pcplus: a sum-of-squares refutation becomes a PC+ refutation of
   the same axioms and the same degree, with no radical steps and exactly
-  one sum-of-squares step whose witness is a constant.
+  one sum-of-squares step whose witness is 1.
 * pcplus_to_sos_eps / pcplus_refutation_to_sos: a PC+ derivation of r = 0
   becomes, for any rational eps > 0, an SoS+Bool certificate of
   eps - r^2 >= 0 by structural recursion over the lines; the degree at
@@ -19,8 +19,10 @@ corresponding checker:
 
 Squares are kept in the weighted form sum_j w_j s_j^2 with rational
 w_j > 0 (the Gram form), so scaling a certificate scales weights and
-repeated squares merge into one; the four-square identity is needed only
-where the PC+ sum-of-squares rule wants plain squares, in sos_to_pcplus.
+repeated squares merge into one.  The PC+ sum-of-squares step takes the
+same weighted form, so a certificate's squares enter it as they are.
+It is sound because over the reals w^2 + sum_j c_j q_j^2 = 0 with every
+c_j > 0 forces w = 0.
 
 Radical elimination replays every other line through the kernel's rule
 table (proofcheck.RULES), so it branches only on the radical rule.  The
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import EquationSet, Polynomial, four_square
+from .algebra import EquationSet, Polynomial
 from .errors import UnsupportedConstruct
 from .proofcheck import (
     PC,
@@ -124,10 +126,9 @@ def sos_to_pcplus(cert: SosCertificate) -> Derivation:
     """Degree-preserving compilation of an SoS refutation into PC+.
 
     Derives u := -(sum of multiplier terms), which by the certificate
-    identity equals c + kappa + (sum of weighted squares), then closes with
-    one sum-of-squares step on a constant witness and a final rescale to 1.
-    The sum-of-squares rule takes plain squares, so a square s of weight w
-    enters as a*s for the (up to four) rationals a with sum a^2 = w.
+    identity equals c + kappa + sum_j w_j s_j^2, scales it by 1/(c + kappa)
+    and closes with one sum-of-squares step: witness 1, the nonzero squares
+    s_j and weights w_j/(c + kappa).
     """
     report = check_sos(cert)
     if not report.valid:
@@ -141,17 +142,12 @@ def sos_to_pcplus(cert: SosCertificate) -> Derivation:
     cited = [(builder.axiom, k, r) for k, r in cert.multipliers]
     cited += [(builder.bool_axiom, v, r) for v, r in cert.bool_multipliers]
     parts = [(builder.mul_poly(cite(k), -r), Fraction(1)) for cite, k, r in cited if not r.is_zero]
-    u = builder.combination(parts)
+    total = c + cert.constant
+    u = builder.scale_line(builder.combination(parts), 1 / total)
 
-    witness_parts = [a for a in four_square(c + cert.constant) if a != 0]
-    witness = Polynomial.const(ring, witness_parts[0])
-    squares = [Polynomial.const(ring, a) for a in witness_parts[1:]]
-    for s, w in cert.weighted_squares():
-        if not s.is_zero:
-            squares.extend(s.scale(a) for a in four_square(w) if a != 0)
-    closing = builder.sos_step(u, witness, tuple(squares))  # checks that u recomposes
-    if builder.poly(closing) != Polynomial.const(ring, 1):
-        builder.scale_line(closing, Fraction(1) / (witness_parts[0] ** 2))
+    squares = [(s, w / total) for s, w in cert.weighted_squares() if not s.is_zero]
+    # the step checks that u recomposes
+    builder.sos_step(u, Polynomial.const(ring, 1), [s for s, _ in squares], [w for _, w in squares])
     return builder.build()
 
 
@@ -237,9 +233,9 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
                 cite(just.i, eps, f)
                 p = just.witness
                 sum_squares = Polynomial.zero(ring)
-                for q in just.squares:
-                    out.add_square(p * q, 2 * f)
-                    sum_squares = sum_squares + q * q
+                for q, c in just.weighted_squares():
+                    out.add_square(p * q, 2 * f * c)
+                    sum_squares = sum_squares + (q * q).scale(c)
                 out.add_square(sum_squares, f)
             else:
                 raise SimulationError(f"line {idx}: unsupported justification {just!r}")

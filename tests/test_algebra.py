@@ -1,7 +1,5 @@
 import random
-import time
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -13,7 +11,6 @@ from pcsos.algebra import (
     PolyParseError,
     Polynomial,
     eqset,
-    four_square,
     parse_poly,
 )
 
@@ -207,6 +204,10 @@ class TestMultilinearize:
     def test_merge_after_collapse(self):
         assert P("x1^3 + x1^2").multilinearize() == P("2*x1")
 
+    def test_merged_integral_coefficient_is_an_int(self):
+        (coeff,) = P("1/2*x1^2 + 1/2*x1").multilinearize().terms.values()
+        assert coeff == 1 and type(coeff) is int
+
     def test_idempotent_and_value_preserving(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -249,67 +250,6 @@ class TestEquationSets:
     def test_canonical_dedup(self):
         s = eqset(RATIONAL, [P("x1"), P("x1"), P("x2")])
         assert list(s.canonical()) == [P("x1"), P("x2")]
-
-
-class TestFourSquare:
-    def test_one(self):
-        assert four_square(1) == (1, 0, 0, 0)
-
-    def test_seven(self):
-        assert four_square(7) == (2, 1, 1, 1)
-
-    def test_half(self):
-        assert four_square(Fraction(1, 2)) == (Fraction(1, 2), Fraction(1, 2), 0, 0)
-
-    def test_factors_of_four_stripped(self):
-        # the search runs on 7 and the result is doubled 20 times
-        t0 = time.perf_counter()
-        parts = four_square(7 * 4**20)
-        assert time.perf_counter() - t0 < 1.0
-        assert parts == (2 * 2**20, 2**20, 2**20, 2**20)
-        assert four_square(Fraction(3, 16)) == tuple(Fraction(a, 4) for a in four_square(3))
-
-    def test_negative_rejected(self):
-        with pytest.raises(AlgebraError):
-            four_square(-1)
-
-    def test_exact_sum(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            q = Fraction(rng.randrange(0, 500), rng.randrange(1, 40))
-            parts = four_square(q)
-            assert sum(a * a for a in parts) == q
-        for bits in (64, 128, 512, 1024):
-            n = rng.getrandbits(bits)
-            parts = four_square(n)
-            assert sum(a * a for a in parts) == n and list(parts) == sorted(parts, reverse=True)
-
-    def test_small_inputs_match_the_descending_search(self):
-        # the answer is the lexicographically greatest descending one, so
-        # written certificates do not depend on the search; this exhaustive
-        # search is the reference
-        def descending(n, bound, parts):
-            if parts == 0:
-                return () if n == 0 else None
-            for a in range(min(bound, isqrt(n)), -1, -1):
-                rest = descending(n - a * a, a, parts - 1)
-                if rest is not None:
-                    return (a,) + rest
-
-        for n in range(3000):
-            m, shift = n, 0
-            while m and m % 4 == 0:
-                m, shift = m // 4, shift + 1
-            want = tuple(a << shift for a in descending(m, m, 4))
-            assert four_square(n) == want, n
-
-    def test_large_weight_returns_at_once(self):
-        # a certificate weight on which an exhaustive descending search runs for seconds
-        q = Fraction(2305843009213693951, 1000000007)
-        t0 = time.perf_counter()
-        parts = four_square(q)
-        assert time.perf_counter() - t0 < 1.0
-        assert sum(a * a for a in parts) == q and list(parts) == sorted(parts, reverse=True)
 
 
 def _random_poly(rng, ring, max_terms=4, max_var=3, max_exp=2):

@@ -229,6 +229,24 @@ class TestWeightedCertificates:
         assert main(["translate", "sos-to-pcplus", path, "-o", out]) == 0
         assert check_derivation(derivation_from_json(load_json(out))).valid
 
+    def test_large_weight_translates_at_once(self, tmp_path):
+        # a weight on which splitting into plain squares once searched for seconds
+        w = "2305843009213693951/1000000007"
+        cert = {
+            "axioms": [f"{w}*x1^2 + 1"],
+            "target": "-1",
+            "multipliers": [{"axiom": 0, "poly": "-1"}],
+            "squares": ["x1"],
+            "weights": [w],
+        }
+        path = write(tmp_path, "cert.json", cert)
+        out = str(tmp_path / "proof.json")
+        t0 = time.perf_counter()
+        assert main(["translate", "sos-to-pcplus", path, "-o", out]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        rep = check_derivation(derivation_from_json(load_json(out)))
+        assert rep.valid and rep.refutation
+
 
 def assert_format_errors(capsys, count):
     """Each of count commands exited 2 with a single error: line."""

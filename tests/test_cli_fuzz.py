@@ -1,9 +1,10 @@
 """Seeded fuzz test of the CLI's exit-code contract.
 
-Files written by ``gen`` and ``translate``, a Nullstellensatz certificate
-and the registry and oracle files of ``fol`` are damaged at random (a byte
-replaced, the tail cut, a span deleted or duplicated) and fed to every
-command that reads that kind of file.  Each case must exit 0, 1, 2 or 3,
+Files written by ``gen`` and ``translate`` (among them a PC+ derivation
+whose sum-of-squares step carries weights), a Nullstellensatz certificate
+and the formula, registry and oracle files of ``fol`` are damaged at random
+(a byte replaced, the tail cut, a span deleted or duplicated) and fed to
+every command that reads that kind of file.  Each case must exit 0, 1, 2 or 3,
 print no traceback and stay within a CPU-time limit.
 """
 
@@ -23,6 +24,9 @@ PRINTABLE = bytes(range(32, 127))
 WRITE = [
     ["gen", "fphp", "--pigeons", "3", "--holes", "2", "--with-cert", "-o", "{d}/fphp.json"],
     ["translate", "sos-to-pcplus", "{d}/fphp.cert.json", "-o", "{d}/fphp.pcplus.json"],
+    # target -4, so the closing sum-of-squares step has weights 1/4
+    ["gen", "fphp", "--pigeons", "5", "--holes", "1", "--with-cert", "-o", "{d}/fphp51.json"],
+    ["translate", "sos-to-pcplus", "{d}/fphp51.cert.json", "-o", "{d}/weighted.pcplus.json"],
     ["gen", "chain", "--n", "2", "--with-cert", "-o", "{d}/chain.json"],
 ]
 READERS = {
@@ -32,9 +36,14 @@ READERS = {
         ["translate", "pcplus-to-sos", "{f}"],
         ["translate", "elim-radical", "{f}"],
     ],
+    "weighted.pcplus.json": [["check", "{f}"], ["translate", "pcplus-to-sos", "{f}"]],
     "fphp.json": [["search", "closure", "{f}", "--degree", "2", "--query", "1"]],
     "chain.cert.json": [["lkr", "check", "{f}"], ["lkr", "compile", "{f}", "--assign", "n=2"]],
     "ns.json": [["check-ns", "{f}"]],
+    "formula.txt": [
+        ["fol", "translate", "--formula-file", "{f}", "--assign", "n=3"],
+        ["fol", "classify", "--formula-file", "{f}", "--assign", "n=3"],
+    ],
     "registry.json": [
         ["fol", "translate", "--formula", "(= (X (fn f 1)) (rfn r 0 1))", "--registry", "{f}"],
         ["fol", "classify", "--formula", "(= (X (fn f 1)) (rfn r 0 1))", "--registry", "{f}"],
@@ -45,9 +54,15 @@ READERS = {
 }
 
 
+FORMULA = (
+    "(forall i n (or (= (* (X i) (- (rat 1) (X i))) (rat 0))"
+    " (= (sum j (+ i 1) (* (rat 1/2) (X j))) (rat 1))))"
+)
+
+
 def write_inputs(d) -> None:
     """The files no CLI command writes: an NS certificate of 1 from
-    x1 - 1, x1*x2, x2 - 1, a registry and an oracle."""
+    x1 - 1, x1*x2, x2 - 1, a formula, a registry and an oracle."""
     one, x2 = (parse_poly(text, RATIONAL) for text in ("1", "x2"))
     axioms = eqset(RATIONAL, [parse_poly(text, RATIONAL) for text in ("x1 - 1", "x1*x2", "x2 - 1")])
     dump_json(ns_to_json(NsCertificate(axioms, ((1, one), (0, -x2), (2, -one)), one)), d / "ns.json")
@@ -57,6 +72,7 @@ def write_inputs(d) -> None:
     }
     dump_json(tables, d / "registry.json")
     dump_json(["1/2", 0, 3], d / "oracle.json")
+    (d / "formula.txt").write_text(FORMULA, encoding="ascii")
 
 
 def damage(rng: random.Random, data: bytes) -> bytes:
@@ -74,7 +90,7 @@ def test_damaged_files_keep_the_exit_code_contract(tmp_path, capsys):
     for argv in WRITE:
         assert main([a.format(d=tmp_path) for a in argv]) == 0, argv
     write_inputs(tmp_path)
-    for name in ("ns.json", "registry.json", "oracle.json"):  # valid before the damage
+    for name in ("ns.json", "formula.txt", "registry.json", "oracle.json"):  # valid before the damage
         for argv in READERS[name]:
             assert main([a.format(f=tmp_path / name) for a in argv]) == 0, argv
     capsys.readouterr()

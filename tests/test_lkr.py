@@ -552,6 +552,10 @@ def _corpus():
             ),
             {},
         ),
+        "cut on a true formula": (
+            _node("cut", [X0], [X0], _weakened(X0, [X0], [X0, TRUE]), _weakened(X0, [X0, TRUE], [X0])),
+            {},
+        ),
         "or-l two members": (
             _node(
                 "or-l", [or_two, X1], [TWO, X2],
@@ -650,9 +654,13 @@ CORPUS_DIGESTS = {
         "b4ecf31e7a4c0cea5712508112431544f95b1e82b952804d15077f6518e7664f",
         "2947da7f19240d0f245c3fefa126b7ef06bc38f87747ca4c1d3d9fac9ae0f0cd",
     ),
+    "cut on a true formula": (
+        "42087fa90ff1e521da860a3ba06a306f306334fe608bd1eba45366191fb210b6",
+        "b7b0900d90459dbcd478f58df0077369a01fa6998d3fc9ade1423188b32b70ee",
+    ),
     "cut two members": (
-        "7790aca770be889c24dcfe783ff1972a5f79df4d02ebde2755e53a401349e225",
-        "1a7a6883e523d8944dbe3ca70419c5ccba01906d8279ed5d1bc4f6bdc564b05f",
+        "e1e72fb05f527f86fb4714d5cbd9f40b0cf280b2fb5be26fa42552b0cfa2f17c",
+        "4429894d7d78dbf55c32eb13bdf7c3fca2ab1da023ad7ed3f681d816b5c33774",
     ),
     "equality congruence": (
         "046fa23cf46734ec5f817dc3ea549b5ea29f2a88607d413f713bd0b27b72f832",
@@ -751,6 +759,13 @@ class TestCompileCorpus:
             d = compile_lkr(proof, alpha, target, REG)
             assert check_derivation(d).valid
             assert _digest(d) == digest, (name, target)
+
+    def test_cut_emits_its_left_premise_once(self):
+        # the left premise at scale w, and one collapse per succedent member
+        proof, alpha = CORPUS["cut two members"]
+        for target in ("pc_rad", "pc_plus"):
+            d = compile_lkr(proof, alpha, target, REG)
+            assert len(d.lines) == 8 and check_derivation(d).degree == 2
 
     def test_every_rule_has_an_entry(self):
         covered = set().union(*(_rules_of(proof) for proof, _ in CORPUS.values()))

@@ -10,6 +10,7 @@ import pytest
 
 from pcsos import families, fol, lkr, simulate
 from pcsos.algebra import GF, MINUS_INF, RATIONAL, Polynomial, eqset, parse_poly
+from pcsos.cli import main
 from pcsos.proofcheck import (
     Add,
     Axiom,
@@ -20,6 +21,7 @@ from pcsos.proofcheck import (
     Mul,
     NsCertificate,
     RULES,
+    ProofFormatError,
     ProofStructureError,
     Radical,
     Sos,
@@ -36,6 +38,7 @@ from pcsos.proofcheck import (
     normalize_refutation,
     ns_from_json,
     ns_to_json,
+    scale_certificate,
     sos_from_json,
     sos_to_json,
 )
@@ -197,7 +200,7 @@ class TestCheckSos:
             check_sos(cert)
 
     def test_normalization_preserves_degree(self):
-        # -3 target: multipliers scaled by 1/3, squares split via four_square
+        # -3 target: multipliers, constant and square weights scaled by 1/3
         axioms = eqset(RATIONAL, [P("x1 - 1")], boolean_axioms=True)
         cert = SosCertificate(
             axioms=axioms,
@@ -279,6 +282,121 @@ class TestWeightedSquares:
         assert norm.multipliers == ((0, P("-1")),)
         rep = check_sos(norm)
         assert rep.valid and rep.refutation and norm.target == P("-1")
+
+
+def weighted_step():
+    # x1^2 + 3*x2^2 + x3^2 is x1^2 plus the weights 3 and 1 on x2^2 and x3^2
+    axiom = P("x1^2 + 3*x2^2 + x3^2")
+    return lines_derivation(
+        "pc_plus", [axiom], [(axiom, Axiom(0)), (P("x1^2"), Sos(0, P("x1"), (P("x2"), P("x3")), (3, 1)))]
+    )
+
+
+def run_check(tmp_path, capsys, command, obj):
+    """Exit code, --json payload (None on an error exit) and stderr of one CLI check."""
+    path = tmp_path / "input.json"
+    dump_json(obj, path)
+    code = main([command, str(path), "--json"])
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if out else None, err
+
+
+class TestWeightedSosStep:
+    def test_weights_recompose_and_round_trip(self, tmp_path):
+        d = weighted_step()
+        rep = check_derivation(d)
+        assert rep.valid and rep.uses_sos_rule and rep.degree == 2
+        obj = derivation_to_json(d)
+        assert obj["lines"][1]["rule"] == {
+            "kind": "sos", "i": 0, "p": "x1", "squares": ["x2", "x3"], "weights": ["3", "1"]
+        }
+        assert derivation_from_json(obj) == d
+        # all-one weights are not written, and a file without them reads as all one
+        axiom = P("x1^2 + x2^2")
+        lines = [(axiom, Axiom(0)), (P("x1^2"), Sos(0, P("x1"), (P("x2"),), (1,)))]
+        unit = lines_derivation("pc_plus", [axiom], lines)
+        assert check_derivation(unit).valid
+        obj = derivation_to_json(unit)
+        assert "weights" not in obj["lines"][1]["rule"]
+        dump_json(obj, tmp_path / "a.json")
+        dump_json(derivation_to_json(derivation_from_json(obj)), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("weights", [(0, 1), (-3, 1), (3, Fraction(-1, 2)), (3,), (3, 1, 1)])
+    def test_bad_weights_fail_the_line(self, tmp_path, capsys, weights):
+        d = weighted_step()
+        poly, just = d.lines[1]
+        bad = replace(d, lines=(d.lines[0], (poly, replace(just, weights=weights))))
+        rep = check_derivation(bad)
+        assert not rep.valid and rep.failure[0] == 1
+        b = DerivationBuilder("pc_plus", d.axioms)
+        with pytest.raises(ProofStructureError):
+            b.sos_step(b.axiom(0), P("x1"), (P("x2"), P("x3")), weights)
+        code, payload, _ = run_check(tmp_path, capsys, "check", derivation_to_json(bad))
+        assert code == 1 and (payload["failure"]["line"], payload["failure"]["rule"]) == (1, "sos")
+
+    @pytest.mark.parametrize("weights", ["3", 3, {"0": 3}, None, ["abc"], ["1/0"], [True]])
+    def test_malformed_weights_exit_two(self, tmp_path, capsys, weights):
+        obj = derivation_to_json(weighted_step())
+        obj["lines"][1]["rule"]["weights"] = weights
+        with pytest.raises(ProofFormatError):
+            derivation_from_json(obj)
+        code, payload, err = run_check(tmp_path, capsys, "check", obj)
+        assert (code, payload) == (2, None) and err.startswith("error:") and "Traceback" not in err
+
+    def test_not_admitted_over_gf(self, tmp_path, capsys):
+        # 1^2 + 2^2 = 0 mod 5, yet 1 = 0 does not follow from no axioms
+        obj = {
+            "axioms": [],
+            "boolean_axioms": False,
+            "lines": [
+                {"poly": "0", "rule": {"kind": "zero"}},
+                {"poly": "1", "rule": {"i": 0, "kind": "sos", "p": "1", "squares": ["2"]}},
+            ],
+            "ring": {"kind": "gf", "p": 5},
+            "system": "pc_plus",
+        }
+        rep = check_derivation(derivation_from_json(obj))
+        assert not rep.valid and not rep.refutation and rep.failure == (1, P("1", GF(5)))
+        code, payload, _ = run_check(tmp_path, capsys, "check", obj)
+        assert code == 1 and not payload["refutation"]
+        assert (payload["failure"]["line"], payload["failure"]["rule"]) == (1, "sos")
+
+
+class TestCertificateRefusals:
+    def test_check_sos_needs_the_rationals(self, tmp_path, capsys):
+        g = GF(5)
+        cert = SosCertificate(
+            axioms=eqset(g, []), multipliers=(), squares=(P("1", g), P("2", g)), target=P("0", g)
+        )
+        with pytest.raises(ProofStructureError, match="rational ring"):
+            check_sos(cert)
+        # a certificate file has no ring: it is read over Q, where 1 + 4 is not 0
+        obj = {"axioms": [], "target": "0", "squares": ["1", "2"], "ring": {"kind": "gf", "p": 5}}
+        code, payload, _ = run_check(tmp_path, capsys, "check-sos", obj)
+        assert code == 1 and payload["failure"]["mismatch"] == "5"
+
+    def test_multiplier_axiom_out_of_range(self, tmp_path, capsys):
+        cert = replace(TestCheckSos().fphp21(), multipliers=((3, P("1")),))
+        with pytest.raises(ProofStructureError, match="out of range"):
+            check_sos(cert)
+        for axiom in (3, -1):
+            obj = dict(sos_to_json(cert), multipliers=[{"axiom": axiom, "poly": "1"}])
+            code, payload, err = run_check(tmp_path, capsys, "check-sos", obj)
+            assert (code, payload) == (1, None) and err.startswith("invalid: multiplier cites axiom")
+
+    def test_non_positive_scale(self, tmp_path, capsys):
+        cert = TestCheckSos().fphp21()
+        for scale in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ProofStructureError, match="positive"):
+                scale_certificate(cert, scale, P("1"))
+        # --normalize scales by 1/c only for a valid target -c, c > 0, so
+        # a certificate of +1 is refused before any scale is taken
+        obj = {"axioms": [], "target": "1", "squares": ["1"]}
+        path = tmp_path / "one.json"
+        dump_json(obj, path)
+        assert main(["check-sos", str(path), "--normalize"]) == 1
+        assert "requires a valid refutation" in capsys.readouterr().err
 
 
 class TestCheckNullstellensatz:

@@ -54,6 +54,16 @@ def radical_sos_refutation():
     return Derivation("pc_plus", axioms, lines)
 
 
+def weighted_certificate():
+    return SosCertificate(
+        axioms=eqset(RATIONAL, [P("x1^2 + 3*x2^2 + 1")]),
+        multipliers=((0, P("-1")),),
+        squares=(P("2*x1"), P("x2")),
+        target=P("-1"),
+        weights=(Fraction(1, 4), Fraction(3)),
+    )
+
+
 class TestSosToPcplus:
     def test_fphp_two_one(self):
         out = sos_to_pcplus(fphp21_certificate())
@@ -103,31 +113,44 @@ class TestSosToPcplus:
         rep = check_derivation(out)
         assert rep.valid and rep.refutation and rep.degree == 2
 
-    def test_weighted_squares_expand_into_plain_squares(self):
-        # -(x1^2 + 3*x2^2 + 1) + 1/4*(2*x1)^2 + 3*x2^2 == -1; weight 3 needs three squares
-        cert = SosCertificate(
-            axioms=eqset(RATIONAL, [P("x1^2 + 3*x2^2 + 1")]),
-            multipliers=((0, P("-1")),),
-            squares=(P("2*x1"), P("x2")),
-            target=P("-1"),
-            weights=(Fraction(1, 4), Fraction(3)),
-        )
+    def test_weighted_squares_enter_the_step_as_they_are(self):
+        # -(x1^2 + 3*x2^2 + 1) + 1/4*(2*x1)^2 + 3*x2^2 == -1, so c + kappa = 1
+        cert = weighted_certificate()
         out = sos_to_pcplus(cert)
         rep = check_derivation(out)
-        assert rep.valid and rep.refutation and rep.degree == 2
+        assert rep.valid and rep.refutation and rep.degree == 2 and not rep.uses_radical
         (sos_step,) = [j for _, j in out.lines if isinstance(j, Sos)]
-        assert P("x1") in sos_step.squares and sos_step.squares.count(P("x2")) == 3
+        assert sos_step.witness == P("1")
+        assert sos_step.squares == cert.squares and sos_step.weights == cert.weights
 
-    def test_non_unit_witness_is_rescaled(self):
-        # target -4: the closing step's witness is 2, so a final rescale by 1/4 follows
+    def test_target_scale_divides_the_weights(self):
+        # target -4: the line u = 4 + sum of squares is scaled by 1/4 first,
+        # and the closing step, the last line, carries the weights 1/4
         cert = gen_fphp_sos(5, 1)
-        assert cert.target == P("-4")
+        assert cert.target == P("-4") and not cert.weights
         out = sos_to_pcplus(cert)
-        (sos_step,) = [j for _, j in out.lines if isinstance(j, Sos)]
-        assert sos_step.witness == P("2")
-        assert out.lines[-1][1] == Add(len(out.lines) - 2, len(out.lines) - 2, Fraction(1, 4), 0)
+        (poly, sos_step), (u_poly, scale) = out.lines[-1], out.lines[-2]
+        assert isinstance(sos_step, Sos) and poly == P("1") and sos_step.witness == P("1")
+        assert scale == Add(len(out.lines) - 3, len(out.lines) - 3, Fraction(1, 4), 0)
+        assert sos_step.i == len(out.lines) - 2
+        assert sos_step.weights == (Fraction(1, 4),) * len(cert.squares)
         rep = check_derivation(out)
         assert rep.valid and rep.refutation and rep.degree == 2
+
+    @pytest.mark.parametrize(
+        "cert",
+        [weighted_certificate(), gen_fphp_sos(5, 1), gen_fphp_sos(6, 3)],
+        ids=["weighted", "fphp-5-1", "fphp-6-3"],
+    )
+    def test_one_step_at_the_certificate_degree_and_back(self, cert):
+        degree = check_sos(cert).degree
+        out = sos_to_pcplus(cert)
+        rep = check_derivation(out)
+        assert rep.valid and rep.refutation and not rep.uses_radical and rep.degree == degree
+        (sos_step,) = [j for _, j in out.lines if isinstance(j, Sos)]
+        assert sos_step.witness == P("1")
+        back = check_sos(pcplus_refutation_to_sos(out))
+        assert back.valid and back.refutation and back.degree <= 2 * degree
 
     def test_rejects_non_refutation(self):
         cert = SosCertificate(
