@@ -6,6 +6,12 @@ from monomials to nonzero coefficients; all arithmetic is exact.  The degree
 of the zero polynomial is the sentinel MINUS_INF, never 0, so degree caps
 treat it as always admissible.
 
+Every coefficient is canonical: over Q an int when integral, else a
+Fraction; over GF(p) an int in [1, p).  The constructor Polynomial(ring,
+terms) is the one place that makes it so: it coerces any int/Fraction
+values and drops zeros, and all arithmetic builds its results through it.
+Only _raw trusts its caller (the parser, generators and closure rows).
+
 A monomial is its exponent tuple ((var, exp), ...): the variables strictly
 increasing, every exponent positive, and () for the constant monomial.  A
 tuple is hashable and compared by value, so it keys a polynomial's term
@@ -150,18 +156,6 @@ class Ring:
             return value.numerator * pow(value.denominator, self.p - 2, self.p) % self.p
         return int(value) % self.p
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def inv(self, a):
         if self.p is None:
             if type(a) is int and (a == 1 or a == -1):
@@ -238,10 +232,15 @@ class Polynomial:
     __slots__ = ("ring", "_terms", "_hash", "_degree")
 
     def __init__(self, ring: Ring, terms=None):
+        # the one normaliser; an int, the common case, is reduced inline
         canon = {}
-        for m, c in (terms or {}).items():
-            c = ring.coerce(c)
-            if c != 0:
+        q, coerce = ring.p, ring.coerce
+        for m, c in terms.items() if terms else ():
+            if type(c) is not int:
+                c = coerce(c)
+            elif q is not None:
+                c %= q
+            if c:
                 canon[m] = c
         _set_ring(self, ring)
         _set_terms(self, canon)
@@ -254,13 +253,8 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _make(ring: Ring, terms: dict) -> "Polynomial":
-        # internal: coefficients already canonical; drop zeros only
-        return Polynomial._raw(ring, {m: c for m, c in terms.items() if c != 0})
-
-    @staticmethod
     def _raw(ring: Ring, terms: dict) -> "Polynomial":
-        # internal: takes ownership of a dict known to be zero-free
+        # internal: takes ownership of a dict of canonical nonzero coefficients
         poly = _new_object(Polynomial)
         _set_ring(poly, ring)
         _set_terms(poly, terms)
@@ -284,14 +278,13 @@ class Polynomial:
     def sum(ring: Ring, polys) -> "Polynomial":
         """Sum many polynomials in one pass (avoids quadratic rebuilds)."""
         acc: dict = {}
-        add = ring.add
         for p in polys:
             if p.ring != ring:
                 raise AlgebraError("ring mismatch")
             for m, c in p._terms.items():
                 prev = acc.get(m)
-                acc[m] = c if prev is None else add(prev, c)
-        return Polynomial._make(ring, acc)
+                acc[m] = c if prev is None else prev + c
+        return Polynomial(ring, acc)
 
     # -- structure ----------------------------------------------------
 
@@ -329,9 +322,6 @@ class Polynomial:
     def variables(self) -> set[int]:
         return {v for m in self._terms for v, _ in m}
 
-    def coefficient(self, m: tuple):
-        return self._terms.get(m, 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -358,79 +348,64 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         out = dict(self._terms)
-        add = self.ring.add
         for m, c in other._terms.items():
-            out[m] = add(out.get(m, 0), c)
-        return Polynomial._make(self.ring, out)
+            out[m] = out.get(m, 0) + c
+        return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.neg
-        return Polynomial._raw(self.ring, {m: neg(c) for m, c in self._terms.items()})
+        return Polynomial(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         out = dict(self._terms)
-        sub = self.ring.sub
         for m, c in other._terms.items():
-            out[m] = sub(out.get(m, 0), c)
-        return Polynomial._make(self.ring, out)
+            out[m] = out.get(m, 0) - c
+        return Polynomial(self.ring, out)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        mul = self.ring.mul
         if len(a) == 1:
-            # single-term factor over a field: injective shift, no new zeros
+            # single-term factor: an injective shift, no terms merge
             ((m1, c1),) = a.items()
             if not m1:
-                return Polynomial._raw(self.ring, {m: mul(c1, c) for m, c in b.items()})
-            return Polynomial._raw(self.ring, {merge_exps(m1, m): mul(c1, c) for m, c in b.items()})
+                return Polynomial(self.ring, {m: c1 * c for m, c in b.items()})
+            return Polynomial(self.ring, {merge_exps(m1, m): c1 * c for m, c in b.items()})
         out: dict = {}
-        add = self.ring.add
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = merge_exps(m1, m2)
-                c = mul(c1, c2)
                 prev = out.get(m)
-                out[m] = c if prev is None else add(prev, c)
-        return Polynomial._make(self.ring, out)
+                out[m] = c1 * c2 if prev is None else prev + c1 * c2
+        return Polynomial(self.ring, out)
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.coerce(c)
-        if c == 0:
-            return Polynomial.zero(self.ring)
-        mul = self.ring.mul
-        return Polynomial._raw(self.ring, {m: mul(v, c) for m, v in self._terms.items()})
-
-    def mul_monomial(self, mono: tuple) -> "Polynomial":
-        return Polynomial._raw(self.ring, {merge_exps(m, mono): c for m, c in self._terms.items()})
+        return Polynomial(self.ring, {m: v * c for m, v in self._terms.items()} if c else None)
 
     def evaluate(self, assignment: dict):
         """Exact evaluation; assignment must cover every variable."""
         missing = self.variables() - set(assignment)
         if missing:
             raise AlgebraError(f"assignment missing variables {sorted(missing)}")
+        coerce = self.ring.coerce
         total = 0
         for m, c in self._terms.items():
-            val = c
             for v, e in m:
-                base = self.ring.coerce(assignment[v])
-                for _ in range(e):
-                    val = self.ring.mul(val, base)
-            total = self.ring.add(total, val)
-        return total
+                c = coerce(c * coerce(assignment[v]) ** e)
+            total += c
+        return coerce(total)
 
     def multilinearize(self) -> "Polynomial":
-        """Collapse every exponent >= 1 to 1; agrees on all 0/1 points.
-        A merged coefficient is coerced, so 1/2 + 1/2 is the int 1."""
+        """Collapse every exponent >= 1 to 1; agrees on all 0/1 points."""
         out: dict = {}
         for m, c in self._terms.items():
             flat = tuple((v, 1) for v, _ in m)
             prev = out.get(flat)
-            out[flat] = c if prev is None else self.ring.coerce(self.ring.add(prev, c))
-        return Polynomial._make(self.ring, out)
+            out[flat] = c if prev is None else prev + c
+        return Polynomial(self.ring, out)
 
     # -- canonical text -----------------------------------------------
 
@@ -495,18 +470,18 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     """
     toks = _TOKEN.findall(text)
     end = len(toks)
-    add, neg = ring.add, ring.neg
-    acc: dict = {}  # exponent tuple -> nonzero coefficient, in order of appearance
+    minus_one = ring.coerce(-1)
+    acc: dict = {}  # exponent tuple -> canonical nonzero coefficient, in order of appearance
     negate = end > 0 and toks[0] == "-"
     k = 1 if negate else 0
     try:
         while True:
             if k == end:
                 raise _parse_error(text, "expected a term", k)
-            coeff, more = 1, True
+            coeff, more = minus_one if negate else 1, True
             if toks[k][0] in _DIGITS:
                 start = k
-                coeff = int(toks[k])
+                coeff = -int(toks[k]) if negate else int(toks[k])
                 k += 1
                 if k < end and toks[k] == "/":
                     k += 1
@@ -549,11 +524,9 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
                     break
                 k += 1
             if coeff:
-                if negate:
-                    coeff = neg(coeff)
                 prev = acc.get(key)
                 if prev is not None:
-                    coeff = add(prev, coeff)
+                    coeff = ring.coerce(prev + coeff)
                 if coeff:
                     acc[key] = coeff
                 else:  # a cancelled term leaves, and goes to the end if it returns

@@ -296,7 +296,7 @@ def extract_derivation(basis: ClosureBasis, target: Polynomial) -> Derivation | 
         row = basis.rows[rid]
         line = normal(builder.derive(relabel(row.source, ring, emit_row)))
         for coeff, other in row.reductions:
-            line = builder.add(line, emit_row(other), 1, ring.neg(coeff))
+            line = builder.add(line, emit_row(other), 1, -coeff)
         emitted[rid] = line
         return line
 

@@ -81,7 +81,7 @@ def gen_fphp(m: int, n: int, ring: Ring = RATIONAL) -> FamilyInstance:
     members = []
     for i in range(m):
         terms = {((_pair(i, j), 1),): 1 for j in range(n)}
-        terms[()] = ring.neg(1)
+        terms[()] = ring.coerce(-1)
         members.append(Polynomial._raw(ring, terms))
     for j in range(n):
         for i1 in range(m):
@@ -121,7 +121,7 @@ def gen_fphp_sos(m: int, n: int) -> SosCertificate:
     squares = []
     for j in range(n):
         terms = {((_pair(i, j), 1),): 1 for i in range(m)}
-        terms[()] = ring.neg(1)
+        terms[()] = ring.coerce(-1)
         squares.append(Polynomial._raw(ring, terms))
     return SosCertificate(
         axioms=instance.equations,

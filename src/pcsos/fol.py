@@ -541,7 +541,8 @@ class Model:
 
     @cached_property
     def ops(self) -> dict:
-        return {"+": self.ring.add, "-": self.ring.sub, "*": self.ring.mul}
+        c = self.ring.coerce
+        return {"+": lambda a, b: c(a + b), "-": lambda a, b: c(a - b), "*": lambda a, b: c(a * b)}
 
     def const(self, value):
         return self.ring.coerce(value)
@@ -561,10 +562,7 @@ class Model:
         return self.total(ring_value(body, {**alpha, var: j}, self) for j in range(n))
 
     def total(self, values):
-        out = 0
-        for v in values:
-            out = self.ring.add(out, v)
-        return out
+        return self.ring.coerce(sum(values, 0))
 
 
 class PolyModel(Model):
@@ -573,7 +571,7 @@ class PolyModel(Model):
     ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
     def const(self, value) -> Polynomial:
-        return Polynomial.const(self.ring, self.ring.coerce(value))
+        return Polynomial.const(self.ring, value)
 
     def at(self, index: IndexTerm, alpha) -> Polynomial:
         return Polynomial.variable(self.ring, eval_index(index, alpha, self.reg))

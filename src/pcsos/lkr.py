@@ -19,16 +19,18 @@ right takes the union of its instances; induction concatenates one stage
 per value below the bound; cut behaves like induction with two stages.
 Sum-of-squares and Boolean axiom sequents compile through the
 sum-of-squares and radical rules and therefore require the pc_plus
-target.
+target; the sum-of-squares axiom also requires the rational ring, as the
+kernel's sum-of-squares step does.
 
 Each rule is defined once, in RULES, keyed by its name: its premise
 count, the codecs of its parameters (for the JSON reader and writer and
 for values given through the Python API), its schema check, its compile
-step and the compile targets that admit it.  A check returns what it
-resolves (the principal formula, the chosen part, the induction
-contexts) and the compile step receives it; neither writes into the
-proof.  compile_lkr reads target support from RULES for every node of
-the checked proof before it emits a line.
+step, the compile targets that admit it and whether it needs the
+rationals.  A check returns what it resolves (the principal formula, the
+chosen part, the induction contexts) and the compile step receives it;
+neither writes into the proof.  compile_lkr reads target and ring
+support from RULES for every node of the checked proof before it emits a
+line.
 """
 
 from __future__ import annotations
@@ -890,6 +892,7 @@ class Rule:
     compile: Callable
     params: dict = field(default_factory=dict)  # parameter name -> _Codec
     targets: tuple[str, ...] = (PC_RAD, PC_PLUS)  # the compile targets that admit the rule
+    rational: bool = False  # compiled only over the rationals
 
 
 RULES: dict[str, Rule] = {
@@ -899,7 +902,7 @@ RULES: dict[str, Rule] = {
     "integral-domain": Rule(0, _check_integral_domain, _Compiler.assumed),
     "equality": Rule(0, _check_equality, _Compiler.equality, {"multipliers": _MULTIPLIERS}),
     "background-truth": Rule(0, _check_background_truth, _Compiler.identity),
-    "sos-axiom": Rule(0, _check_sos_axiom, _Compiler.sos_axiom, targets=(PC_PLUS,)),
+    "sos-axiom": Rule(0, _check_sos_axiom, _Compiler.sos_axiom, targets=(PC_PLUS,), rational=True),
     "boolean-axiom": Rule(0, _check_boolean_axiom, _Compiler.boolean_axiom, targets=(PC_PLUS,)),
     "weakening-l": Rule(1, _check_weakening, _Compiler.premise),
     "weakening-r": Rule(1, _check_weakening, _Compiler.weakening_r),
@@ -946,6 +949,8 @@ def compile_lkr(
             raise UnsupportedConstruct(
                 f"{step.node.rule} sequents require the {' or '.join(step.rule.targets)} target"
             )
+        if step.rule.rational and not ring.is_rational:
+            raise UnsupportedConstruct(f"{step.node.rule} sequents require the rational ring")
         steps.extend(step.premises)
     missing: set[str] = set()
     for phi in proof.conclusion.ante + proof.conclusion.succ:

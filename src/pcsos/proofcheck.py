@@ -280,7 +280,7 @@ def _diff(a: Polynomial, b: Polynomial) -> Polynomial | None:
 
 def _add_conclusion(ring: Ring, just: Add, premises, claimed) -> Polynomial:
     p, q = premises
-    return p.scale(ring.coerce(just.a)) + q.scale(ring.coerce(just.b))
+    return p.scale(just.a) + q.scale(just.b)
 
 
 def _sos_recomposition(just: Sos, premises, witness_square: Polynomial) -> Polynomial | None:
@@ -413,8 +413,8 @@ class CheckReport:
 
 
 # The static checkers accumulate the big identity in one plain dict keyed by
-# exponent tuples, and build a polynomial only from what survives.  Over
-# GF(p) the sums are reduced once, in _accumulated_poly.
+# exponent tuples, with unreduced sums, and build one polynomial from it: the
+# constructor makes each coefficient canonical, once.
 
 
 def _accumulate_product(acc: dict, r: Polynomial, p: Polynomial):
@@ -462,17 +462,6 @@ def _accumulate_square(acc: dict, s: Polynomial, w=1):
         for e, c in square.items():
             acc[e] = acc.get(e, 0) + w * c
     return 2 * s.degree
-
-
-def _accumulated_poly(ring: Ring, acc: dict) -> Polynomial:
-    q = ring.p
-    terms = {}
-    for exps, c in acc.items():
-        if q is not None:
-            c %= q
-        if c != 0:
-            terms[exps] = c
-    return Polynomial._raw(ring, terms)
 
 
 def _is_negative_constant(p: Polynomial) -> bool:
@@ -545,7 +534,7 @@ def check_sos(c: SosCertificate) -> CheckReport:
     for s, w in c.weighted_squares():
         # an integral weight as an int keeps integer squares off Fraction arithmetic
         degree = max(degree, _accumulate_square(acc, s, ring.coerce(w)))
-    mismatch = _diff(_accumulated_poly(ring, acc), c.target)
+    mismatch = _diff(Polynomial(ring, acc), c.target)
     valid = mismatch is None
     refutation = valid and _is_negative_constant(c.target)
     report = CheckReport(valid, degree, refutation=refutation)
@@ -562,7 +551,7 @@ def check_nullstellensatz(c: NsCertificate) -> CheckReport:
         if not (0 <= k < len(c.axioms)):
             raise ProofStructureError(f"multiplier cites axiom {k} out of range")
         degree = max(degree, _accumulate_product(acc, r, c.axioms[k]))
-    mismatch = _diff(_accumulated_poly(ring, acc), c.target)
+    mismatch = _diff(Polynomial(ring, acc), c.target)
     valid = mismatch is None
     refutation = valid and c.target == Polynomial.const(ring, 1)
     report = CheckReport(valid, degree, refutation=refutation)
@@ -619,8 +608,7 @@ def _boolean_cofactors(g: Polynomial) -> dict[int, Polynomial]:
             terms = acc.setdefault(var, {})
             for j in range(exp - 1):
                 m = head + ((var, j),) + tail if j else head + tail
-                prev = terms.get(m)
-                terms[m] = coeff if prev is None else ring.add(prev, coeff)
+                terms[m] = terms.get(m, 0) + coeff
     return {var: Polynomial(ring, terms) for var, terms in acc.items()}
 
 

@@ -428,7 +428,7 @@ def _mutate_derivation(d, rng):
         terms = poly.terms
         mono = rng.choice(list(terms))
         delta = d.ring.coerce(rng.choice([1, -1, 2, 5]))
-        terms[mono] = d.ring.add(terms[mono], delta)
+        terms[mono] = terms[mono] + delta
         mutated = Polynomial(d.ring, terms)
         if mutated == poly:
             return None

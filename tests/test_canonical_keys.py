@@ -1,11 +1,17 @@
-"""Polynomials built without the reader have canonical term keys.
+"""Polynomials built without the reader have canonical terms.
 
 A term key is an exponent tuple ((var, exp), ...) with strictly increasing
 variables and positive exponents.  Generators, the closure and the
 compilers build such keys by hand; a key in any other form would make
 equal polynomials compare unequal, so every polynomial they produce must
 have canonical keys and read back equal from its own text.
+
+A coefficient is canonical too: over Q a nonzero int, or a Fraction that
+is not integral; over GF(p) an int in [1, p).  Arithmetic makes it so, and
+so does every path that builds a polynomial from computed coefficients.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -21,19 +27,31 @@ from pcsos.families import (
 )
 from pcsos.fol import FunctionRegistry
 from pcsos.lkr import compile_lkr
-from pcsos.simulate import eliminate_radical_char_p
+from pcsos.simulate import (
+    eliminate_radical_char_p,
+    pcplus_refutation_to_sos,
+    pcplus_to_sos_eps,
+    sos_to_pcplus,
+)
+
+
+def _canonical_coefficient(c, ring):
+    if ring.is_rational:
+        return type(c) is int and c != 0 or type(c) is Fraction and c.denominator != 1
+    return type(c) is int and 0 < c < ring.p
 
 
 def assert_canonical(polys, ring):
     count = 0
     for p in polys:
-        for key in p.terms:
+        for key, c in p.terms.items():
             assert type(key) is tuple, key
             for pair in key:
                 assert type(pair) is tuple and len(pair) == 2, key
                 assert type(pair[0]) is int and type(pair[1]) is int and pair[1] > 0, key
             variables = [v for v, _ in key]
             assert all(a < b for a, b in zip(variables, variables[1:])), key
+            assert _canonical_coefficient(c, ring), (p.format(), key, repr(c))
         assert parse_poly(p.format(), ring) == p, p.format()
         count += 1
     assert count
@@ -43,13 +61,16 @@ def derivation_polys(d):
     return list(d.axioms) + [poly for poly, _ in d.lines]
 
 
+def certificate_polys(cert):
+    polys = [r for _, r in cert.multipliers] + [r for _, r in cert.bool_multipliers]
+    return list(cert.axioms) + polys + list(cert.squares) + [cert.target]
+
+
 @pytest.mark.parametrize("m, n", [(2, 1), (4, 3), (6, 5)])
 def test_fphp_members_and_certificate(m, n):
     assert_canonical(gen_fphp(m, n).equations, RATIONAL)
     assert_canonical(gen_fphp(m, n, GF(7)).equations, GF(7))
-    cert = gen_fphp_sos(m, n)
-    polys = [r for _, r in cert.multipliers] + [r for _, r in cert.bool_multipliers]
-    assert_canonical(list(cert.axioms) + polys + list(cert.squares) + [cert.target], RATIONAL)
+    assert_canonical(certificate_polys(gen_fphp_sos(m, n)), RATIONAL)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -89,3 +110,22 @@ def test_radical_elimination_lines(p):
     ring = GF(p)
     out = eliminate_radical_char_p(gen_subset_sum(3, ring).certificate)
     assert_canonical(derivation_polys(out), ring)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, GF(7)])
+def test_arithmetic(ring):
+    P = lambda text: parse_poly(text, ring)
+    q = P("1/2*x1")
+    two = P("2")
+    outputs = [P("2*x1 + 4").scale(Fraction(1, 2)), q + q, q * two, two * q, q - P("-1/2*x1")]
+    outputs += [-q, P("1/2*x1^2 + 1/2*x1").multilinearize(), q.scale(2), q.scale(Fraction(3))]
+    assert_canonical(outputs, ring)
+    assert all(p == P("x1") for p in outputs[1:5])
+
+
+def test_simulation_outputs():
+    cert = gen_fphp_sos(6, 3)
+    d = sos_to_pcplus(cert)
+    assert_canonical(derivation_polys(d), RATIONAL)
+    assert_canonical(certificate_polys(pcplus_refutation_to_sos(d)), RATIONAL)
+    assert_canonical(certificate_polys(pcplus_to_sos_eps(d, Fraction(1, 3)).certificate), RATIONAL)

@@ -110,7 +110,7 @@ class DenseClosure:
         self.pivots = {}  # lead monomial -> row
         queue = deque(dict(p.terms) for p in eqs if not p.is_zero and p.degree <= d)
         if eqs.boolean_axioms and d >= 2:
-            queue += [{((v, 2),): 1, ((v, 1),): ring.neg(1)} for v in variables]
+            queue += [{((v, 2),): 1, ((v, 1),): ring.coerce(-1)} for v in variables]
         while queue:
             row = self._reduce(queue.popleft())
             if row:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pcsos.algebra import RATIONAL, parse_poly
+from pcsos.algebra import GF, RATIONAL, parse_poly
 from pcsos.fol import (
     BigSum,
     ForallIdx,
@@ -770,3 +770,19 @@ class TestCompileCorpus:
     def test_every_rule_has_an_entry(self):
         covered = set().union(*(_rules_of(proof) for proof, _ in CORPUS.values()))
         assert set(RULES) <= covered
+
+    @pytest.mark.parametrize("name", ["sos-axiom", "sos-axiom with false side"])
+    def test_sos_axiom_needs_the_rationals(self, name):
+        # the kernel admits no sum-of-squares step over GF(p), reached or not
+        proof, alpha = CORPUS[name]
+        with pytest.raises(UnsupportedConstruct, match="rational ring"):
+            compile_lkr(proof, alpha, "pc_plus", REG, GF(5))
+
+    @pytest.mark.parametrize(
+        "name, targets", [("boolean-axiom", ("pc_plus",)), ("chain n=5", ("pc_rad", "pc_plus"))]
+    )
+    def test_compiles_over_gf(self, name, targets):
+        proof, alpha = CORPUS[name]
+        for target in targets:
+            d = compile_lkr(proof, alpha, target, REG, GF(5))
+            assert d.ring == GF(5) and check_derivation(d).valid

@@ -423,6 +423,32 @@ class TestCheckNullstellensatz:
         rep = check_nullstellensatz(cert)
         assert rep.valid and rep.degree == MINUS_INF
 
+    # over GF(5) the two multiplied axioms sum to 5*x1 + 1: its x1 term
+    # vanishes only once the accumulated identity is reduced mod 5
+    GF5_CERT = {
+        "ring": {"kind": "gf", "p": 5},
+        "axioms": ["x1 + 1", "4*x1"],
+        "multipliers": [{"axiom": 0, "poly": "1"}, {"axiom": 1, "poly": "1"}],
+        "target": "1",
+    }
+
+    def test_gf_sums_reduce_mod_p(self):
+        rep = check_nullstellensatz(ns_from_json(self.GF5_CERT))
+        assert rep.valid and rep.refutation and rep.degree == 1
+        rep = check_nullstellensatz(ns_from_json({**self.GF5_CERT, "target": "2"}))
+        assert not rep.valid and rep.failure == (-1, P("4", GF(5)))
+
+    def test_gf_sums_reduce_mod_p_in_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "ns.json"
+        dump_json(self.GF5_CERT, path)
+        assert main(["check-ns", str(path), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid"] and out["refutation"] and out["degree"] == 1
+        dump_json({**self.GF5_CERT, "target": "2"}, path)
+        assert main(["check-ns", str(path), "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["failure"] == {"line": None, "mismatch": "4", "rule": None}
+
 
 class TestBuilder:
     def test_mul_poly_and_combination(self):
@@ -739,7 +765,7 @@ def _mutate_derivation(d, rng):
         terms = poly.terms
         mono = rng.choice(list(terms))
         delta = d.ring.coerce(rng.choice([1, -1, 2]))
-        terms[mono] = d.ring.add(terms[mono], delta)
+        terms[mono] = terms[mono] + delta
         mutated_poly = Polynomial(d.ring, terms)
         if mutated_poly == poly:
             return None
