@@ -577,30 +577,6 @@ class EquationSet:
     def __getitem__(self, i: int) -> Polynomial:
         return self.members[i]
 
-    def union(self, other: "EquationSet") -> "EquationSet":
-        if self.ring != other.ring:
-            raise AlgebraError("ring mismatch")
-        return EquationSet(
-            self.ring,
-            self.members + other.members,
-            self.boolean_axioms or other.boolean_axioms,
-        )
-
-    def product(self, other: "EquationSet") -> "EquationSet":
-        """All pairwise products, left-major: satisfied iff self or other is."""
-        if self.ring != other.ring:
-            raise AlgebraError("ring mismatch")
-        members = tuple(p * q for p in self.members for q in other.members)
-        return EquationSet(self.ring, members, self.boolean_axioms or other.boolean_axioms)
-
-    def canonical(self) -> "EquationSet":
-        seen, out = set(), []
-        for p in self.members:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return EquationSet(self.ring, tuple(out), self.boolean_axioms)
-
     def variables(self) -> set[int]:
         out: set[int] = set()
         for p in self.members:

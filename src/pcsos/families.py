@@ -212,10 +212,10 @@ def gen_bphp_graph(holes_of, pigeons_of, m: int, n: int, ring: Ring = RATIONAL) 
     )
 
 
-def shift_graph(n: int, extra: int = 1):
-    """m = n + extra pigeons over n holes; pigeon i sees holes i mod n and
-    (i+1) mod n.  Unsatisfiable whenever extra >= 1."""
-    m = n + extra
+def shift_graph(n: int):
+    """m = n + 1 pigeons over n holes; pigeon i sees holes i mod n and
+    (i+1) mod n, so the matching is unsatisfiable."""
+    m = n + 1
     holes_of = [[i % n, (i + 1) % n] for i in range(m)]
     pigeons_of = [[] for _ in range(n)]
     for i, holes in enumerate(holes_of):

@@ -4,9 +4,10 @@ Index terms evaluate to naturals; ring terms translate, under an
 assignment of naturals to the free index variables, into polynomials in
 the variables x0, x1, ... where x_j stands for X(j).  Formulas built from
 ring equalities, index comparisons, and/or, and bounded index quantifiers
-translate into finite equation sets: conjunction becomes set union,
-disjunction becomes the set product, a bounded universal becomes the
-union of its instances, and an oracle-free subformula collapses to
+translate into finite member lists, each member read as p = 0:
+conjunction and a bounded universal concatenate the lists of their parts
+or instances, disjunction takes their product (`member_products`, which
+the sequent compiler shares), and an oracle-free subformula collapses to
 {0 = 0} or {1 = 0} by evaluation.
 
 The concrete syntax is written once, in GRAMMAR: per sort and head, the
@@ -629,6 +630,16 @@ def _holds(phi: Formula, alpha, model: Model) -> bool:
     raise FolError(f"bad formula {phi!r}")
 
 
+def member_products(parts, ring: Ring) -> tuple[Polynomial, ...]:
+    """The product translation of a list of member lists: one product per
+    choice of a member from each list, left-major, so it holds exactly
+    when some list holds.  The empty list gives the unit (1,)."""
+    out = tuple(parts[0]) if parts else (Polynomial.const(ring, 1),)
+    for part in parts[1:]:
+        out = tuple([p * q for p in out for q in part])
+    return out
+
+
 def translate_formula(
     phi: Formula, alpha: dict[str, int], reg: FunctionRegistry, ring: Ring = RATIONAL
 ) -> EquationSet:
@@ -636,32 +647,22 @@ def translate_formula(
     ok, why = classify_indpc(phi)
     if not ok:
         raise ClassificationError(f"formula is not translatable: {why}")
-    return _translate(phi, alpha, PolyModel(reg, ring))
+    return EquationSet(ring, _translate(phi, alpha, PolyModel(reg, ring)))
 
 
-def _translate(phi, alpha, model: PolyModel) -> EquationSet:
-    ring = model.ring
+def _translate(phi, alpha, model: PolyModel) -> tuple[Polynomial, ...]:
+    """The members of phi's translation under alpha."""
     if not mentions_oracle(phi):
         # evaluation in the polynomial model: oracle-free terms are constants
-        truth = _holds(phi, alpha, model)
-        value = Polynomial.zero(ring) if truth else Polynomial.const(ring, 1)
-        return EquationSet(ring, (value,))
+        return (Polynomial.const(model.ring, 0 if _holds(phi, alpha, model) else 1),)
     match phi:
         case RingEq(l, r):
-            return EquationSet(ring, (ring_value(l, alpha, model) - ring_value(r, alpha, model),))
+            return (ring_value(l, alpha, model) - ring_value(r, alpha, model),)
         case And(parts):
-            out = _translate(parts[0], alpha, model)
-            for p in parts[1:]:
-                out = out.union(_translate(p, alpha, model))
-            return out
+            return tuple([m for p in parts for m in _translate(p, alpha, model)])
         case Or(parts):
-            out = _translate(parts[0], alpha, model)
-            for p in parts[1:]:
-                out = out.product(_translate(p, alpha, model))
-            return out
+            return member_products([_translate(p, alpha, model) for p in parts], model.ring)
         case ForallIdx(var, bound, body):
-            members: tuple[Polynomial, ...] = ()
-            for j in range(eval_index(bound, alpha, model.reg)):
-                members += _translate(body, {**alpha, var: j}, model).members
-            return EquationSet(ring, members)
+            n = eval_index(bound, alpha, model.reg)
+            return tuple([m for j in range(n) for m in _translate(body, {**alpha, var: j}, model)])
     raise FolError(f"untranslatable formula {phi!r}")

@@ -11,12 +11,15 @@ successor-shaped bounds peel once, so an accepted axiom instance
 translates to a polynomial identity under every assignment.
 
 Compilation is the rule-by-rule translation into a derivation of the
-succedent's product translation from the antecedent's union translation.
-Antecedent-side rules are pass-throughs; right contraction squares and
-applies the radical rule; disjunction on the left multiplies whole
-sub-derivations through by the other factors; a bounded universal on the
-right takes the union of its instances; induction concatenates one stage
-per value below the bound; cut behaves like induction with two stages.
+succedent's product translation (`fol.member_products`) from the
+antecedent's union translation.  Antecedent-side rules are pass-throughs;
+right contraction squares and applies the radical rule; a bounded
+universal on the right takes the union of its instances.  Cut, induction
+and or-l emit each premise through one step, at the scale times a factor
+and with the side antecedents' lines winning over the assumed ones; with
+a succedent member q as the factor, the radical rule collapses the
+derived q^2 back to q.  Induction takes one stage per value below the
+bound; or-l cuts away one disjunct at a time, as cut does.
 Sum-of-squares and Boolean axiom sequents compile through the
 sum-of-squares and radical rules and therefore require the pc_plus
 target; the sum-of-squares axiom also requires the rational ring, as the
@@ -35,6 +38,7 @@ line.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -67,6 +71,7 @@ from .fol import (
     eval_index,
     format_formula,
     free_index_vars,
+    member_products,
     mentions_oracle,
     parse_formula,
     parse_index_term,
@@ -563,13 +568,6 @@ def _check_cut(node, args, reg, path):
 # -- compilation ---------------------------------------------------------
 
 
-def _product_members(parts_by_child, ring):
-    combos = [((), Polynomial.const(ring, 1))]
-    for parts in parts_by_child:
-        combos = [(combo + (p,), factor * p) for combo, factor in combos for p in parts]
-    return combos
-
-
 class _Compiler:
     """Recursive emitter.
 
@@ -609,16 +607,21 @@ class _Compiler:
         """Union translation: the concatenation of the member lists."""
         return [m for phi in formulas for m in self.members(phi, alpha)]
 
-    def right(self, formulas, alpha) -> list[Polynomial]:
-        """Product translation; the empty succedent yields the unit {1}."""
-        parts_by_formula = [self.members(phi, alpha) for phi in formulas]
-        return [factor for _, factor in _product_members(parts_by_formula, self.ring)]
+    def right(self, formulas, alpha) -> tuple[Polynomial, ...]:
+        """Product translation; the empty succedent yields the unit (1,)."""
+        return member_products([self.members(phi, alpha) for phi in formulas], self.ring)
 
-    def _rescaled(self, member: Polynomial, factor: Polynomial, asm: dict) -> int:
-        """Line for member*(w*factor) given asm lines at scale w."""
+    def _rescaled(self, members, factor: Polynomial, asm: dict) -> dict:
+        """Lines for m*(w*factor), for each m of members, from asm's lines at scale w."""
         if factor == self.one:
-            return asm[member]
-        return self.builder.mul_poly(asm[member], factor)
+            return {m: asm[m] for m in members}
+        return {m: self.builder.mul_poly(asm[m], factor) for m in members}
+
+    def _premise(self, premise, alpha, w, factor, gamma: dict, assumed: dict) -> dict:
+        """The member lines of a premise of cut, induction or or-l, emitted at
+        scale w*factor from the lines at that scale of the side antecedents
+        (gamma) and of the formulas the rule assumes; a side line wins."""
+        return self.emit(premise, alpha, w * factor, {**assumed, **gamma})
 
     def _collapse(self, line: int, target_poly: Polynomial, square_factor: Polynomial) -> int:
         """From a line with poly target*square_factor, reach target via
@@ -744,73 +747,50 @@ class _Compiler:
 
     def or_r(self, s, alpha, w, asm):
         target, child = s.found
-        child_index = target.parts.index(child)
+        k = target.parts.index(child)
         inner = self.emit(s.premises[0], alpha, w, asm)
-        delta_members = self.right(_minus(s.node.conclusion.succ, (target,)), alpha)
-        parts_by_child = [self.members(c, alpha) for c in target.parts]
+        parts = [self.members(c, alpha) for c in target.parts]
+        # each product member is x*c*y: x from the parts before the child,
+        # c from the child and y from the parts after it, left-major
+        before, after = member_products(parts[:k], self.ring), member_products(parts[k + 1 :], self.ring)
         out = {}
-        for q in delta_members:
-            for combo, factor in _product_members(parts_by_child, self.ring):
-                m = q * factor
-                if m in out:
-                    continue
-                others = self.one
-                for j, p in enumerate(combo):
-                    if j != child_index:
-                        others = others * p
-                base = inner[q * combo[child_index]]
-                out[m] = base if others == self.one else self.builder.mul_poly(base, others)
+        for q in self.right(_minus(s.node.conclusion.succ, (target,)), alpha):
+            for x, c, y in itertools.product(before, parts[k], after):
+                m = q * x * c * y
+                if m not in out:
+                    base, others = inner[q * c], x * y
+                    out[m] = base if others == self.one else self.builder.mul_poly(base, others)
         return out
 
     def or_l(self, s, alpha, w, asm):
         target, conc = s.found, s.node.conclusion
-        gamma_members = self.left(_minus(conc.ante, (target,)), alpha)
-        parts_by_child = [self.members(c, alpha) for c in target.parts]
-        product_asm = {factor: asm[factor] for _, factor in _product_members(parts_by_child, self.ring)}
-        return self._or_l(
-            list(s.premises), parts_by_child, alpha, w, self.one,
-            gamma_members, asm, product_asm, self.right(conc.succ, alpha),
-        )
+        gamma = self.left(_minus(conc.ante, (target,)), alpha)
+        parts = [self.members(c, alpha) for c in target.parts]
+        targets = self.right(conc.succ, alpha)
+        # asm holds the lines of the disjunction's members at scale w too
+        return self._or_l(s.premises, parts, alpha, w, self.one, gamma, asm, asm, targets)
 
-    def _or_l(
-        self, premises, parts_by_child, alpha, w, prefix,
-        gamma_members, asm, product_asm, delta_members,
-    ):
-        """Derive q*prefix*w for each q from lines for the product members.
-
-        product_asm maps each member of the remaining disjuncts' product to
-        a line with polynomial member*prefix*w, and asm each Gamma member g
-        to a line with polynomial g*w; prefix accumulates the factors
-        already cut away by outer recursion levels.
-        """
-        first_members = parts_by_child[0]
+    def _or_l(self, premises, parts, alpha, w, prefix, gamma, asm, assumed, targets):
+        """Lines for q*prefix*w, for each q of targets, from one premise per
+        disjunct, or all member lines of the last premise alone.  assumed
+        maps each member of the product of parts to a line at scale
+        prefix*w, and asm each Gamma member g to a line for g*w.  The first
+        disjunct is cut away as cut does: its premise, once per member b of
+        the other disjuncts' product, gives q*b at scale prefix*w, which is
+        b at the other disjunction's scale prefix*w*q."""
+        rest = dict.fromkeys(member_products(parts[1:], self.ring))
+        first = {}
+        for b in rest:
+            gamma_lines = self._rescaled(gamma, prefix * b, asm)
+            cut_away = {a: assumed[a * b] for a in parts[0]}
+            first[b] = self._premise(premises[0], alpha, w, prefix * b, gamma_lines, cut_away)
         if len(premises) == 1:
-            sub_asm = dict(product_asm)
-            for g in gamma_members:
-                sub_asm[g] = self._rescaled(g, prefix, asm)
-            return self.emit(premises[0], alpha, w * prefix, sub_asm)
-
-        rest_parts = parts_by_child[1:]
-        rest_products = dict(_product_members(rest_parts, self.ring))
-        rest_members = list(dict.fromkeys(rest_products.values()))
-
-        # step A: the first premise, once per member b of the remaining product
-        a_outputs = {}
-        for b in rest_members:
-            sub_asm = {a: product_asm[a * b] for a in first_members}
-            for g in gamma_members:
-                sub_asm[g] = self._rescaled(g, prefix * b, asm)
-            a_outputs[b] = self.emit(premises[0], alpha, w * prefix * b, sub_asm)
-
-        # step B: the remaining disjunction, against each requested member q
+            return first[self.one]
         out = {}
-        for q in delta_members:
+        for q in targets:
             if q not in out:
-                inner_asm = {b: a_outputs[b][q] for b in rest_members}  # poly q*b*prefix*w
-                inner = self._or_l(
-                    premises[1:], rest_parts, alpha, w, prefix * q,
-                    gamma_members, asm, inner_asm, [q],
-                )
+                lines = {b: first[b][q] for b in rest}  # poly q*b*prefix*w
+                inner = self._or_l(premises[1:], parts[1:], alpha, w, prefix * q, gamma, asm, lines, [q])
                 out[q] = self._collapse(inner[q], q * prefix * w, prefix * w)
         return out
 
@@ -827,50 +807,44 @@ class _Compiler:
         var, template = s.args["var"], s.args["formula"]
         steps = eval_index(s.args["term"], alpha, self.reg)
         gamma_members = self.left(gamma, alpha)
-        delta_members = self.right(delta, alpha)
+        deltas = tuple(dict.fromkeys(self.right(delta, alpha)))
 
-        def phi_at(n):
-            return self.members(template, {**alpha, var: n})
-
-        now = phi_at(0)
-        stage = {(r, q): self._rescaled(r, q, asm) for r in now for q in delta_members}
+        # stage[q][r] is the line for r*q*w, r a member of phi(n); phi(0)'s
+        # lines are rescaled member by member
+        now = self.members(template, {**alpha, var: 0})
+        stage: dict[Polynomial, dict] = {q: {} for q in deltas}
+        for r in now:
+            for q in deltas:
+                stage[q] |= self._rescaled((r,), q, asm)
 
         # the Gamma lines at scale w*q are the same at every step: built on first use
         gamma_at: dict[Polynomial, dict] = {}
         for n in range(steps):
-            nxt: dict[tuple[Polynomial, Polynomial], int] = {}
-            after = phi_at(n + 1)
-            for q in delta_members:
+            after = self.members(template, {**alpha, var: n + 1})
+            for q in deltas:
                 if q not in gamma_at:
-                    gamma_at[q] = {g: self._rescaled(g, q, asm) for g in gamma_members}
-                sub_asm = dict(gamma_at[q])
-                for r in now:
-                    sub_asm[r] = stage[(r, q)]
-                result = self.emit(s.premises[0], {**alpha, var: n}, w * q, sub_asm)
-                for r_next in after:
-                    line = result[r_next * q]  # poly r_next*q^2*w
-                    nxt[(r_next, q)] = self._collapse(line, r_next * q * w, r_next * w)
-            stage, now = nxt, after
+                    gamma_at[q] = self._rescaled(gamma_members, q, asm)
+                result = self._premise(s.premises[0], {**alpha, var: n}, w, q, gamma_at[q], stage[q])
+                # result[r*q] has poly r*q^2*w
+                stage[q] = {r: self._collapse(result[r * q], r * q * w, r * w) for r in after}
+            now = after
 
-        return {r * q: stage[(r, q)] for r in now for q in delta_members}
+        return {r * q: stage[q][r] for r in now for q in deltas}
 
     def cut(self, s, alpha, w, asm):
         phi_members = self.members(s.found, alpha)
-        gamma_members = self.left(s.node.conclusion.ante, alpha)
-        # the left premise once, at scale w: its line for q*a has poly q*a*w,
-        # which is a at the right premise's scale w*q; it gives only 0 = 0
-        # when every member of phi is 0
+        gamma = self.left(s.node.conclusion.ante, alpha)
+        # the left premise once, at scale w, where asm holds the Gamma lines:
+        # its line for q*a has poly q*a*w, which is a at the right premise's
+        # scale w*q; it gives only 0 = 0 when every member of phi is 0
         nonzero = any(not a.is_zero for a in phi_members)
-        left = self.emit(s.premises[0], alpha, w, asm) if nonzero else None
+        left = self._premise(s.premises[0], alpha, w, self.one, asm, {}) if nonzero else None
         out = {}
         for q in self.right(s.node.conclusion.succ, alpha):
-            if q in out:
-                continue
-            sub_asm = {a: left[q * a] if left else self.builder.zero() for a in phi_members}
-            for g in gamma_members:
-                sub_asm[g] = self._rescaled(g, q, asm)
-            right = self.emit(s.premises[1], alpha, w * q, sub_asm)
-            out[q] = self._collapse(right[q], q * w, w)  # right[q] has poly q^2*w
+            if q not in out:
+                assumed = {a: left[q * a] if left else self.builder.zero() for a in phi_members}
+                right = self._premise(s.premises[1], alpha, w, q, self._rescaled(gamma, q, asm), assumed)
+                out[q] = self._collapse(right[q], q * w, w)  # right[q] has poly q^2*w
         return out
 
 

@@ -771,13 +771,23 @@ def _require_object(obj, what: str) -> None:
         raise ProofFormatError(f"malformed {what} file: expected a JSON object, got {type(obj).__name__}")
 
 
+def _flag_from_json(obj: dict, key: str) -> bool:
+    """An optional JSON boolean, false when absent; any other value is malformed."""
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ProofFormatError(f"{key!r} must be true or false, got {value!r:.60}")
+    return value
+
+
 def derivation_from_json(obj: dict) -> Derivation:
     _require_object(obj, "proof")
     try:
         ring = Ring.from_json(obj["ring"])
         src = _Reader(ring)
         system = obj["system"]
-        axioms = EquationSet(ring, src.polys(obj["axioms"]), bool(obj.get("boolean_axioms", False)))
+        if system not in SYSTEMS:
+            raise ProofFormatError(f"unknown system {system!r:.60}")
+        axioms = EquationSet(ring, src.polys(obj["axioms"]), _flag_from_json(obj, "boolean_axioms"))
         lines = []
         for entry in obj["lines"]:
             poly = src.poly(entry["poly"])
@@ -828,7 +838,7 @@ def sos_from_json(obj: dict) -> SosCertificate:
     ring = RATIONAL
     src = _Reader(ring)
     try:
-        axioms = EquationSet(ring, src.polys(obj["axioms"]), bool(obj.get("boolean", False)))
+        axioms = EquationSet(ring, src.polys(obj["axioms"]), _flag_from_json(obj, "boolean"))
         constant = parse_rational(obj.get("constant", 0))
         squares = src.polys(obj.get("squares", []))
         return SosCertificate(
@@ -890,9 +900,8 @@ def eqset_from_json(obj: dict) -> EquationSet:
     _require_object(obj, "equation set")
     try:
         ring = Ring.from_json(obj.get("ring", {"kind": "rational"}))
-        return EquationSet(
-            ring, _Reader(ring).polys(obj["equations"]), bool(obj.get("boolean_axioms", False))
-        )
+        equations = _Reader(ring).polys(obj["equations"])
+        return EquationSet(ring, equations, _flag_from_json(obj, "boolean_axioms"))
     except (KeyError, TypeError, AlgebraError) as exc:
         raise ProofFormatError(f"malformed equation set file: {exc}") from exc
 

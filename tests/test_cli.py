@@ -303,6 +303,37 @@ class TestMalformedFiles:
         assert main(["check", str(path)]) == 2
         assert_format_errors(capsys, 1)
 
+    def test_boolean_flag_is_a_json_boolean(self, tmp_path, capsys):
+        # bool("false") is True: read loosely, "false" would admit the bool line
+        proof = {
+            "system": "pc",
+            "ring": {"kind": "rational"},
+            "axioms": [],
+            "lines": [{"poly": "x1^2 - x1", "rule": {"kind": "bool", "var": "x1"}}],
+        }
+        sos = {"axioms": [], "target": "x1^2 - x1", "bool_multipliers": [{"var": "x1", "poly": "1"}]}
+        eqs = {"equations": ["x2"]}
+        for flag in ["false", "true", 0, 1, None, []]:
+            proof["boolean_axioms"], sos["boolean"], eqs["boolean_axioms"] = flag, flag, flag
+            assert main(["check", write(tmp_path, "proof.json", proof)]) == 2
+            assert main(["check-sos", write(tmp_path, "sos.json", sos)]) == 2
+            path = write(tmp_path, "eqs.json", eqs)
+            assert main(["search", "closure", path, "--degree", "2", "--query", "x1^2 - x1"]) == 2
+        assert_format_errors(capsys, 18)
+        for flag, code in [(True, 0), (False, 1)]:
+            proof["boolean_axioms"], sos["boolean"], eqs["boolean_axioms"] = flag, flag, flag
+            assert main(["check", write(tmp_path, "proof.json", proof)]) == code
+            assert main(["check-sos", write(tmp_path, "sos.json", sos)]) == code
+            path = write(tmp_path, "eqs.json", eqs)
+            assert main(["search", "closure", path, "--degree", "2", "--query", "x1^2 - x1"]) == code
+
+    def test_unknown_system_exit_two(self, tmp_path, capsys):
+        for system in ["pcx", "PC", 1, None]:
+            proof = derivation_to_json(refutation_proof())
+            proof["system"] = system
+            assert main(["check", write(tmp_path, "proof.json", proof)]) == 2
+        assert_format_errors(capsys, 4)
+
     def test_top_level_array_exit_two(self, tmp_path, capsys):
         path = write(tmp_path, "array.json", [])
         assert main(["check", path]) == 2

@@ -43,6 +43,7 @@ from pcsos.fol import (
     eval_index,
     format_formula,
     free_index_vars,
+    member_products,
     parse_formula,
     parse_index_term,
     parse_ring_term,
@@ -220,14 +221,9 @@ class TestFormulaTranslation:
     def test_compositionality(self):
         a = F("(= (X 0) (rat 0))")
         b = F("(forall i 2 (= (X i) (rat 1)))")
-        conj = translate_formula(And((a, b)), {}, REG)
-        assert conj.members == translate_formula(a, {}, REG).union(
-            translate_formula(b, {}, REG)
-        ).members
-        disj = translate_formula(Or((a, b)), {}, REG)
-        assert disj.members == translate_formula(a, {}, REG).product(
-            translate_formula(b, {}, REG)
-        ).members
+        left, right = translate_formula(a, {}, REG).members, translate_formula(b, {}, REG).members
+        assert translate_formula(And((a, b)), {}, REG).members == left + right
+        assert translate_formula(Or((a, b)), {}, REG).members == member_products([left, right], RATIONAL)
 
 
 class TestSemanticsAgreement:

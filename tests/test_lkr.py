@@ -476,7 +476,9 @@ class TestDepthLimit:
 # fails here.
 
 X0, X1, X2 = "(= (X 0) (rat 0))", "(= (X 1) (rat 0))", "(= (X 2) (rat 1))"
+X3, X4 = "(= (X 3) (rat 0))", "(= (X 4) (rat 0))"
 TWO = "(forall i 2 (= (X i) (rat 0)))"  # two members, x0 and x1
+PAIR = f"(and {X3} {X4})"  # two members, x3 and x4
 TRUE, FALSE = "(i= 1 1)", "(i< 1 0)"  # translate to 0 and to 1
 
 
@@ -518,6 +520,18 @@ def _forall_proof():
         "forall-idx-l", Sequent((forall,), (phi_i,)), premises=(ax,), params={"term": IdxVar("i")}
     )
     return LkrNode("forall-idx-r", Sequent((forall,), (forall,)), premises=(inst,), params={"var": "i"})
+
+
+def _instance(phi, term):
+    """TWO -> phi, for phi the instance of TWO at term."""
+    return _node("forall-idx-l", [TWO], [phi], _axiom(phi), term=term)
+
+
+def _induction(gamma, term):
+    """TWO, gamma -> TWO, PAIR by induction on TWO, which does not mention
+    the induction variable, so the premise is the conclusion itself."""
+    ante, succ = [TWO, *gamma], [TWO, PAIR]
+    return _node("induction", ante, succ, _weakened(TWO, ante, succ), var="k", formula=TWO, term=term)
 
 
 def _corpus():
@@ -567,6 +581,30 @@ def _corpus():
             _node("or-l", [or012], [X0, X1, X2], *(_weakened(x, [x], [X0, X1, X2]) for x in (X0, X1, X2))),
             {},
         ),
+        "or-l three disjuncts with a side formula": (
+            _node(
+                "or-l", [f"(or {X0} {TWO} {X2})", X3], [X0, TWO, X2],
+                *(_weakened(x, [x, X3], [X0, TWO, X2]) for x in (X0, TWO, X2)),
+            ),
+            {},
+        ),
+        # a side formula of the antecedent that translates like an assumed member
+        "or-l with a side formula equal to a disjunct": (
+            _node("or-l", [or01, X0], [X0], _weakened(X0, [X0, X0], [X0]), _weakened(X0, [X1, X0], [X0])),
+            {},
+        ),
+        "cut with a side member equal to the cut formula": (
+            _node(
+                "cut", [TWO], [X0],
+                _node("weakening-r", [TWO], [X1, X0], _instance(X1, "1")),
+                _node("weakening-l", [X1, TWO], [X0], _instance(X0, "0")),
+            ),
+            {},
+        ),
+        "induction t=2 with side formulas": (_induction([X2], "2"), {}),
+        "induction t=n with side formulas": (_induction([X2], "n"), {"n": 3}),
+        "induction t=0 with side formulas": (_induction([X2], "0"), {}),
+        "induction with a side formula equal to phi": (_induction([TWO], "2"), {}),
         "true in a succedent": (_weakened(X0, [X0], [X0, TRUE]), {}),
         "true as or-r disjunct": (_node("or-r", [X0], [f"(or {TRUE} {X0})"], _axiom(X0)), {}),
         "true as or-l disjunct": (
@@ -662,6 +700,10 @@ CORPUS_DIGESTS = {
         "e1e72fb05f527f86fb4714d5cbd9f40b0cf280b2fb5be26fa42552b0cfa2f17c",
         "4429894d7d78dbf55c32eb13bdf7c3fca2ab1da023ad7ed3f681d816b5c33774",
     ),
+    "cut with a side member equal to the cut formula": (
+        "41e4302366a7e536cb6c2bd4a6d79b6b2e5acdd652d4c3c002aa210ca15b539c",
+        "9597e5d8459bfd3c5f5f83d7de420490b0954002c6e62c8d7942416904e208ee",
+    ),
     "equality congruence": (
         "046fa23cf46734ec5f817dc3ea549b5ea29f2a88607d413f713bd0b27b72f832",
         "401387cc1d9349c9e78a8b5e61a69e4a1064f55bbb801a201dabcbfc6c90d2c0",
@@ -686,6 +728,22 @@ CORPUS_DIGESTS = {
         "0084002e4f0ae3decfcb653c6a7b013e24d6fe0e24e60a449f69f3208be7780b",
         "70265179fb5f2c2dbdc1627eb6f995a6e03b211bdf3511eef18a1a67b911800c",
     ),
+    "induction t=0 with side formulas": (
+        "0ea7e665e33da1faddd9f1f02c4a9ddd7ec0687ac26979e03c381e179864b851",
+        "a46cf9f7b88f2ff8d6e5634c315aba227180a158d1cc796f981f4f9b3b1e21c8",
+    ),
+    "induction t=2 with side formulas": (
+        "9f48268540c384134d4f43e64a400c2b6aa6b48774d59fcaafef868a8262b0fa",
+        "1fcee1b831377649a35a1adb2f5cb23de91413d7ab2e95f5da0a33a1ca2da245",
+    ),
+    "induction t=n with side formulas": (
+        "c247e2b82259915dd6ef897390704873d5730a1091fe11df0bc5b810733b98b4",
+        "e4331caa452064c64d9fbf9c48f22945bf28d40463d809603d1397996dfe0af4",
+    ),
+    "induction with a side formula equal to phi": (
+        "d90c52c930443fbad6e235915dbeb000380d28818a4193ac139f62a10ccc9212",
+        "70f126a3d5f598b759638034d77d5d06c230db084c2a958dcc2f44677e85bdfa",
+    ),
     "integral-domain": (
         "a4f5bb984c124f70e5107e3d7f3fd3bc235e82559145b03ea920cb4a119eb434",
         "59ed217c64df591f280a4bdfeee92b715122c510e07c1976455fb8bb42162da3",
@@ -694,9 +752,17 @@ CORPUS_DIGESTS = {
         "2c42b8eda90613d2c5fee5b250c0acf52fde494fe06139cc84683ebd7b85d144",
         "c36f67a15964dd083e4230fec64fb630893b30137ea12eefa7aac1b3122d59b7",
     ),
+    "or-l three disjuncts with a side formula": (
+        "a88e34f0eb4041fd9e13f92107636237f96401414619d0993827cf0a21a3e281",
+        "7e717044d330c4c3dd5dc0cf78b0e537b2857f7d50943dbdf85fea2090793ebc",
+    ),
     "or-l two members": (
         "9b8bec689bfaebe24698b41f6b3b928f9dd8f4976463b9b60a5192a791a5d696",
         "450f7ba1e9e311c05ccc9c72558ca6ed9f7e3aaf5cb1405dac8af9c2d5219136",
+    ),
+    "or-l with a side formula equal to a disjunct": (
+        "565ca08a49f6c48c392ef9a489d5b733abe68eaa3e40a5e0a24e9ccdec237c1b",
+        "8fdd07cfdd9bb49cec20b6313562209684f9ace99ae8d75f8f68ad34e33cdbac",
     ),
     "or-r child 0": (
         "7c6a2c0e4e7855b5a411d8c8d511ea547bcac637399de7cd8b3aebf2ab0e3c15",
@@ -767,6 +833,14 @@ class TestCompileCorpus:
             d = compile_lkr(proof, alpha, target, REG)
             assert len(d.lines) == 8 and check_derivation(d).degree == 2
 
+    def test_induction_prefers_the_side_line(self):
+        # where a side formula also supplies a stage member, its line is
+        # used, as in cut and or-l
+        proof, alpha = CORPUS["induction with a side formula equal to phi"]
+        for target in ("pc_rad", "pc_plus"):
+            d = compile_lkr(proof, alpha, target, REG)
+            assert len(d.lines) == 22 and check_derivation(d).degree == 4
+
     def test_every_rule_has_an_entry(self):
         covered = set().union(*(_rules_of(proof) for proof, _ in CORPUS.values()))
         assert set(RULES) <= covered
@@ -786,3 +860,73 @@ class TestCompileCorpus:
         for target in targets:
             d = compile_lkr(proof, alpha, target, REG, GF(5))
             assert d.ring == GF(5) and check_derivation(d).valid
+
+
+# -- rejection corpus -----------------------------------------------------
+#
+# One malformed node per failure of the cut, induction and per-part checks:
+# the node's own check rejects it, with that check's reason, before any
+# premise is looked at, so the premises only claim their sequents.
+
+
+def _claim(ante, succ):
+    return _node("logical-axiom", ante, succ)
+
+
+def _inducts(ante, succ, premise, formula, term):
+    return _node("induction", ante, succ, _claim(*premise), var="k", formula=formula, term=term)
+
+
+XK = "(= (X k) (rat 0))"
+REJECTIONS = {
+    "cut adds no formula": (
+        _node("cut", [X0], [X0], _claim([X0], [X0]), _claim([X0, X0], [X0])),
+        "cut: left premise must add one formula to the succedent",
+    ),
+    "cut changes the antecedent": (
+        _node("cut", [X0], [X0], _claim([X1], [X0, X2]), _claim([X2, X0], [X0])),
+        "cut: left premise antecedent must match the conclusion",
+    ),
+    "cut right premise without the cut formula": (
+        _node("cut", [X0], [X0], _claim([X0], [X0, X2]), _claim([X0], [X0])),
+        "cut: right premise must assume the cut formula",
+    ),
+    "induction without phi(0)": (
+        _inducts([X2], [TWO], ([X2, TWO], [TWO]), TWO, "2"),
+        "induction conclusion must contain phi(0) and phi(t)",
+    ),
+    "induction premise without phi(i)": (
+        _inducts([TWO], [TWO], ([X2], [TWO]), TWO, "2"),
+        "induction premise must be Gamma, phi(i) -> phi(i+1), Delta",
+    ),
+    "induction variable in the bottom sequent": (
+        _inducts(
+            [X0, "(= (X k) (rat 1))"], ["(= (X 2) (rat 0))"],
+            (["(= (X k) (rat 1))", XK], ["(= (X (+ k 1)) (rat 0))"]), XK, "2",
+        ),
+        "induction variable 'k' occurs in the bottom sequent",
+    ),
+    "induction bound mentions the variable": (
+        _inducts([TWO], [TWO], ([TWO], [TWO]), TWO, "k"),
+        "induction bound may not mention the induction variable",
+    ),
+    "or-l premise for no disjunct": (
+        _node("or-l", [f"(or {X0} {X1})"], [X0], _claim([X0], [X0]), _claim([X2], [X0])),
+        "or-l premises do not match the parts of any Or formula",
+    ),
+    "and-r one premise too few": (
+        _node("and-r", [X0, X1], [f"(and {X0} {X1})"], _claim([X0, X1], [X0])),
+        "and-r premises do not match the parts of any And formula",
+    ),
+}
+
+
+class TestRejections:
+    @pytest.mark.parametrize("name", sorted(REJECTIONS))
+    def test_node_is_rejected_with_its_reason(self, name):
+        proof, reason = REJECTIONS[name]
+        report = check_lkr(proof, REG)
+        assert not report.valid
+        assert report.node == () and report.reason == reason
+        with pytest.raises(LkrError, match=re.escape(reason)):
+            compile_lkr(proof, {}, "pc_rad", REG)
