@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 MINUS_INF = float("-inf")
 
@@ -439,6 +440,68 @@ def _format_term(m: tuple, c) -> str:
     if c == 1 and factors:
         return "*".join(factors)
     return "*".join([format_rational(c)] + factors)
+
+
+# -- weighted sums of squares -----------------------------------------
+
+
+def sum_of_squares(ring: Ring, weighted) -> Polynomial:
+    """sum_k w_k s_k^2 over the (square, weight) pairs, through a Gram matrix.
+
+    The distinct monomials of all the squares are numbered once, and the
+    entry G[i, j] += w c_i c_j (doubled for i < j) is accumulated in row
+    i's dict under the int j, so each product of two monomials is merged
+    once however many squares share it.  The denominators of each square
+    and of the weights are cleared into one common denominator first, so
+    the entries stay on int arithmetic and are divided once per output
+    monomial.
+    """
+    rows = []  # per nonzero square: its monomials, integral coefficients and weight
+    den = 1
+    for s, w in weighted:
+        if s.ring != ring:
+            raise AlgebraError("ring mismatch")
+        if not s._terms:
+            continue
+        w = ring.coerce(w)
+        coeffs = list(s._terms.values())
+        d = lcm(*[c.denominator for c in coeffs])
+        if d != 1:  # w s^2 = (w / d^2) (d s)^2, and d s is integral
+            coeffs = [(c * d).numerator for c in coeffs]
+            w = Fraction(w, d * d)
+        den = lcm(den, w.denominator)
+        rows.append((s._terms, coeffs, w))
+    index: dict = {}  # monomial -> its number i
+    monos: list = []  # i -> monomial
+    gram: list = []  # i -> {j: G[i, j]} for j >= i
+    for terms, coeffs, w in rows:
+        w = w.numerator * (den // w.denominator)
+        row = []
+        for m, c in zip(terms, coeffs):
+            i = index.get(m)
+            if i is None:
+                i = index[m] = len(monos)
+                monos.append(m)
+                gram.append({})
+            row.append((i, c))
+        row.sort()
+        for a, (i, c) in enumerate(row):
+            g = gram[i]
+            get = g.get
+            wc = w * c
+            g[i] = get(i, 0) + wc * c
+            wc += wc
+            for j, c2 in row[a + 1 :]:
+                g[j] = get(j, 0) + wc * c2
+    out: dict = {}
+    for mi, g in zip(monos, gram):
+        for j, v in g.items():
+            if v:
+                m = merge_exps(mi, monos[j])
+                out[m] = out.get(m, 0) + v
+    if den != 1:
+        out = {m: Fraction(v, den) for m, v in out.items()}
+    return Polynomial(ring, out)
 
 
 # -- parsing ----------------------------------------------------------

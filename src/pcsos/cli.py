@@ -346,7 +346,10 @@ def _cmd_search(args) -> int:
     degree = parse_natural(args.degree)
     if query.degree > degree:
         raise CliFormatError(f"query degree {query.degree} exceeds --degree {degree}")
-    basis = pc_closure(eqs, degree, monomial_cap=parse_natural(args.cap))
+    # the query's own variables are multipliers too: x1 derives x1*x2 in one step
+    basis = pc_closure(
+        eqs, degree, monomial_cap=parse_natural(args.cap), extra_variables=query.variables()
+    )
     derivation = extract_derivation(basis, query)
     if derivation is None:
         _summary(args, {"valid": False, "degree": None, "derivable": False})

@@ -49,6 +49,7 @@ from .algebra import (
     parse_natural,
     parse_poly,
     parse_rational,
+    sum_of_squares,
 )
 
 PC = "pc"
@@ -162,6 +163,9 @@ class _Reader:
         return poly
 
     def polys(self, texts) -> tuple[Polynomial, ...]:
+        # a string or an object would iterate as characters or keys
+        if not isinstance(texts, list):
+            raise ProofFormatError(f"expected a list of polynomial texts, got {texts!r:.60}")
         return tuple(map(self.poly, texts))
 
 
@@ -288,9 +292,7 @@ def _sos_recomposition(just: Sos, premises, witness_square: Polynomial) -> Polyn
     c_j > 0 per square; else the cited line is the mismatch."""
     if just.weights and len(just.weights) != len(just.squares) or any(c <= 0 for c in just.weights):
         return premises[0]
-    recomposed = witness_square
-    for q, c in just.weighted_squares():
-        recomposed = recomposed + (q * q).scale(c)
+    recomposed = witness_square + sum_of_squares(witness_square.ring, just.weighted_squares())
     return _diff(premises[0], recomposed)
 
 
@@ -414,7 +416,9 @@ class CheckReport:
 
 # The static checkers accumulate the big identity in one plain dict keyed by
 # exponent tuples, with unreduced sums, and build one polynomial from it: the
-# constructor makes each coefficient canonical, once.
+# constructor makes each coefficient canonical, once.  check_sos starts the
+# dict from the weighted squares, which sum_of_squares expands once through
+# a Gram matrix over their distinct monomials.
 
 
 def _accumulate_product(acc: dict, r: Polynomial, p: Polynomial):
@@ -440,28 +444,6 @@ def _accumulate_product(acc: dict, r: Polynomial, p: Polynomial):
             e = merge_exps(m1, m2)
             acc[e] = acc.get(e, 0) + c1 * c2
     return d1 + d2
-
-
-def _accumulate_square(acc: dict, s: Polynomial, w=1):
-    """Add w*s^2 into the accumulator using the symmetry of the square.
-
-    A weighted square is expanded once on its own, in the coefficients of s
-    (often integers), and each monomial of s^2 is then scaled by w."""
-    if s.is_zero:
-        return MINUS_INF
-    square = acc if w == 1 else {}
-    items = list(s._terms.items())
-    for idx, (e1, c1) in enumerate(items):
-        e = merge_exps(e1, e1)
-        square[e] = square.get(e, 0) + c1 * c1
-        for k in range(idx + 1, len(items)):
-            e2, c2 = items[k]
-            e = merge_exps(e1, e2)
-            square[e] = square.get(e, 0) + 2 * c1 * c2
-    if square is not acc:
-        for e, c in square.items():
-            acc[e] = acc.get(e, 0) + w * c
-    return 2 * s.degree
 
 
 def _is_negative_constant(p: Polynomial) -> bool:
@@ -523,17 +505,17 @@ def check_sos(c: SosCertificate) -> CheckReport:
         if w <= 0:
             raise ProofStructureError(f"non-positive square weight {w}")
     ring = c.axioms.ring
-    acc: dict = {(): ring.coerce(c.constant)} if c.constant else {}
-    degree = MINUS_INF if c.constant == 0 else 0
+    acc = sum_of_squares(ring, c.weighted_squares()).terms
+    # a summand's degree: 2 deg s for each nonzero square, not read off the expanded sum
+    degree = max([MINUS_INF if c.constant == 0 else 0] + [2 * s.degree for s in c.squares if s._terms])
+    if c.constant:
+        acc[()] = acc.get((), 0) + ring.coerce(c.constant)
     for k, r in c.multipliers:
         if not (0 <= k < len(c.axioms)):
             raise ProofStructureError(f"multiplier cites axiom {k} out of range")
         degree = max(degree, _accumulate_product(acc, r, c.axioms[k]))
     for v, r in c.bool_multipliers:
         degree = max(degree, _accumulate_product(acc, r, _bool_poly(ring, v)))
-    for s, w in c.weighted_squares():
-        # an integral weight as an int keeps integer squares off Fraction arithmetic
-        degree = max(degree, _accumulate_square(acc, s, ring.coerce(w)))
     mismatch = _diff(Polynomial(ring, acc), c.target)
     valid = mismatch is None
     refutation = valid and _is_negative_constant(c.target)

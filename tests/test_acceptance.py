@@ -9,6 +9,7 @@ import gc
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, parse_poly
@@ -33,6 +34,7 @@ from pcsos.proofcheck import (
     SosCertificate,
     check_derivation,
     check_sos,
+    scale_certificate,
 )
 from pcsos.simulate import (
     eliminate_radical_char_p,
@@ -115,6 +117,11 @@ def certificate_fixtures():
             target=P("-3"),
         )
     )
+    # weighted squares that share monomials: the eps round trips of fPHP,
+    # and one of them rescaled so that some weights are not integral
+    round_trips = [pcplus_refutation_to_sos(sos_to_pcplus(gen_fphp_sos(n + 1, n))) for n in (3, 4)]
+    fixtures.extend(round_trips)
+    fixtures.append(scale_certificate(round_trips[0], Fraction(2, 3), P("-2/3")))
     return fixtures
 
 
@@ -438,7 +445,7 @@ def _mutate_derivation(d, rng):
 
 
 def _mutate_certificate(cert, rng):
-    kind = rng.choice(["multiplier", "square", "target", "constant"])
+    kind = rng.choice(["multiplier", "square", "weight", "target", "constant"])
     if kind == "multiplier" and cert.multipliers:
         pos = rng.randrange(len(cert.multipliers))
         k, r = cert.multipliers[pos]
@@ -447,27 +454,21 @@ def _mutate_certificate(cert, rng):
         bumped = r + Polynomial.const(RATIONAL, rng.choice([1, -1, 3]))
         multipliers = list(cert.multipliers)
         multipliers[pos] = (k, bumped)
-        return SosCertificate(
-            cert.axioms, tuple(multipliers), cert.squares, cert.target,
-            cert.bool_multipliers, cert.constant,
-        )
+        return replace(cert, multipliers=tuple(multipliers))
     if kind == "square" and cert.squares:
         pos = rng.randrange(len(cert.squares))
         squares = list(cert.squares)
         squares[pos] = squares[pos] + Polynomial.variable(RATIONAL, 7)
-        return SosCertificate(
-            cert.axioms, cert.multipliers, tuple(squares), cert.target,
-            cert.bool_multipliers, cert.constant,
-        )
+        return replace(cert, squares=tuple(squares))
+    if kind == "weight" and cert.squares:
+        pos = rng.randrange(len(cert.squares))
+        if cert.squares[pos].is_zero:
+            return None
+        weights = [w for _, w in cert.weighted_squares()]
+        weights[pos] = weights[pos] * rng.choice([2, 3]) + rng.choice([0, Fraction(1, 2)])
+        return replace(cert, weights=tuple(weights))
     if kind == "target":
-        return SosCertificate(
-            cert.axioms, cert.multipliers, cert.squares,
-            cert.target + Polynomial.const(RATIONAL, rng.choice([1, -2])),
-            cert.bool_multipliers, cert.constant,
-        )
+        return replace(cert, target=cert.target + Polynomial.const(RATIONAL, rng.choice([1, -2])))
     if kind == "constant":
-        return SosCertificate(
-            cert.axioms, cert.multipliers, cert.squares, cert.target,
-            cert.bool_multipliers, cert.constant + 1,
-        )
+        return replace(cert, constant=cert.constant + 1)
     return None

@@ -12,6 +12,7 @@ from pcsos.algebra import (
     Polynomial,
     eqset,
     parse_poly,
+    sum_of_squares,
 )
 from pcsos.fol import member_products
 
@@ -245,6 +246,63 @@ class TestEquationSets:
                 point = {v: (bits >> v) & 1 for v in range(nvars)}
                 want = A.vanishes_at(point) or B.vanishes_at(point)
                 assert prod.vanishes_at(point) == want
+
+
+class TestSumOfSquares:
+    """sum_of_squares against the plain sum of (s*s).scale(w), one square at a time."""
+
+    WEIGHTS = (1, 2, 5, Fraction(6, 2), Fraction(1, 3), Fraction(7, 4))
+
+    @staticmethod
+    def plain(ring, weighted):
+        return Polynomial.sum(ring, [(s * s).scale(w) for s, w in weighted])
+
+    def random_squares(self, rng, ring):
+        """Squares drawn from a small pool, so that they repeat, share
+        monomials, and come negated, zero and constant."""
+        pool = [_random_poly(rng, ring, max_terms=5) for _ in range(3)]
+        weighted = []
+        for _ in range(rng.randrange(0, 7)):
+            s = rng.choice(pool)
+            kind = rng.randrange(5)
+            if kind == 1:
+                s = -s
+            elif kind == 2:
+                s = s + rng.choice(pool)
+            elif kind == 3:
+                s = Polynomial.const(ring, rng.choice([0, 1, -2, Fraction(5, 2)]))
+            elif kind == 4:
+                s = s.scale(Fraction(rng.randrange(1, 5), rng.randrange(1, 5)))
+            weighted.append((s, rng.choice(self.WEIGHTS)))
+        return weighted
+
+    def test_matches_the_plain_sum(self):
+        for ring, seed in ((RATIONAL, 5), (GF(7), 6), (GF(2**31 - 1), 7)):
+            rng = random.Random(seed)
+            for _ in range(400):
+                weighted = self.random_squares(rng, ring)
+                assert sum_of_squares(ring, weighted) == self.plain(ring, weighted), weighted
+
+    def test_fixed_cases(self):
+        x1, x2 = P("x1"), P("x2")
+        zero, one = Polynomial.zero(RATIONAL), Polynomial.const(RATIONAL, 1)
+        cases = [
+            ([], zero),
+            ([(zero, 3)], zero),
+            ([(one, Fraction(1, 2)), (P("-2"), 1)], P("9/2")),
+            ([(x1 + x2, Fraction(1, 2)), (x1 - x2, Fraction(1, 2))], P("x1^2 + x2^2")),
+            ([(x1 + x2, 1), (-x1 - x2, 1)], P("2*x1^2 + 4*x1*x2 + 2*x2^2")),
+            ([(P("1/2*x1 + 1/3"), 36)], P("9*x1^2 + 12*x1 + 4")),
+        ]
+        for weighted, want in cases:
+            got = sum_of_squares(RATIONAL, weighted)
+            assert got == want == self.plain(RATIONAL, weighted)
+            # every coefficient canonical: an int when integral
+            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+    def test_ring_mismatch_rejected(self):
+        with pytest.raises(AlgebraError):
+            sum_of_squares(RATIONAL, [(P("x1", GF(3)), 1)])
 
 
 def _random_poly(rng, ring, max_terms=4, max_var=3, max_exp=2):

@@ -327,6 +327,32 @@ class TestMalformedFiles:
             path = write(tmp_path, "eqs.json", eqs)
             assert main(["search", "closure", path, "--degree", "2", "--query", "x1^2 - x1"]) == code
 
+    def test_polynomial_lists_are_json_lists(self, tmp_path, capsys):
+        # iterated loosely, "x1" would read as the characters "x", "1" and
+        # {"a": 1} as its key "a"
+        sos_line = {
+            "poly": "1", "rule": {"kind": "sos", "i": 0, "p": "1", "squares": ["x1"]},
+        }
+        for bad in ["x1", {"a": 1}, 1, None]:
+            cert = sos_to_json(gen_fphp_sos(3, 2))
+            cert["squares"] = bad
+            assert main(["check-sos", write(tmp_path, "sos.json", cert)]) == 2
+            cert = sos_to_json(gen_fphp_sos(3, 2))
+            cert["axioms"] = bad
+            assert main(["check-sos", write(tmp_path, "sos.json", cert)]) == 2
+            proof = derivation_to_json(refutation_proof())
+            proof["axioms"] = bad
+            assert main(["check", write(tmp_path, "proof.json", proof)]) == 2
+            proof = derivation_to_json(refutation_proof())
+            proof["system"] = "pc_plus"
+            proof["lines"] = [proof["lines"][0], dict(sos_line, rule=dict(sos_line["rule"], squares=bad))]
+            assert main(["check", write(tmp_path, "proof.json", proof)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 16
+        assert all("expected a list of polynomial texts" in line for line in lines), lines
+
     def test_unknown_system_exit_two(self, tmp_path, capsys):
         for system in ["pcx", "PC", 1, None]:
             proof = derivation_to_json(refutation_proof())
@@ -631,6 +657,19 @@ class TestFolAndSearch:
     def test_search_not_derivable(self, tmp_path):
         eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("x1^2")])))
         assert main(["search", "closure", eqs, "--degree", "2", "--query", "x1"]) == 1
+
+    def test_search_multiplies_by_query_variables(self, tmp_path, capsys):
+        # x2 occurs in the query only; x1*x2 is one multiplication of the axiom x1
+        eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("x1")])))
+        out = str(tmp_path / "derivation.json")
+        args = ["search", "closure", eqs, "--degree", "2", "--query", "x1*x2", "-o", out, "--json"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["derivable"] and payload["valid"]
+        derivation = derivation_from_json(load_json(out))
+        assert check_derivation(derivation).valid
+        assert derivation.final_polynomial() == P("x1*x2")
+        assert main(["check", out]) == 0
 
     def test_search_bad_degree_exit_two(self, tmp_path, capsys):
         eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("x1^2")])))

@@ -714,6 +714,21 @@ class TestDegreeRecomputation:
         )
         assert rep.degree == independent
 
+    def test_sos_degree_is_twice_the_largest_square(self):
+        # the degree of each nonzero square, whatever the multipliers' degree
+        cert = SosCertificate(
+            axioms=eqset(RATIONAL, [P("x1 + 1")]),
+            multipliers=((0, P("1")),),
+            squares=(P("x1*x2"), P("0"), P("1/2*x3 - 1/2*x1"), P("1/2*x3 + 1/2*x1")),
+            target=P("x1^2*x2^2 + x1 + 1 + 1/2*x3^2 + 1/2*x1^2"),
+            weights=(1, 7, 1, 1),
+        )
+        rep = check_sos(cert)
+        assert rep.valid and rep.degree == 4
+        round_trip = simulate.pcplus_refutation_to_sos(simulate.sos_to_pcplus(families.gen_fphp_sos(4, 3)))
+        rep = check_sos(round_trip)
+        assert rep.valid and rep.degree == 4 == max(2 * s.degree for s in round_trip.squares if not s.is_zero)
+
 
 class TestSoundnessAndMutation:
     def boolean_fixture(self):
