@@ -365,22 +365,14 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
+        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        if len(a._terms) == 1:
             # single-term factor: an injective shift, no terms merge
-            ((m1, c1),) = a.items()
+            ((m1, c1),) = a._terms.items()
             if not m1:
-                return Polynomial(self.ring, {m: c1 * c for m, c in b.items()})
-            return Polynomial(self.ring, {merge_exps(m1, m): c1 * c for m, c in b.items()})
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = merge_exps(m1, m2)
-                prev = out.get(m)
-                out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial(self.ring, out)
+                return Polynomial(self.ring, {m: c1 * c for m, c in b._terms.items()})
+            return Polynomial(self.ring, {merge_exps(m1, m): c1 * c for m, c in b._terms.items()})
+        return expand(self.ring, ((a, b),))
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.coerce(c)
@@ -442,23 +434,26 @@ def _format_term(m: tuple, c) -> str:
     return "*".join([format_rational(c)] + factors)
 
 
-# -- weighted sums of squares -----------------------------------------
+# -- the one expansion of products and weighted squares ----------------
 
 
-def sum_of_squares(ring: Ring, weighted) -> Polynomial:
-    """sum_k w_k s_k^2 over the (square, weight) pairs, through a Gram matrix.
+def expand(ring: Ring, products=(), squares=()) -> Polynomial:
+    """sum a*b over the (a, b) pairs plus sum w*s^2 over the (square,
+    weight) pairs, summed in one accumulator and normalised once.  It is
+    the one loop over the terms of two multi-term polynomials: products
+    and the kernel's identities all come here.
 
-    The distinct monomials of all the squares are numbered once, and the
-    entry G[i, j] += w c_i c_j (doubled for i < j) is accumulated in row
-    i's dict under the int j, so each product of two monomials is merged
-    once however many squares share it.  The denominators of each square
-    and of the weights are cleared into one common denominator first, so
-    the entries stay on int arithmetic and are divided once per output
-    monomial.
+    The squares go through a Gram matrix: the distinct monomials of all the
+    squares are numbered once, and the entry G[i, j] += w c_i c_j (doubled
+    for i < j) is accumulated in row i's dict under the int j, so each
+    product of two monomials is merged once however many squares share
+    it.  The denominators of each square and of the weights are cleared
+    into one common denominator first, so the entries stay on int
+    arithmetic and are divided once per monomial of the squares' sum.
     """
     rows = []  # per nonzero square: its monomials, integral coefficients and weight
     den = 1
-    for s, w in weighted:
+    for s, w in squares:
         if s.ring != ring:
             raise AlgebraError("ring mismatch")
         if not s._terms:
@@ -493,15 +488,26 @@ def sum_of_squares(ring: Ring, weighted) -> Polynomial:
             wc += wc
             for j, c2 in row[a + 1 :]:
                 g[j] = get(j, 0) + wc * c2
-    out: dict = {}
+    acc: dict = {}
+    get = acc.get
     for mi, g in zip(monos, gram):
         for j, v in g.items():
             if v:
                 m = merge_exps(mi, monos[j])
-                out[m] = out.get(m, 0) + v
+                acc[m] = get(m, 0) + v
     if den != 1:
-        out = {m: Fraction(v, den) for m, v in out.items()}
-    return Polynomial(ring, out)
+        for m, v in acc.items():
+            acc[m] = Fraction(v, den)
+    for a, b in products:
+        # identity first: comparing two Ring dataclasses costs more than a small product
+        if not (a.ring is ring is b.ring or a.ring == ring == b.ring):
+            raise AlgebraError("ring mismatch")
+        for m1, c1 in a._terms.items():
+            for m2, c2 in b._terms.items():
+                m = merge_exps(m1, m2)
+                prev = get(m)
+                acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+    return Polynomial(ring, acc)
 
 
 # -- parsing ----------------------------------------------------------

@@ -339,10 +339,7 @@ def _cmd_lkr(args) -> int:
 
 def _cmd_search(args) -> int:
     eqs = eqset_from_json(load_json(args.input))
-    try:
-        query = parse_poly(args.query, eqs.ring)
-    except AlgebraError as exc:
-        raise CliFormatError(str(exc)) from exc
+    query = parse_poly(args.query, eqs.ring)
     degree = parse_natural(args.degree)
     if query.degree > degree:
         raise CliFormatError(f"query degree {query.degree} exceeds --degree {degree}")

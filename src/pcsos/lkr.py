@@ -445,13 +445,16 @@ def _sides(rule: str) -> tuple[str, str]:
     return ("ante", "succ") if rule.endswith("-l") else ("succ", "ante")
 
 
+_CEDENT = {"ante": "antecedent", "succ": "succedent"}
+
+
 def _one_sided(node, path):
     """Premise and conclusion sequents, and the acted-on side, of a
     one-premise rule that keeps the other cedent fixed."""
     side, other = _sides(node.rule)
     prem, conc = node.premises[0].conclusion, node.conclusion
     if getattr(prem, other) != getattr(conc, other):
-        _fail(path, f"{node.rule} keeps the {other}cedent fixed")
+        _fail(path, f"{node.rule} keeps the {_CEDENT[other]} fixed")
     return prem, conc, side
 
 
@@ -474,7 +477,7 @@ def _check_contraction(node, args, reg, path):
 def _principals(node, cls, side, path) -> list:
     candidates = [phi for phi in getattr(node.conclusion, side) if isinstance(phi, cls)]
     if not candidates:
-        _fail(path, f"{node.rule} needs a {cls.__name__} formula in the {side}cedent")
+        _fail(path, f"{node.rule} needs a {cls.__name__} formula in the {_CEDENT[side]}")
     return candidates
 
 

@@ -3,9 +3,10 @@
 A derivation is a line sequence; every line carries a justification and the
 checker replays each rule as an exact polynomial identity.  Static objects
 (sum-of-squares and Nullstellensatz certificates) are verified as one big
-symbolic identity.  Degree accounting is exact: the degree of a derivation
-is the maximum degree of any line, and the degree of a certificate is the
-maximum degree of any summand.
+symbolic identity, expanded by one algebra.expand call, as is the
+recomposition that a PC+ sum-of-squares step checks.  Degree accounting is
+exact: the degree of a derivation is the maximum degree of any line, and
+the degree of a certificate is the maximum degree of any summand.
 
 The three systems share one line format and differ only in the rules they
 admit, so each justification kind is defined once, in RULES, for the
@@ -44,12 +45,11 @@ from .algebra import (
     EquationSet,
     Polynomial,
     Ring,
+    expand,
     format_rational,
-    merge_exps,
     parse_natural,
     parse_poly,
     parse_rational,
-    sum_of_squares,
 )
 
 PC = "pc"
@@ -287,13 +287,13 @@ def _add_conclusion(ring: Ring, just: Add, premises, claimed) -> Polynomial:
     return p.scale(just.a) + q.scale(just.b)
 
 
-def _sos_recomposition(just: Sos, premises, witness_square: Polynomial) -> Polynomial | None:
+def _sos_recomposition(just: Sos, premises, conclusion: Polynomial) -> Polynomial | None:
     """The cited line must be witness^2 + sum_j c_j q_j^2 with one weight
     c_j > 0 per square; else the cited line is the mismatch."""
     if just.weights and len(just.weights) != len(just.squares) or any(c <= 0 for c in just.weights):
         return premises[0]
-    recomposed = witness_square + sum_of_squares(witness_square.ring, just.weighted_squares())
-    return _diff(premises[0], recomposed)
+    squares = ((just.witness, 1), *just.weighted_squares())
+    return _diff(premises[0], expand(premises[0].ring, squares=squares))
 
 
 _I = _Field("i", LINE)
@@ -414,38 +414,6 @@ class CheckReport:
         return None if self.degree == MINUS_INF else self.degree
 
 
-# The static checkers accumulate the big identity in one plain dict keyed by
-# exponent tuples, with unreduced sums, and build one polynomial from it: the
-# constructor makes each coefficient canonical, once.  check_sos starts the
-# dict from the weighted squares, which sum_of_squares expands once through
-# a Gram matrix over their distinct monomials.
-
-
-def _accumulate_product(acc: dict, r: Polynomial, p: Polynomial):
-    """Add r*p into the exponent-tuple accumulator; returns the summand's
-    exact degree (deg r + deg p over an integral domain, or the sentinel)."""
-    if not r._terms or not p._terms:
-        return MINUS_INF
-    d1 = r._degree
-    if d1 is None:
-        d1 = r.degree
-    d2 = p._degree
-    if d2 is None:
-        d2 = p.degree
-    r_terms = r._terms
-    if len(r_terms) == 1:
-        ((m1, c1),) = r_terms.items()
-        if not m1:  # constant multiplier
-            for m2, c2 in p._terms.items():
-                acc[m2] = acc.get(m2, 0) + c1 * c2
-            return d1 + d2
-    for m1, c1 in r_terms.items():
-        for m2, c2 in p._terms.items():
-            e = merge_exps(m1, m2)
-            acc[e] = acc.get(e, 0) + c1 * c2
-    return d1 + d2
-
-
 def _is_negative_constant(p: Polynomial) -> bool:
     return p.ring.is_rational and p.is_constant and not p.is_zero and p.constant_value() < 0
 
@@ -492,6 +460,13 @@ def _check_line(d: Derivation, idx: int, poly: Polynomial, just) -> Polynomial |
 # -- static checkers ---------------------------------------------------
 
 
+# Each static checker checks one identity: the multipliers times their
+# axioms, the Boolean multipliers times x^2 - x, the weighted squares, the
+# constant and minus the target go to one algebra.expand call, whose result
+# is the mismatch.  A certificate's degree is the largest degree of its
+# summands (2 deg s for each nonzero square), not read off the expansion.
+
+
 def check_sos(c: SosCertificate) -> CheckReport:
     if not c.axioms.ring.is_rational:
         raise ProofStructureError("sum-of-squares certificates require the rational ring")
@@ -505,41 +480,33 @@ def check_sos(c: SosCertificate) -> CheckReport:
         if w <= 0:
             raise ProofStructureError(f"non-positive square weight {w}")
     ring = c.axioms.ring
-    acc = sum_of_squares(ring, c.weighted_squares()).terms
-    # a summand's degree: 2 deg s for each nonzero square, not read off the expanded sum
-    degree = max([MINUS_INF if c.constant == 0 else 0] + [2 * s.degree for s in c.squares if s._terms])
-    if c.constant:
-        acc[()] = acc.get((), 0) + ring.coerce(c.constant)
-    for k, r in c.multipliers:
-        if not (0 <= k < len(c.axioms)):
-            raise ProofStructureError(f"multiplier cites axiom {k} out of range")
-        degree = max(degree, _accumulate_product(acc, r, c.axioms[k]))
-    for v, r in c.bool_multipliers:
-        degree = max(degree, _accumulate_product(acc, r, _bool_poly(ring, v)))
-    mismatch = _diff(Polynomial(ring, acc), c.target)
-    valid = mismatch is None
-    refutation = valid and _is_negative_constant(c.target)
-    report = CheckReport(valid, degree, refutation=refutation)
-    if not valid:
-        report.failure = (-1, mismatch)
-    return report
+    bools = [(r, _bool_poly(ring, v)) for v, r in c.bool_multipliers]
+    return _check_static(c, bools, tuple(c.weighted_squares()), c.constant, _is_negative_constant(c.target))
 
 
 def check_nullstellensatz(c: NsCertificate) -> CheckReport:
+    return _check_static(c, [], (), 0, c.target == Polynomial.const(c.axioms.ring, 1))
+
+
+def _check_static(c, products: list, squares, constant, refutes: bool) -> CheckReport:
+    """Report on the identity of c's multipliers with the further products,
+    squares and constant given; valid means it sums to c.target."""
     ring = c.axioms.ring
-    acc: dict = {}
-    degree = MINUS_INF
     for k, r in c.multipliers:
         if not (0 <= k < len(c.axioms)):
             raise ProofStructureError(f"multiplier cites axiom {k} out of range")
-        degree = max(degree, _accumulate_product(acc, r, c.axioms[k]))
-    mismatch = _diff(Polynomial(ring, acc), c.target)
-    valid = mismatch is None
-    refutation = valid and c.target == Polynomial.const(ring, 1)
-    report = CheckReport(valid, degree, refutation=refutation)
-    if not valid:
-        report.failure = (-1, mismatch)
-    return report
+        products.append((r, c.axioms[k]))
+    degree = max(
+        [0 if constant else MINUS_INF]
+        + [2 * s.degree for s, _ in squares]
+        + [r.degree + p.degree for r, p in products]
+    )
+    one = Polynomial.const(ring, 1)
+    products += [(Polynomial.const(ring, constant), one), (Polynomial.const(ring, -1), c.target)]
+    mismatch = expand(ring, products, squares)
+    if mismatch.is_zero:
+        return CheckReport(True, degree, refutation=refutes)
+    return CheckReport(False, degree, failure=(-1, mismatch))
 
 
 def normalize_refutation(c: SosCertificate) -> SosCertificate:

@@ -24,8 +24,8 @@ same weighted form, so a certificate's squares enter it as they are.
 It is sound because over the reals w^2 + sum_j c_j q_j^2 = 0 with every
 c_j > 0 forces w = 0.  Wherever such a sum is expanded (the eps case of a
 sum-of-squares step here, the kernel's check of a certificate and of that
-step), algebra.sum_of_squares does it through the Gram matrix over the
-squares' distinct monomials, forming each monomial product once.
+step), algebra.expand does it through the Gram matrix over the squares'
+distinct monomials, forming each monomial product once.
 
 Radical elimination replays every other line through the kernel's rule
 table (proofcheck.RULES), so it branches only on the radical rule.  The
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import EquationSet, Polynomial, sum_of_squares
+from .algebra import EquationSet, Polynomial, expand
 from .errors import UnsupportedConstruct
 from .proofcheck import (
     PC,
@@ -237,7 +237,7 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
                 p = just.witness
                 for q, c in just.weighted_squares():
                     out.add_square(p * q, 2 * f * c)
-                out.add_square(sum_of_squares(ring, just.weighted_squares()), f)
+                out.add_square(expand(ring, squares=just.weighted_squares()), f)
             else:
                 raise SimulationError(f"line {idx}: unsupported justification {just!r}")
 

@@ -11,8 +11,8 @@ from pcsos.algebra import (
     PolyParseError,
     Polynomial,
     eqset,
+    expand,
     parse_poly,
-    sum_of_squares,
 )
 from pcsos.fol import member_products
 
@@ -248,14 +248,31 @@ class TestEquationSets:
                 assert prod.vanishes_at(point) == want
 
 
-class TestSumOfSquares:
-    """sum_of_squares against the plain sum of (s*s).scale(w), one square at a time."""
+class TestExpand:
+    """expand against a naive reference that multiplies every product and
+    every weighted square out term by term with its own dict loop, not with
+    *, since Polynomial.__mul__ calls expand."""
 
     WEIGHTS = (1, 2, 5, Fraction(6, 2), Fraction(1, 3), Fraction(7, 4))
 
     @staticmethod
-    def plain(ring, weighted):
-        return Polynomial.sum(ring, [(s * s).scale(w) for s, w in weighted])
+    def naive(ring, products, squares):
+        acc = {}
+        for a, b, w in [(a, b, 1) for a, b in products] + [(s, s, w) for s, w in squares]:
+            for m1, c1 in a.terms.items():
+                for m2, c2 in b.terms.items():
+                    exps = dict(m1)
+                    for v, e in m2:
+                        exps[v] = exps.get(v, 0) + e
+                    m = tuple(sorted(exps.items()))
+                    acc[m] = acc.get(m, 0) + Fraction(w) * c1 * c2
+        return Polynomial(ring, acc)
+
+    @staticmethod
+    def canonical(ring, poly):
+        if ring.is_rational:
+            return all(type(c) is int or type(c) is Fraction and c.denominator != 1 for c in poly.terms.values())
+        return all(type(c) is int and 0 < c < ring.p for c in poly.terms.values())
 
     def random_squares(self, rng, ring):
         """Squares drawn from a small pool, so that they repeat, share
@@ -276,33 +293,55 @@ class TestSumOfSquares:
             weighted.append((s, rng.choice(self.WEIGHTS)))
         return weighted
 
+    @staticmethod
+    def random_factor(rng, ring):
+        """A zero, constant, single-term or multi-term factor."""
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Polynomial.zero(ring)
+        if kind == 1:
+            return Polynomial.const(ring, rng.choice([1, -1, 3, Fraction(-5, 2)]))
+        if kind == 2:
+            return Polynomial(ring, {((rng.randrange(4), rng.randrange(1, 3)),): rng.choice([1, -2, Fraction(3, 4)])})
+        return _random_poly(rng, ring, max_terms=6, max_var=4)
+
     def test_matches_the_plain_sum(self):
         for ring, seed in ((RATIONAL, 5), (GF(7), 6), (GF(2**31 - 1), 7)):
             rng = random.Random(seed)
             for _ in range(400):
-                weighted = self.random_squares(rng, ring)
-                assert sum_of_squares(ring, weighted) == self.plain(ring, weighted), weighted
+                products = [
+                    (self.random_factor(rng, ring), self.random_factor(rng, ring))
+                    for _ in range(rng.randrange(0, 5))
+                ]
+                squares = self.random_squares(rng, ring)
+                got = expand(ring, products, squares)
+                assert got == self.naive(ring, products, squares), (products, squares)
+                assert self.canonical(ring, got)
 
     def test_fixed_cases(self):
         x1, x2 = P("x1"), P("x2")
         zero, one = Polynomial.zero(RATIONAL), Polynomial.const(RATIONAL, 1)
         cases = [
-            ([], zero),
-            ([(zero, 3)], zero),
-            ([(one, Fraction(1, 2)), (P("-2"), 1)], P("9/2")),
-            ([(x1 + x2, Fraction(1, 2)), (x1 - x2, Fraction(1, 2))], P("x1^2 + x2^2")),
-            ([(x1 + x2, 1), (-x1 - x2, 1)], P("2*x1^2 + 4*x1*x2 + 2*x2^2")),
-            ([(P("1/2*x1 + 1/3"), 36)], P("9*x1^2 + 12*x1 + 4")),
+            ([], [], zero),
+            ([], [(zero, 3)], zero),
+            ([], [(one, Fraction(1, 2)), (P("-2"), 1)], P("9/2")),
+            ([], [(x1 + x2, Fraction(1, 2)), (x1 - x2, Fraction(1, 2))], P("x1^2 + x2^2")),
+            ([], [(x1 + x2, 1), (-x1 - x2, 1)], P("2*x1^2 + 4*x1*x2 + 2*x2^2")),
+            ([], [(P("1/2*x1 + 1/3"), 36)], P("9*x1^2 + 12*x1 + 4")),
+            ([(x1 + x2, x1 - x2), (zero, x1)], [], P("x1^2 - x2^2")),
+            ([(P("2/3"), P("3/2*x1 + 3"))], [], P("x1 + 2")),
+            ([(x1 + x2, P("-1/2*x1")), (P("-1"), P("1/2*x2^2"))], [(P("x1 + x2"), Fraction(1, 2))], P("1/2*x1*x2")),
         ]
-        for weighted, want in cases:
-            got = sum_of_squares(RATIONAL, weighted)
-            assert got == want == self.plain(RATIONAL, weighted)
-            # every coefficient canonical: an int when integral
-            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+        for products, squares, want in cases:
+            got = expand(RATIONAL, products, squares)
+            assert got == want == self.naive(RATIONAL, products, squares)
+            assert self.canonical(RATIONAL, got)
 
     def test_ring_mismatch_rejected(self):
-        with pytest.raises(AlgebraError):
-            sum_of_squares(RATIONAL, [(P("x1", GF(3)), 1)])
+        g = P("x1", GF(3))
+        for products, squares in (([(g, P("x1"))], []), ([(P("x1"), g)], []), ([], [(g, 1)])):
+            with pytest.raises(AlgebraError, match="ring mismatch"):
+                expand(RATIONAL, products, squares)
 
 
 def _random_poly(rng, ring, max_terms=4, max_var=3, max_exp=2):

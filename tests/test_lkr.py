@@ -864,9 +864,9 @@ class TestCompileCorpus:
 
 # -- rejection corpus -----------------------------------------------------
 #
-# One malformed node per failure of the cut, induction and per-part checks:
-# the node's own check rejects it, with that check's reason, before any
-# premise is looked at, so the premises only claim their sequents.
+# One malformed node per failure message of the node checks: the node's own
+# check rejects it, with that check's reason, before any premise is looked
+# at, so the premises only claim their sequents.
 
 
 def _claim(ante, succ):
@@ -878,7 +878,80 @@ def _inducts(ante, succ, premise, formula, term):
 
 
 XK = "(= (X k) (rat 0))"
+NOT_X0 = "(not (= (X 0) (rat 0)))"
+NESTED = "(forall i 2 (forall j 2 (= (X (+ i j)) (rat 0))))"
 REJECTIONS = {
+    "formula outside the inductive class": (
+        _node("logical-axiom", [NOT_X0], [NOT_X0]),
+        "formula outside the inductive class: Not over an oracle-mentioning subformula",
+    ),
+    "premise count": (_node("weakening-l", [X0, X1], [X0]), "weakening-l expects 1 premises, got 0"),
+    "bad parameter": (
+        _node("forall-idx-r", [X0], [TWO], _claim([X0], [XK]), var="2k"),
+        "forall-idx-r parameter 'var': expected an index variable name, got '2k'",
+    ),
+    "capturing instance": (
+        _node("forall-idx-l", [NESTED], [X0], _claim(["(forall j 2 (= (X (+ j j)) (rat 0)))"], [X0]), term="j"),
+        "forall-idx-l: substitution would capture 'j'",
+    ),
+    "ring-axiom with an antecedent": (_node("ring-axiom", [X0], [X0]), "ring-axiom must have shape  -> s = t"),
+    "equality with two succedents": (
+        _node("equality", [X0], [X0, X1]), "equality axiom needs a single succedent formula"
+    ),
+    "witnessed equality from an index equality": (
+        _node("equality", [TRUE], [X0], multipliers=["(X 0)"]),
+        "witnessed equality axiom relates ring equalities",
+    ),
+    "witnessed equality short of a multiplier": (
+        _node("equality", [X0, X1], [X0], multipliers=["(rat 1)"]),
+        "one multiplier per antecedent equality required",
+    ),
+    "congruence from a ring equality": (
+        _node("equality", [X0], ["(= (X j) (X k))"]), "congruence form requires index equality antecedents"
+    ),
+    "congruence of different heads": (
+        _node("equality", ["(i= j k)"], ["(i= (+ j 1) (* k 1))"]), "congruence heads differ"
+    ),
+    "congruence of an oracle and a constant": (
+        _node("equality", ["(i= j k)"], ["(= (X j) (rat 0))"]), "unsupported congruence shape"
+    ),
+    "congruence pair reversed": (
+        _node("equality", ["(i= k j)"], ["(= (X j) (X k))"]),
+        "congruence antecedents must list the differing argument pairs in order",
+    ),
+    "background truth with an antecedent": (
+        _node("background-truth", [TRUE], [TRUE]), "background truth axiom must have shape  -> sigma"
+    ),
+    "background truth with a free variable": (
+        _node("background-truth", [], ["(i< k (+ k 1))"]), "background truth sentences must be closed"
+    ),
+    "sos-axiom of a plain equation": (
+        _node("sos-axiom", [X0], [X0]),
+        "sum-of-squares axiom must be  sum_{i<r} t(i)*t(i) = 0, s < r -> t(s) = 0",
+    ),
+    "weakening-l changes the succedent": (
+        _node("weakening-l", [X0, X1], [X0], _claim([X0], [X1])), "weakening-l keeps the succedent fixed"
+    ),
+    "weakening-r changes the antecedent": (
+        _node("weakening-r", [X0], [X0, X1], _claim([X1], [X0])), "weakening-r keeps the antecedent fixed"
+    ),
+    "weakening adds two formulas": (
+        _node("weakening-l", [X0, X1, X2], [X0], _claim([X0], [X0])), "weakening must add exactly one formula"
+    ),
+    "and-l without a conjunction": (
+        _node("and-l", [X0], [X0], _claim([X0], [X0])), "and-l needs a And formula in the antecedent"
+    ),
+    "or-r without a disjunction": (
+        _node("or-r", [X0], [X0], _claim([X0], [X0])), "or-r needs a Or formula in the succedent"
+    ),
+    "and-l premise without a conjunct": (
+        _node("and-l", [f"(and {X0} {X1})"], [X0], _claim([X2], [X0])),
+        "and-l premise does not replace a And formula by an instance",
+    ),
+    "eigenvariable free in the conclusion": (
+        _node("forall-idx-r", [XK], [TWO], _claim([XK], [XK]), var="k"),
+        "eigenvariable 'k' occurs in the conclusion",
+    ),
     "cut adds no formula": (
         _node("cut", [X0], [X0], _claim([X0], [X0]), _claim([X0, X0], [X0])),
         "cut: left premise must add one formula to the succedent",

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pcsos
 from pcsos import families, fol, lkr, simulate
 from pcsos.algebra import GF, MINUS_INF, RATIONAL, Polynomial, eqset, parse_poly
 from pcsos.cli import main
@@ -399,6 +401,51 @@ class TestCertificateRefusals:
         assert "requires a valid refutation" in capsys.readouterr().err
 
 
+class TestStaticReportsPinned:
+    """Failure pairs of wrong certificates, pinned from the checkers as they
+    were before both came to share one expansion of their identity."""
+
+    def test_wrong_sos_certificate(self):
+        cert = SosCertificate(
+            axioms=eqset(RATIONAL, [P("x1*x2 - 1"), P("x1 + x2 - 1")], boolean_axioms=True),
+            multipliers=((0, P("1/2*x1 - x2 + 1")), (1, P("2*x2^2 - 1/3"))),
+            bool_multipliers=((1, P("x2 - 1/2")),),
+            squares=(P("x1*x2 - x2"), P("1/2*x1 + 1/3")),
+            weights=(2, Fraction(3, 4)),
+            constant=Fraction(5, 3),
+            target=P("-1"),
+        )
+        rep = check_sos(cert)
+        mismatch = P("2*x1^2*x2^2 + 3/2*x1^2*x2 - 3*x1*x2^2 + 2*x2^3 - 5/16*x1^2 - 1/12*x1 + 2/3*x2 + 25/12")
+        assert (rep.valid, rep.degree, rep.refutation, rep.failure) == (False, 4, False, (-1, mismatch))
+
+    @pytest.mark.parametrize(
+        "ring, mismatch",
+        [
+            (RATIONAL, "4*x1^2*x2 - x1*x2^2 + 2*x1^2 + x1*x2 + 3*x2^2 - 3*x1 + 7*x2 - 2"),
+            (GF(7), "4*x1^2*x2 + 6*x1*x2^2 + 2*x1^2 + x1*x2 + 3*x2^2 + 4*x1 + 5"),
+        ],
+    )
+    def test_wrong_ns_certificate(self, ring, mismatch):
+        cert = NsCertificate(
+            axioms=eqset(ring, [P("x1^2 + 3*x2", ring), P("x1*x2 - 1", ring)]),
+            multipliers=((0, P("x2 + 2", ring)), (1, P("3*x1 - x2 + 1", ring))),
+            target=P("1", ring),
+        )
+        rep = check_nullstellensatz(cert)
+        assert (rep.valid, rep.degree, rep.refutation) == (False, 3, False)
+        assert rep.failure == (-1, P(mismatch, ring))
+
+    def test_ns_multiplier_axiom_out_of_range(self, tmp_path, capsys):
+        cert = NsCertificate(axioms=eqset(RATIONAL, [P("x1")]), multipliers=((1, P("1")),), target=P("x1"))
+        with pytest.raises(ProofStructureError, match="out of range"):
+            check_nullstellensatz(cert)
+        for axiom in (1, -1):
+            obj = dict(ns_to_json(cert), multipliers=[{"axiom": axiom, "poly": "1"}])
+            code, payload, err = run_check(tmp_path, capsys, "check-ns", obj)
+            assert (code, payload) == (1, None) and err.startswith("invalid: multiplier cites axiom")
+
+
 class TestCheckNullstellensatz:
     def test_basic_refutation(self):
         cert = NsCertificate(
@@ -448,6 +495,27 @@ class TestCheckNullstellensatz:
         assert main(["check-ns", str(path), "--json"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["failure"] == {"line": None, "mismatch": "4", "rule": None}
+
+
+def _package_imports(module: str) -> set[str]:
+    """The modules of the package that pcsos/<module>.py imports."""
+    tree = ast.parse((Path(pcsos.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("pcsos")):
+            base = (node.module or "").removeprefix("pcsos").lstrip(".")
+            found |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.split(".")[0] == "pcsos"}
+    return found
+
+
+class TestKernelBoundary:
+    def test_the_kernel_imports_only_algebra(self):
+        # the trusted kernel: algebra stands alone and proofcheck builds on it only
+        assert _package_imports("algebra") == set()
+        assert _package_imports("proofcheck") == {"algebra"}
+        assert _package_imports("simulate") >= {"algebra", "proofcheck"}  # the walker sees imports
 
 
 class TestBuilder:
