@@ -7,10 +7,12 @@ of the zero polynomial is the sentinel MINUS_INF, never 0, so degree caps
 treat it as always admissible.
 
 Every coefficient is canonical: over Q an int when integral, else a
-Fraction; over GF(p) an int in [1, p).  The constructor Polynomial(ring,
-terms) is the one place that makes it so: it coerces any int/Fraction
-values and drops zeros, and all arithmetic builds its results through it.
-Only _raw trusts its caller (the parser, generators and closure rows).
+Fraction; over GF(p) an int in [1, p).  _put is the one place that makes
+it so: it coerces int/Fraction values and drops zeros.  The constructor
+Polynomial(ring, terms) sends every value through it; arithmetic starts
+from its operands' canonical dicts and sends through it only the
+coefficients it computes.  Only _raw trusts its caller (the parser,
+generators and closure rows).
 
 A monomial is its exponent tuple ((var, exp), ...): the variables strictly
 increasing, every exponent positive, and () for the constant monomial.  A
@@ -233,18 +235,8 @@ class Polynomial:
     __slots__ = ("ring", "_terms", "_hash", "_degree")
 
     def __init__(self, ring: Ring, terms=None):
-        # the one normaliser; an int, the common case, is reduced inline
-        canon = {}
-        q, coerce = ring.p, ring.coerce
-        for m, c in terms.items() if terms else ():
-            if type(c) is not int:
-                c = coerce(c)
-            elif q is not None:
-                c %= q
-            if c:
-                canon[m] = c
         _set_ring(self, ring)
-        _set_terms(self, canon)
+        _set_terms(self, _put(ring, {}, terms.items()) if terms else {})
         _set_hash(self, None)
         _set_degree(self, None)
 
@@ -316,7 +308,13 @@ class Polynomial:
     def degree(self):
         d = self._degree
         if d is None:
-            d = max(sum([e for _, e in m]) for m in self._terms) if self._terms else MINUS_INF
+            d = MINUS_INF
+            for m in self._terms:
+                k = 0
+                for _, e in m:
+                    k += e
+                if k > d:
+                    d = k
             _set_degree(self, d)
         return d
 
@@ -326,7 +324,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self._terms == other._terms
         )
 
@@ -343,25 +341,26 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise AlgebraError("ring mismatch")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(self.ring, out)
+        get = out.get
+        pairs = [(m, get(m, 0) + c) for m, c in other._terms.items()]
+        return Polynomial._raw(self.ring, _put(self.ring, out, pairs))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self._terms.items()})
+        pairs = [(m, -c) for m, c in self._terms.items()]
+        return Polynomial._raw(self.ring, _put(self.ring, {}, pairs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) - c
-        return Polynomial(self.ring, out)
+        get = out.get
+        pairs = [(m, get(m, 0) - c) for m, c in other._terms.items()]
+        return Polynomial._raw(self.ring, _put(self.ring, out, pairs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
@@ -370,13 +369,17 @@ class Polynomial:
             # single-term factor: an injective shift, no terms merge
             ((m1, c1),) = a._terms.items()
             if not m1:
-                return Polynomial(self.ring, {m: c1 * c for m, c in b._terms.items()})
-            return Polynomial(self.ring, {merge_exps(m1, m): c1 * c for m, c in b._terms.items()})
+                return b.scale(c1)
+            pairs = [(merge_exps(m1, m), c1 * c) for m, c in b._terms.items()]
+            return Polynomial._raw(self.ring, _put(self.ring, {}, pairs))
         return expand(self.ring, ((a, b),))
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.coerce(c)
-        return Polynomial(self.ring, {m: v * c for m, v in self._terms.items()} if c else None)
+        if c == 1:
+            return self
+        pairs = [(m, v * c) for m, v in self._terms.items()] if c else ()
+        return Polynomial._raw(self.ring, _put(self.ring, {}, pairs))
 
     def evaluate(self, assignment: dict):
         """Exact evaluation; assignment must cover every variable."""
@@ -403,19 +406,7 @@ class Polynomial:
     # -- canonical text -----------------------------------------------
 
     def format(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            sign = ""
-            if self.ring.is_rational and c < 0:
-                sign, c = "-", -c
-            body = _format_term(m, c)
-            if i == 0:
-                parts.append(f"-{body}" if sign else body)
-            else:
-                parts.append(f"- {body}" if sign else f"+ {body}")
-        return " ".join(parts)
+        return format_poly(self, {})
 
 
 # The slot setters past the immutability guard.  Calling a slot's descriptor
@@ -427,11 +418,59 @@ _set_ring, _set_terms, _set_hash, _set_degree = (
 )
 
 
-def _format_term(m: tuple, c) -> str:
-    factors = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in m]
-    if c == 1 and factors:
-        return "*".join(factors)
-    return "*".join([format_rational(c)] + factors)
+def _put(ring: Ring, out: dict, pairs) -> dict:
+    """Store each (monomial, int/Fraction value) pair in out as the ring's
+    canonical coefficient, or remove the monomial when the value is 0.
+    An int, the common case, is reduced inline."""
+    q, coerce = ring.p, ring.coerce
+    for m, c in pairs:
+        if type(c) is not int:
+            c = coerce(c)
+        elif q is not None:
+            c %= q
+        if c:
+            out[m] = c
+        elif m in out:
+            del out[m]
+    return out
+
+
+def format_poly(p: Polynomial, monos: dict) -> str:
+    """The canonical text of p, terms in graded-lex order.  monos maps each
+    monomial of a polynomial of two or more terms, which has terms to sort,
+    to its graded_lex_key and text.  A writer passes one table for all the
+    polynomials of a file, Polynomial.format a fresh one.  A single term
+    skips the table: within one file its monomial seldom recurs."""
+    terms = p._terms
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        return ("-" if c < 0 else "") + _term_text(abs(c), _monomial_text(m))
+    if not terms:
+        return "0"
+    get = monos.get
+    rows = []
+    for m, c in terms.items():
+        entry = get(m)
+        if entry is None:
+            entry = monos[m] = (graded_lex_key(m), _monomial_text(m))
+        rows.append((entry, c))
+    rows.sort()  # by the keys alone: the monomials of one polynomial differ
+    line = "".join([(" - " if c < 0 else " + ") + _term_text(abs(c), text) for (_, text), c in rows])
+    return line[3:] if line[1] == "+" else "-" + line[3:]
+
+
+def _monomial_text(m: tuple) -> str:
+    return "*".join([f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in m])
+
+
+def _term_text(c, text: str) -> str:
+    """A term from its positive coefficient and its monomial's text; a
+    coefficient over GF(p) is never negative."""
+    if c == 1 and text:
+        return text
+    if text:
+        return f"{format_rational(c)}*{text}"
+    return format_rational(c)
 
 
 # -- the one expansion of products and weighted squares ----------------

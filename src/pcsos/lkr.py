@@ -595,6 +595,8 @@ class _Compiler:
         self.ring = ring
         self.model = PolyModel(reg, ring)
         self.one = Polynomial.const(ring, 1)
+        # formula -> (its free index variables, {their values: its members})
+        self._translations: dict = {}
 
     def emit(self, step: _Step, alpha: dict, w: Polynomial, asm: dict) -> dict:
         if w.is_zero:
@@ -604,7 +606,17 @@ class _Compiler:
     # ---- helpers
 
     def members(self, phi, alpha) -> tuple[Polynomial, ...]:
-        return translate_formula(phi, alpha, self.reg, self.ring).members
+        """phi's translation under alpha, made once per value of the index
+        variables free in phi: the others do not change it."""
+        entry = self._translations.get(phi)
+        if entry is None:
+            entry = self._translations[phi] = (sorted(free_index_vars(phi)), {})
+        free, by_value = entry
+        values = tuple([alpha.get(v) for v in free])
+        out = by_value.get(values)
+        if out is None:
+            out = by_value[values] = translate_formula(phi, alpha, self.reg, self.ring).members
+        return out
 
     def left(self, formulas, alpha) -> list[Polynomial]:
         """Union translation: the concatenation of the member lists."""

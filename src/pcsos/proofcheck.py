@@ -26,8 +26,9 @@ CheckReport with the offending line and mismatch polynomial.
 
 The JSON codecs do each piece of work once per file.  A decode parses each
 distinct polynomial text once, and equal texts in one file share that one
-immutable Polynomial; an encode formats each polynomial object once.  The
-memos belong to one codec call, so nothing is kept between files.
+immutable Polynomial; an encode formats each polynomial object once, and
+each monomial of its multi-term polynomials once.  The memos belong to one
+codec call, so nothing is kept between files.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .algebra import (
     Polynomial,
     Ring,
     expand,
+    format_poly,
     format_rational,
     parse_natural,
     parse_poly,
@@ -171,16 +173,19 @@ class _Reader:
 
 class _Writer:
     """The polynomial encoder of one object: each polynomial object is
-    formatted once.  The memo is keyed by id(), which is sound because the
-    object being written keeps every polynomial in it alive for the call."""
+    formatted once, and the monomials of its multi-term polynomials get
+    their text and sort key once for the whole object.  The polynomial memo
+    is keyed by id(), which is sound because the object being written keeps
+    every polynomial in it alive for the call."""
 
     def __init__(self):
         self._texts: dict[int, str] = {}
+        self._monos: dict = {}  # the monomial table of format_poly
 
     def poly(self, p: Polynomial) -> str:
         text = self._texts.get(id(p))
         if text is None:
-            text = self._texts[id(p)] = p.format()
+            text = self._texts[id(p)] = format_poly(p, self._monos)
         return text
 
     def polys(self, ps) -> list[str]:
@@ -278,8 +283,8 @@ def _bool_poly(ring: Ring, var: int) -> Polynomial:
 
 
 def _diff(a: Polynomial, b: Polynomial) -> Polynomial | None:
-    delta = a - b
-    return None if delta.is_zero else delta
+    # canonical terms: equal dicts exactly when the difference is zero
+    return None if a == b else a - b
 
 
 def _add_conclusion(ring: Ring, just: Add, premises, claimed) -> Polynomial:
@@ -430,7 +435,7 @@ def check_derivation(d: Derivation) -> CheckReport:
     failure = None
 
     for idx, (poly, just) in enumerate(d.lines):
-        if poly.ring != ring:
+        if poly.ring is not ring and poly.ring != ring:
             raise ProofStructureError(f"line {idx} ring differs from derivation ring")
         degree = max(degree, poly.degree)
         if failure is not None:
@@ -737,8 +742,16 @@ def derivation_from_json(obj: dict) -> Derivation:
         if system not in SYSTEMS:
             raise ProofFormatError(f"unknown system {system!r:.60}")
         axioms = EquationSet(ring, src.polys(obj["axioms"]), _flag_from_json(obj, "boolean_axioms"))
+        entries = obj["lines"]
+        # a string or an object would iterate as characters or keys
+        if not isinstance(entries, list):
+            raise ProofFormatError(f"expected a list of proof lines, got {entries!r:.60}")
         lines = []
-        for entry in obj["lines"]:
+        for k, entry in enumerate(entries):
+            if not (isinstance(entry, dict) and "poly" in entry and isinstance(entry.get("rule"), dict)):
+                raise ProofFormatError(
+                    f"line {k}: expected an object with 'poly' and an object 'rule', got {entry!r:.60}"
+                )
             poly = src.poly(entry["poly"])
             spec = entry["rule"]
             rule = _RULE_OF_KIND.get(spec["kind"])

@@ -344,6 +344,60 @@ class TestExpand:
                 expand(RATIONAL, products, squares)
 
 
+class TestArithmeticAgainstDictLoops:
+    """+, -, unary -, scale and the single-term branch of * against a plain
+    dict loop handed to the constructor: the same terms in the same order,
+    with the same coefficient types (an integral Fraction equals its int,
+    so the types are compared apart)."""
+
+    RINGS = ((RATIONAL, 41), (GF(7), 42), (GF(2**31 - 1), 43))
+    FACTORS = (0, 1, -1, 6, 2**31 + 5, Fraction(2, 3), Fraction(-8, 4))
+
+    @staticmethod
+    def same(got, want):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+    @staticmethod
+    def merged(m1, m2):
+        exps = dict(m1)
+        for v, e in m2:
+            exps[v] = exps.get(v, 0) + e
+        return tuple(sorted(exps.items()))
+
+    def random_single_term(self, rng, ring):
+        mono = rng.choice([(), ((1, 1),), ((0, 2), (3, 1))])
+        return Polynomial(ring, {mono: rng.choice([1, -1, 3, Fraction(1, 2), Fraction(-5, 3)])})
+
+    def test_matches_the_dict_loops(self):
+        for ring, seed in self.RINGS:
+            rng = random.Random(seed)
+            for _ in range(300):
+                a, b = (_random_poly(rng, ring, max_terms=8) for _ in range(2))
+                if rng.randrange(3) == 0:  # shared monomials, some of which cancel
+                    b = b + a.scale(rng.choice([-1, Fraction(-1, 2), 3]))
+                for op, sign in ((a + b, 1), (a - b, -1)):
+                    acc = dict(a.terms)
+                    for m, c in b.terms.items():
+                        acc[m] = acc.get(m, 0) + sign * c
+                    self.same(op, Polynomial(ring, acc))
+                self.same(-a, Polynomial(ring, {m: -c for m, c in a.terms.items()}))
+                for f in self.FACTORS:
+                    self.same(a.scale(f), Polynomial(ring, {m: c * f for m, c in a.terms.items()}))
+                t = self.random_single_term(rng, ring)
+                ((m1, c1),) = t.terms.items()
+                want = Polynomial(ring, {self.merged(m1, m): c1 * c for m, c in a.terms.items()})
+                for product in (t * a, a * t):
+                    self.same(product, want)
+
+    def test_scale_by_one_is_the_polynomial(self):
+        for ring, _ in self.RINGS:
+            p = P("x1 + 2*x2", ring)
+            assert p.scale(1) is p
+            assert p.scale(Fraction(3, 3)) is p
+            assert Polynomial.const(ring, 1) * p is p
+
+
 def _random_poly(rng, ring, max_terms=4, max_var=3, max_exp=2):
     terms = {}
     for _ in range(rng.randrange(0, max_terms + 1)):

@@ -280,6 +280,24 @@ class TestMalformedFiles:
         assert main(["fol", "classify", "--formula", "(= (X ²) (rat 1))"]) == 2
         assert_format_errors(capsys, 3)
 
+    def test_malformed_proof_lines_exit_two(self, tmp_path, capsys):
+        # one error naming the line, not a message about string indices, and
+        # a string of lines is not read character by character
+        proof = derivation_to_json(refutation_proof())
+        cases = [
+            ({"a": 1}, "expected a list of proof lines"),
+            ("abc", "expected a list of proof lines"),
+            (proof["lines"][:1] + [5], "line 1: expected an object with 'poly' and an object 'rule'"),
+            (proof["lines"][:1] + [{"rule": {"kind": "zero"}}], "line 1: expected an object"),
+            ([{"poly": "0", "rule": "zero"}], "line 0: expected an object"),
+            ([{"poly": "0", "rule": ["kind", "zero"]}], "line 0: expected an object"),
+        ]
+        for lines, message in cases:
+            assert main(["check", write(tmp_path, "proof.json", {**proof, "lines": lines})]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err and "Traceback" not in err
+            assert len(err.splitlines()) == 1
+
     def test_index_comparison_arity_exit_two(self, capsys):
         assert main(["fol", "classify", "--formula", "(i= 1)"]) == 2
         assert main(["fol", "classify", "--formula", "(i< 1 2 3)"]) == 2

@@ -29,6 +29,7 @@ from pcsos.lkr import (
     LkrNode,
     Sequent,
     UnsupportedConstruct,
+    _Compiler,
     check_lkr,
     compile_lkr,
     linear_combination_identity,
@@ -229,6 +230,16 @@ class TestCompileBasics:
             compile_lkr(node, {}, "pc_rad", REG)
         d = compile_lkr(node, {}, "pc_plus", REG)
         assert check_derivation(d).valid
+
+    def test_translation_memo_keys_on_the_free_variables(self):
+        # one formula object under two values of its free i, and of n, which
+        # is not free in it: i changes the translation, n does not
+        phi = F("(= (X i) (* (rat 2) (X j)))")
+        compiler = _Compiler(REG, RATIONAL)
+        first = {(i, j): compiler.members(phi, {"i": i, "j": j, "n": 4}) for i in (0, 1) for j in (2, 3)}
+        for (i, j), members in first.items():
+            assert members == (P(f"x{i} - 2*x{j}"),)
+            assert compiler.members(phi, {"i": i, "j": j, "n": 5}) is members
 
     def test_target_support_covers_nodes_not_reached(self):
         # at n = 0 forall-idx-r has no instance, so the boolean axiom above

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pcsos
-from pcsos import families, fol, lkr, simulate
+from pcsos import degsearch, families, fol, lkr, simulate
 from pcsos.algebra import GF, MINUS_INF, RATIONAL, Polynomial, eqset, parse_poly
 from pcsos.cli import main
 from pcsos.proofcheck import (
@@ -518,6 +518,23 @@ class TestKernelBoundary:
         assert _package_imports("simulate") >= {"algebra", "proofcheck"}  # the walker sees imports
 
 
+class TestNoGlobalState:
+    def test_no_module_level_cache_or_global_statement(self):
+        # a memo that outlives its call would make repeated work look faster
+        # than one call is; memos belong to the object of one call
+        found = []
+        for path in sorted(Path(pcsos.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Global):
+                    found.append((path.name, node.lineno, "global"))
+                elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    found += [(path.name, node.lineno, a.name) for a in node.names if a.name in ("cache", "lru_cache")]
+                elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+                    if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                        found.append((path.name, node.lineno, node.attr))
+        assert found == []
+
+
 class TestBuilder:
     def test_mul_poly_and_combination(self):
         axioms = eqset(RATIONAL, [P("x1 + 1")])
@@ -658,6 +675,71 @@ class TestFileCodecMemos:
             assert by_text.setdefault(p.format(), p) is p
         assert len(by_text) < len(polys)  # each axiom line repeats its axiom
 
+    @staticmethod
+    def written_derivation(d):
+        """(polynomial, text) for each polynomial derivation_to_json writes."""
+        obj = derivation_to_json(d)
+        pairs = list(zip(d.axioms, obj["axioms"]))
+        for (poly, just), line in zip(d.lines, obj["lines"], strict=True):
+            pairs.append((poly, line["poly"]))
+            if isinstance(just, Sos):
+                pairs.append((just.witness, line["rule"]["p"]))
+                pairs += zip(just.squares, line["rule"]["squares"], strict=True)
+        return d.ring, pairs
+
+    @staticmethod
+    def written_certificate(c):
+        """(polynomial, text) for each polynomial sos_to_json writes."""
+        obj = sos_to_json(c)
+        pairs = list(zip(c.axioms, obj["axioms"])) + [(c.target, obj["target"])]
+        for key, pieces in (("multipliers", c.multipliers), ("bool_multipliers", c.bool_multipliers)):
+            pairs += [(r, entry["poly"]) for (_, r), entry in zip(pieces, obj[key], strict=True)]
+        pairs += zip(c.squares, obj["squares"], strict=True)
+        return RATIONAL, pairs
+
+    def test_written_texts_are_the_polynomials_own(self):
+        # a writer shares one monomial table across a file, and no text changes
+        one = Polynomial.const(RATIONAL, 1)
+        written = []
+        for eqs, d in (
+            (families.gen_chain(12, with_proofs=False).equations, 2),
+            (families.gen_fphp(3, 2).equations, 2),
+            (families.gen_fphp(4, 3).equations, 3),
+        ):
+            written.append(self.written_derivation(degsearch.extract_derivation(degsearch.pc_closure(eqs, d), one)))
+        for m, n in ((4, 3), (5, 4)):
+            there = simulate.sos_to_pcplus(families.gen_fphp_sos(m, n))
+            written += [self.written_derivation(there)]
+            written += [self.written_certificate(simulate.pcplus_refutation_to_sos(there))]
+        for ring, seed in ((RATIONAL, 1), (GF(7), 2), (GF(2**31 - 1), 3)):
+            rng = random.Random(seed)
+            written += [self.written_derivation(_random_derivation(rng, ring)) for _ in range(20)]
+        for ring, pairs in written:
+            assert pairs
+            for poly, text in pairs:
+                assert text == poly.format()
+                assert parse_poly(text, ring) == poly
+
+    def test_one_monomial_with_many_coefficients(self):
+        # x1*x2^2 alone first, then among other terms, with both signs
+        texts = [
+            "x1*x2^2", "-x1*x2^2", "2*x1*x2^2 - 1", "x1^4 - 1/3*x1*x2^2",
+            "x1^4 - 5/2*x1*x2^2 + x3", "-7*x1*x2^2", "-x1*x2^2 + x3", "-x1*x2^2 - x3 + 1/2",
+        ]
+        polys = [P(t) for t in texts]
+        d = Derivation("pc", eqset(RATIONAL, polys), tuple((p, Axiom(k)) for k, p in enumerate(polys)))
+        obj = derivation_to_json(d)
+        assert obj["axioms"] == [line["poly"] for line in obj["lines"]] == texts
+        cert = SosCertificate(
+            axioms=eqset(RATIONAL, polys[:2]),
+            multipliers=((0, polys[2]), (1, polys[3])),
+            squares=tuple(polys[5:]),
+            target=polys[4],
+        )
+        obj = sos_to_json(cert)
+        assert obj["axioms"] + [m["poly"] for m in obj["multipliers"]] == texts[:4]
+        assert [obj["target"]] + obj["squares"] == texts[4:]
+
     def test_separate_decodes_share_nothing(self):
         obj = sos_to_json(families.gen_fphp_sos(4, 3))
         first, second = sos_from_json(obj), sos_from_json(obj)
@@ -691,6 +773,32 @@ class TestFileCodecMemos:
         graph = families.gen_bphp_graph(holes_of, pigeons_of, m, n)
         eqs = fol.translate_formula(graph.formula, {}, graph.registry)
         assert eqset_from_json(eqset_to_json(eqs)) == eqs
+
+
+def _random_derivation(rng: random.Random, ring) -> Derivation:
+    """A derivation of a few random lines from random axioms; it need not
+    refute anything, only be written."""
+
+    def poly():
+        terms = {}
+        for _ in range(rng.randrange(1, 6)):
+            exps = {rng.randrange(4): rng.randrange(1, 3) for _ in range(rng.randrange(0, 3))}
+            terms[tuple(sorted(exps.items()))] = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+        return Polynomial(ring, terms)
+
+    axioms = [p for p in (poly() for _ in range(3)) if not p.is_zero] or [Polynomial.const(ring, 1)]
+    builder = DerivationBuilder("pc", eqset(ring, axioms))
+    last = builder.axiom(0)
+    for _ in range(rng.randrange(2, 8)):
+        op = rng.randrange(3)
+        if op == 0:
+            last = builder.mul_var(last, rng.randrange(4))
+        elif op == 1:
+            other = builder.axiom(rng.randrange(len(axioms)))
+            last = builder.add(last, other, rng.choice([1, -1, Fraction(1, 3)]), rng.choice([1, -2, Fraction(3, 2)]))
+        else:
+            last = builder.mul_poly(last, poly())
+    return builder.build()
 
 
 _TEXT = "ab\"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u4e2d\U0001f600"
