@@ -192,8 +192,10 @@ class TestEvaluation:
         assert (p * p).evaluate({1: 1, 2: 0}) == 4
 
     def test_missing_variable(self):
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError, match=r"^assignment missing variables \[2\]$"):
             P("x1 + x2").evaluate({1: 0})
+        with pytest.raises(AlgebraError, match=r"^assignment missing variables \[1, 3\]$"):
+            P("x3^2*x1 + x2 + 1").evaluate({2: 0, 4: 1})
 
 
 class TestMultilinearize:

@@ -1,13 +1,15 @@
 import dataclasses
+import hashlib
 import random
 import re
 import time
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pcsos.algebra import RATIONAL, Polynomial, parse_poly
+from pcsos.algebra import RATIONAL, Polynomial, format_poly, parse_poly
 from pcsos.cli import main
 from pcsos.fol import (
     FN,
@@ -24,12 +26,15 @@ from pcsos.fol import (
     FolError,
     FolParseError,
     ForallIdx,
+    Formula,
     FunctionRegistry,
     IdxApp,
     IdxEq,
     IdxLit,
     IdxLt,
     IdxVar,
+    IndexTerm,
+    Model,
     Not,
     OracleAt,
     Or,
@@ -38,6 +43,7 @@ from pcsos.fol import (
     RingConst,
     RingEq,
     RingOp,
+    RingTerm,
     classify_indpc,
     eval_formula,
     eval_index,
@@ -276,6 +282,20 @@ class TestSubstitutionAndFreeVars:
         same = substitute_index(phi, "i", IdxVar("k"))
         assert same == phi
 
+    def test_substitute_into_and_or(self):
+        phi = parse_formula("(and (= (X j) (rat 0)) (or (i< j 2) (= (X (+ j 1)) (rat 1))))", REG, {"j"})
+        sub = substitute_index(phi, "j", IdxApp("+", (IdxVar("k"), IdxLit(1))))
+        assert format_formula(sub) == "(and (= (X (+ k 1)) (rat 0)) (or (i< (+ k 1) 2) (= (X (+ (+ k 1) 1)) (rat 1))))"
+        assert translate_formula(sub, {"k": 2}, REG).members == (P("x3"), P("x4 - 1"))
+
+    def test_substitution_refuses_a_capture_inside_one_part(self):
+        # the first part takes the replacement; the second would bind its k
+        phi = parse_formula("(or (= (X j) (rat 0)) (forall k 2 (= (X (+ j k)) (rat 0))))", REG, {"j"})
+        with pytest.raises(FolError, match=r"^substitution would capture 'k'$"):
+            substitute_index(phi, "j", IdxVar("k"))
+        with pytest.raises(FolError, match=r"^substitution would capture 'k'$"):
+            substitute_index(And((RingEq(OracleAt(IdxVar("j")), RingConst(0)), phi)), "j", IdxVar("k"))
+
 
 # -- the grammar table -----------------------------------------------------
 
@@ -388,3 +408,196 @@ class TestGrammarTable:
         rings, indexes = rest.split("index terms are")
         for sort, text in ((FORMULA, formulas), (RING, rings), (INDEX, indexes)):
             assert set(re.findall(r"`\(([^\s`]+)", text)) == set(GRAMMAR[sort]), sort
+
+
+# -- the interpreter ---------------------------------------------------------
+
+EREG = FunctionRegistry.standard()
+EREG.register_ring_table("zero", 1, {})
+EREG.index_fns["neg"] = (1, lambda n: -1)  # a registry function that breaks its contract
+X0 = OracleAt(IdxLit(0))
+ZERO = RingConst(Fraction(0))
+
+
+def _error(call) -> str:
+    with pytest.raises(FolError) as exc:
+        call()
+    return str(exc.value)
+
+
+# (what, the failing call, its message), pinned from the pattern-matching interpreter
+INTERPRETER_ERRORS = [
+    ("unknown index function", lambda: eval_index(IdxApp("nope", (IdxLit(1),)), {}, EREG),
+     "unknown index function 'nope'"),
+    ("unknown index function in translation",
+     lambda: translate_formula(RingEq(OracleAt(IdxApp("nope", ())), ZERO), {}, EREG),
+     "unknown index function 'nope'"),
+    ("unknown ring function", lambda: ring_value(RingApp("nope", (IdxLit(1),)), {}, Model(EREG)),
+     "unknown ring function 'nope'"),
+    ("unknown ring function in translation",
+     lambda: translate_formula(RingEq(X0, RingApp("nope", ())), {}, EREG),
+     "unknown ring function 'nope'"),
+    ("index arity", lambda: eval_index(IdxApp("+", (IdxLit(1),)), {}, EREG),
+     "index function '+' expects 2 arguments, got 1"),
+    ("ring arity", lambda: ring_value(RingApp("zero", ()), {}, PolyModel(EREG)),
+     "ring function 'zero' expects 1 arguments, got 0"),
+    ("non-natural", lambda: eval_formula(IdxLt(IdxApp("neg", (IdxLit(1),)), IdxLit(0)), {}, {}, EREG),
+     "index function 'neg' returned a non-natural -1"),
+    ("unbound variable", lambda: eval_index(IdxVar("k"), {"n": 1}, EREG),
+     "assignment does not cover index variable 'k'"),
+    ("unbound variable in translation",
+     lambda: translate_formula(RingEq(OracleAt(IdxVar("k")), ZERO), {"n": 1}, EREG),
+     "assignment does not cover index variable 'k'"),
+    ("oracle gap", lambda: eval_formula(F("(= (sum i 4 (X i)) (rat 0))"), {}, {0: 1, 1: 0, 2: 1}, EREG),
+     "oracle gap at index 3"),
+    ("foreign index term", lambda: eval_index("junk", {}, EREG), "bad index term 'junk'"),
+    ("foreign index term in a formula", lambda: eval_formula(IdxEq(IdxLit(0), "junk"), {}, {}, EREG),
+     "bad index term 'junk'"),
+    ("foreign ring term", lambda: ring_value("junk", {}, Model(EREG)), "bad ring term 'junk'"),
+    ("foreign ring term in translation", lambda: translate_formula(RingEq(X0, "junk"), {}, EREG),
+     "bad ring term 'junk'"),
+    ("foreign formula", lambda: eval_formula("junk", {}, {}, EREG), "bad formula 'junk'"),
+    ("foreign formula part", lambda: eval_formula(Or((IdxLt(IdxLit(1), IdxLit(0)), 7)), {}, {}, EREG),
+     "bad formula 7"),
+    ("foreign formula in translation", lambda: translate_formula("junk", {}, EREG), "bad formula 'junk'"),
+    ("foreign formula part in translation",
+     lambda: translate_formula(And((RingEq(X0, ZERO), "junk")), {}, EREG), "bad formula 'junk'"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in INTERPRETER_ERRORS], ids=[c[0] for c in INTERPRETER_ERRORS])
+def test_interpreter_error_messages(call, message):
+    assert _error(call) == message
+
+
+# one node of each class; the formulas that mention X are the translatable ones
+NODE_SAMPLES = {
+    IdxLit: [IdxLit(2)],
+    IdxVar: [IdxVar("n")],
+    IdxApp: [IdxApp("+", (IdxLit(1), IdxVar("n")))],
+    RingConst: [RingConst(Fraction(1, 2))],
+    OracleAt: [OracleAt(IdxVar("n"))],
+    RingOp: [RingOp("*", X0, RingConst(Fraction(2)))],
+    BigSum: [BigSum("i", IdxVar("n"), OracleAt(IdxVar("i")))],
+    RingApp: [RingApp("zero", (IdxLit(0),))],
+    RingEq: [RingEq(X0, ZERO), RingEq(ZERO, ZERO)],
+    IdxEq: [IdxEq(IdxVar("n"), IdxLit(2))],
+    IdxLt: [IdxLt(IdxVar("n"), IdxLit(2))],
+    And: [And((RingEq(X0, ZERO), IdxEq(IdxLit(0), IdxLit(0)))), And((IdxLt(IdxLit(0), IdxLit(1)),))],
+    Or: [Or((RingEq(X0, ZERO), RingEq(OracleAt(IdxLit(1)), ZERO))), Or((IdxLt(IdxLit(1), IdxLit(0)),))],
+    Not: [Not(IdxLt(IdxVar("n"), IdxLit(2)))],
+    ForallIdx: [ForallIdx("i", IdxVar("n"), RingEq(OracleAt(IdxVar("i")), ZERO)),
+                ForallIdx("i", IdxVar("n"), IdxLt(IdxVar("i"), IdxVar("n")))],
+    ExistsIdx: [ExistsIdx("i", IdxVar("n"), IdxEq(IdxVar("i"), IdxLit(1)))],
+}
+
+
+def test_every_node_class_reaches_a_handled_branch():
+    # a node kind added to the language but not to an interpreter would
+    # fall through to its "bad ..." error
+    sorts = (IndexTerm, RingTerm, Formula)
+    assert set(NODE_SAMPLES) == {cls for sort in sorts for cls in typing.get_args(sort)}
+    alpha, oracle = {"n": 3}, {0: 1, 1: 0, 2: 1, 3: 0}
+    for cls, samples in NODE_SAMPLES.items():
+        for node in samples:
+            if cls in typing.get_args(IndexTerm):
+                assert eval_index(node, alpha, EREG) in (2, 3, 4)
+            elif cls in typing.get_args(RingTerm):
+                value = ring_value(node, alpha, Model(EREG, oracle=oracle))
+                assert ring_value(node, alpha, PolyModel(EREG)).evaluate(oracle) == value
+            else:
+                eqs = translate_formula(node, alpha, EREG)
+                assert eqs.vanishes_at(oracle) == eval_formula(node, alpha, oracle, EREG)
+
+
+# -- a seeded translation corpus ------------------------------------------------
+
+CREG = FunctionRegistry.standard()
+CREG.register_index_table("t", 1, {(0,): 2, (1,): 0}, 1)
+CREG.register_ring_table("r", 1, {(0,): "1/2", (2,): "-3"}, 1)
+
+
+class _Bits(dict):
+    """A 0/1 oracle defined everywhere: X(j) outside the keys is 0, so the
+    evaluator may read an index whose variable the translation cancelled."""
+
+    def __contains__(self, j):
+        return True
+
+    def __missing__(self, j):
+        return 0
+
+
+def _c_index(rng, scope, depth):
+    """Values stay below 7: literals and variables below 4, one operator."""
+    roll = rng.randrange(4 if depth else 2)
+    if roll == 0 or not scope:
+        return IdxLit(rng.randrange(4))
+    if roll == 1:
+        return IdxVar(rng.choice(sorted(scope)))
+    if roll == 2:
+        return IdxApp(rng.choice(["+", "monus"]), (_c_index(rng, scope, 0), _c_index(rng, scope, 0)))
+    if rng.random() < 0.5:
+        return IdxApp("t", (_c_index(rng, scope, 0),))
+    return IdxApp("lt", (_c_index(rng, scope, 0), _c_index(rng, scope, 0)))
+
+
+def _c_ring(rng, scope, depth, oracle):
+    roll = rng.randrange(6 if depth else 3)
+    if roll == 0 or (roll in (1, 5) and not oracle):
+        return RingConst(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
+    if roll in (1, 5):
+        return OracleAt(_c_index(rng, scope, 1))
+    if roll == 2:
+        return RingApp("r", (_c_index(rng, scope, 1),))
+    if roll == 3:
+        op = rng.choice("+-*")
+        return RingOp(op, _c_ring(rng, scope, depth - 1, oracle), _c_ring(rng, scope, depth - 1, oracle))
+    var = rng.choice("ij")
+    return BigSum(var, _c_index(rng, scope, 0), _c_ring(rng, scope | {var}, depth - 1, oracle))
+
+
+def _c_formula(rng, scope, depth, oracle=True):
+    """A translatable formula: negation and existentials stay oracle-free."""
+    roll = rng.randrange(9 if depth else 3)
+    if roll in (0, 8):
+        return RingEq(_c_ring(rng, scope, 2, oracle), _c_ring(rng, scope, 2, oracle))
+    if roll in (1, 2):
+        return (IdxEq, IdxLt)[roll - 1](_c_index(rng, scope, 1), _c_index(rng, scope, 1))
+    if roll in (3, 4):
+        parts = tuple(_c_formula(rng, scope, depth - 1, oracle) for _ in range(rng.randrange(1, 4)))
+        return (And, Or)[roll - 3](parts)
+    if roll == 5:
+        return Not(_c_formula(rng, scope, depth - 1, False))
+    var = rng.choice("ij")
+    cls, oracle = (ForallIdx, oracle) if roll == 6 else (ExistsIdx, False)
+    return cls(var, _c_index(rng, scope, 0), _c_formula(rng, scope | {var}, depth - 1, oracle))
+
+
+class TestTranslationCorpus:
+    # sha256 of one line per formula, its text and its translated members,
+    # pinned from the pattern-matching interpreter
+    DIGEST = "1728745b7ade9f6b3d624500ccd0834703668fc42c5463487c1ac2caf383d757"
+
+    def corpus(self):
+        rng = random.Random(26)
+        return [_c_formula(rng, {"n"}, 3) for _ in range(500)]
+
+    def test_corpus_covers_every_node_class(self):
+        seen = set().union(*map(_classes, self.corpus()))
+        assert seen == NODE_CLASSES
+
+    def test_members_are_pinned(self):
+        lines = []
+        for phi in self.corpus():
+            members = translate_formula(phi, {"n": 3}, CREG).members
+            lines.append(f"{format_formula(phi)} -> {', '.join(format_poly(m, {}) for m in members)}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+
+    def test_evaluation_agrees_with_vanishing(self):
+        rng = random.Random(27)
+        for phi in self.corpus():
+            eqs = translate_formula(phi, {"n": 3}, CREG)
+            for _ in range(4):
+                oracle = _Bits({v: rng.randint(0, 1) for v in eqs.variables()})
+                assert eval_formula(phi, {"n": 3}, oracle, CREG) == eqs.vanishes_at(oracle), format_formula(phi)
