@@ -383,15 +383,16 @@ class Polynomial:
 
     def evaluate(self, assignment: dict):
         """Exact evaluation; assignment must cover every variable."""
-        missing = self.variables() - set(assignment)
-        if missing:
-            raise AlgebraError(f"assignment missing variables {sorted(missing)}")
         coerce = self.ring.coerce
         total = 0
-        for m, c in self._terms.items():
-            for v, e in m:
-                c = coerce(c * coerce(assignment[v]) ** e)
-            total += c
+        try:
+            for m, c in self._terms.items():
+                for v, e in m:
+                    c = coerce(c * coerce(assignment[v]) ** e)
+                total += c
+        except KeyError:
+            missing = self.variables() - set(assignment)
+            raise AlgebraError(f"assignment missing variables {sorted(missing)}") from None
         return coerce(total)
 
     def multilinearize(self) -> "Polynomial":

@@ -50,6 +50,7 @@ from . import fol
 from .fol import (
     And,
     BigSum,
+    ClassificationError,
     ForallIdx,
     Formula,
     FunctionRegistry,
@@ -78,7 +79,6 @@ from .fol import (
     parse_ring_term,
     ring_value,
     substitute_index,
-    translate_formula,
 )
 
 SUM_UNFOLD_CAP = 256
@@ -606,16 +606,20 @@ class _Compiler:
     # ---- helpers
 
     def members(self, phi, alpha) -> tuple[Polynomial, ...]:
-        """phi's translation under alpha, made once per value of the index
-        variables free in phi: the others do not change it."""
+        """phi's translation under alpha, classified when phi first appears
+        and made once per value of the index variables free in phi: the
+        others do not change it."""
         entry = self._translations.get(phi)
         if entry is None:
+            ok, why = classify_indpc(phi)
+            if not ok:
+                raise ClassificationError(f"formula is not translatable: {why}")
             entry = self._translations[phi] = (sorted(free_index_vars(phi)), {})
         free, by_value = entry
         values = tuple([alpha.get(v) for v in free])
         out = by_value.get(values)
         if out is None:
-            out = by_value[values] = translate_formula(phi, alpha, self.reg, self.ring).members
+            out = by_value[values] = self.model.translate(phi, alpha)
         return out
 
     def left(self, formulas, alpha) -> list[Polynomial]:

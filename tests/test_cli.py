@@ -479,6 +479,29 @@ class TestFormulaNesting:
         assert_format_errors(capsys, 12)
 
 
+
+class TestInstanceLimit:
+    # each named a huge bound in a few bytes and ran until it was killed
+    HUGE = [
+        ("translate", "(forall i 100000000 (= (X i) (rat 0)))"),
+        ("translate", "(= (sum j 100000000 (X j)) (rat 0))"),
+        ("eval", "(forall i 100000000 (= (X 0) (rat 0)))"),
+    ]
+
+    @pytest.mark.parametrize("action, formula", HUGE)
+    def test_huge_bound_exits_two_within_a_second(self, tmp_path, capsys, action, formula):
+        oracle, out = write(tmp_path, "oracle.json", [0]), tmp_path / "eqs.json"
+        t0 = time.perf_counter()
+        assert main(["fol", action, "--formula", formula, "--oracle", oracle, "-o", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == f"error: more than {fol.MAX_INSTANCES} quantifier and sum instances\n"
+        assert not out.exists()
+
+    def test_an_early_exit_is_charged_for_what_it_visits(self, tmp_path):
+        oracle = write(tmp_path, "oracle.json", [0])
+        assert main(["fol", "eval", "--formula", "(exists i 100000000 (= (X 0) (rat 0)))", "--oracle", oracle]) == 0
+        assert main(["fol", "eval", "--formula", "(forall i 100000000 (= (X 0) (rat 1)))", "--oracle", oracle]) == 1
+
 class TestTranslate:
     def test_pcplus_to_sos_pipeline(self, tmp_path, capsys):
         proof = write(tmp_path, "proof.json", derivation_to_json(refutation_proof()))

@@ -5,11 +5,13 @@ import re
 import time
 import typing
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from pcsos.algebra import RATIONAL, Polynomial, format_poly, parse_poly
+from pcsos import fol
 from pcsos.cli import main
 from pcsos.fol import (
     FN,
@@ -509,6 +511,24 @@ def test_every_node_class_reaches_a_handled_branch():
                 eqs = translate_formula(node, alpha, EREG)
                 assert eqs.vanishes_at(oracle) == eval_formula(node, alpha, oracle, EREG)
 
+
+
+class TestInstanceLimit:
+    def test_the_limit_counts_nested_instances(self):
+        limit = fol.MAX_INSTANCES
+        assert eval_formula(F(f"(forall i {limit} (i< i {limit}))"), {}, {}, REG)
+        with pytest.raises(FolError, match=rf"^more than {limit} quantifier and sum instances$"):
+            eval_formula(F(f"(forall i {limit + 1} (i< i {limit + 1}))"), {}, {}, REG)
+        n = isqrt(limit)  # n + n * n instances
+        with pytest.raises(FolError, match="quantifier and sum instances"):
+            eval_formula(F(f"(forall i {n} (forall j {n} (i< j {n})))"), {}, {}, REG)
+        with pytest.raises(FolError, match="quantifier and sum instances"):
+            translate_formula(F(f"(= (sum i {n} (sum j {n} (X j))) (rat 0))"), {}, REG)
+
+    def test_the_count_starts_afresh_with_each_translation(self):
+        model, half = PolyModel(REG), fol.MAX_INSTANCES // 2 + 1
+        phi = F(f"(= (sum i {half} (X 0)) (rat 0))")
+        assert model.translate(phi, {}) == model.translate(phi, {}) == (P(f"{half}*x0"),)
 
 # -- a seeded translation corpus ------------------------------------------------
 
