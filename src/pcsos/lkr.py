@@ -190,7 +190,7 @@ class _AtomModel(PolyModel):
     def _sum(self, var, bkey, body, alpha) -> Polynomial:
         if bkey[0] == "lit" and bkey[1] <= SUM_UNFOLD_CAP:
             n = bkey[1]
-            return self.total(ring_value(body, {**alpha, var: ("lit", j)}, self) for j in range(n))
+            return self.total(ring_value(body, {**alpha, var: ("lit", j)}, self) for j in self.instances(n))
         if bkey[:2] == ("app", "+") and bkey[3:] == (("lit", 1),):
             # peel one step: sum_{i<b+1} t(i) = sum_{i<b} t(i) + t(b)
             base = bkey[2]

@@ -494,13 +494,27 @@ class TestInstanceLimit:
         t0 = time.perf_counter()
         assert main(["fol", action, "--formula", formula, "--oracle", oracle, "-o", str(out)]) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr().err == f"error: more than {fol.MAX_INSTANCES} quantifier and sum instances\n"
+        message = f"more than {fol.MAX_INSTANCES} quantifier and sum instances"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_lkr_compile_at_a_huge_assignment_exits_two(self, tmp_path, capsys):
+        # the chain proof's hypothesis (forall i n ...) is translated first
+        assert main(["gen", "chain", "--n", "3", "--with-cert", "-o", str(tmp_path / "chain.json")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        t0 = time.perf_counter()
+        args = ["lkr", "compile", str(tmp_path / "chain.cert.json"), "--assign", "n=100000000", "-o", str(out)]
+        assert main(args) == 2
+        assert time.perf_counter() - t0 < 3.0  # it checks the proof first
+        assert_format_errors(capsys, 1)
         assert not out.exists()
 
     def test_an_early_exit_is_charged_for_what_it_visits(self, tmp_path):
         oracle = write(tmp_path, "oracle.json", [0])
-        assert main(["fol", "eval", "--formula", "(exists i 100000000 (= (X 0) (rat 0)))", "--oracle", oracle]) == 0
-        assert main(["fol", "eval", "--formula", "(forall i 100000000 (= (X 0) (rat 1)))", "--oracle", oracle]) == 1
+        cases = [("(exists i 100000000 (= (X 0) (rat 0)))", 0), ("(forall i 100000000 (= (X 0) (rat 1)))", 1)]
+        for formula, code in cases:
+            assert main(["fol", "eval", "--formula", formula, "--oracle", oracle]) == code
 
 class TestTranslate:
     def test_pcplus_to_sos_pipeline(self, tmp_path, capsys):

@@ -287,7 +287,9 @@ class TestSubstitutionAndFreeVars:
     def test_substitute_into_and_or(self):
         phi = parse_formula("(and (= (X j) (rat 0)) (or (i< j 2) (= (X (+ j 1)) (rat 1))))", REG, {"j"})
         sub = substitute_index(phi, "j", IdxApp("+", (IdxVar("k"), IdxLit(1))))
-        assert format_formula(sub) == "(and (= (X (+ k 1)) (rat 0)) (or (i< (+ k 1) 2) (= (X (+ (+ k 1) 1)) (rat 1))))"
+        assert format_formula(sub) == (
+            "(and (= (X (+ k 1)) (rat 0)) (or (i< (+ k 1) 2) (= (X (+ (+ k 1) 1)) (rat 1))))"
+        )
         assert translate_formula(sub, {"k": 2}, REG).members == (P("x3"), P("x4 - 1"))
 
     def test_substitution_refuses_a_capture_inside_one_part(self):
@@ -467,7 +469,9 @@ INTERPRETER_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("call, message", [c[1:] for c in INTERPRETER_ERRORS], ids=[c[0] for c in INTERPRETER_ERRORS])
+@pytest.mark.parametrize(
+    "call, message", [c[1:] for c in INTERPRETER_ERRORS], ids=[c[0] for c in INTERPRETER_ERRORS]
+)
 def test_interpreter_error_messages(call, message):
     assert _error(call) == message
 
@@ -620,4 +624,5 @@ class TestTranslationCorpus:
             eqs = translate_formula(phi, {"n": 3}, CREG)
             for _ in range(4):
                 oracle = _Bits({v: rng.randint(0, 1) for v in eqs.variables()})
-                assert eval_formula(phi, {"n": 3}, oracle, CREG) == eqs.vanishes_at(oracle), format_formula(phi)
+                truth = eval_formula(phi, {"n": 3}, oracle, CREG)
+                assert truth == eqs.vanishes_at(oracle), format_formula(phi)

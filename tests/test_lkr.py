@@ -1,11 +1,13 @@
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pcsos import fol
 from pcsos.algebra import GF, RATIONAL, parse_poly
 from pcsos.fol import (
     BigSum,
@@ -93,6 +95,19 @@ class TestSymbolicIdentities:
         t = rterm("(sum i n (sum j n (* (X j) (X j))))")
         assert not ring_identity(s, t, REG)
         assert ring_identity(s, rterm("(sum j n (sum i n (* (X j) (X i))))"), REG)
+
+    def test_nested_literal_sums_are_counted(self):
+        # each sum unfolds up to SUM_UNFOLD_CAP instances, and nested ones
+        # multiply: three levels of 256 ran until they were killed
+        nested = "(sum i 256 (sum j 256 (sum k 256 (X k))))"
+        node = LkrNode("ring-axiom", Sequent((), (F(f"(= {nested} {nested})"),)))
+        t0 = time.perf_counter()
+        rep = check_lkr(node, REG)
+        assert time.perf_counter() - t0 < 1.0
+        assert not rep.valid
+        assert rep.reason == f"ring-axiom: more than {fol.MAX_INSTANCES} quantifier and sum instances"
+        s, t = rterm("(sum i 100 (sum j 100 (X j)))"), rterm("(sum j 100 (* (rat 100) (X j)))")
+        assert ring_identity(s, t, REG)  # 10,100 instances
 
     def test_linear_combination(self):
         succ = RingEq(rterm("(- (rat 1) (X j))"), ZERO)
