@@ -521,7 +521,7 @@ def classify_indpc(phi: Formula) -> tuple[bool, str]:
 # Most quantifier and bounded-sum instances one translation or evaluation
 # visits, nested instances each counted.  The most any call in the tests or
 # the benchmark visits is 320, translating the chain proof's hypothesis
-# (forall i n ...) at n = 320; at the limit a translation takes about 0.3 s.
+# (forall i n ...) at n = 320.
 MAX_INSTANCES = 1 << 15
 
 
