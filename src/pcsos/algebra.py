@@ -92,16 +92,23 @@ def parse_rational(value) -> Fraction:
             return Fraction(int(head + tail), 10 ** len(tail))
         return Fraction(int(head), int(tail or 1))
     except (AttributeError, ValueError, ZeroDivisionError):  # no match, too long, n/0
-        raise AlgebraError(
-            f"bad rational {value!r:.60}; expected -?D, -?D/D or -?D.D within the digit limit"
-        ) from None
+        raise _bad_rational(value) from None
+
+
+def _bad_rational(value) -> AlgebraError:
+    return AlgebraError(f"bad rational {value!r:.60}; expected -?D, -?D/D or -?D.D within the digit limit")
 
 
 def parse_natural(value) -> int:
     """A nonnegative JSON integer (not a bool) or ASCII digits D, read by
-    parse_rational."""
-    if type(value) is int and value >= 0 or type(value) is str and value.isascii() and value.isdigit():
-        return parse_rational(value).numerator
+    int(); past the digit limit, refused as parse_rational refuses it."""
+    if type(value) is int and value >= 0:
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:
+            raise _bad_rational(value) from None
     raise AlgebraError(f"bad natural number {value!r:.60}; expected digits 0-9")
 
 
@@ -481,7 +488,10 @@ def expand(ring: Ring, products=(), squares=()) -> Polynomial:
     """sum a*b over the (a, b) pairs plus sum w*s^2 over the (square,
     weight) pairs, summed in one accumulator and normalised once.  It is
     the one loop over the terms of two multi-term polynomials: products
-    and the kernel's identities all come here.
+    and the kernel's identities all come here.  The constant term of a
+    product's first factor adds a scaled copy of the second factor, with
+    no monomial merge per term; a certificate's constant multipliers take
+    only that path.
 
     The squares go through a Gram matrix: the distinct monomials of all the
     squares are numbered once, and the entry G[i, j] += w c_i c_j (doubled
@@ -543,6 +553,11 @@ def expand(ring: Ring, products=(), squares=()) -> Polynomial:
         if not (a.ring is ring is b.ring or a.ring == ring == b.ring):
             raise AlgebraError("ring mismatch")
         for m1, c1 in a._terms.items():
+            if not m1:  # the constant term adds c1 times b, monomials as they are
+                for m, c2 in b._terms.items():
+                    prev = get(m)
+                    acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+                continue
             for m2, c2 in b._terms.items():
                 m = merge_exps(m1, m2)
                 prev = get(m)
@@ -553,15 +568,20 @@ def expand(ring: Ring, products=(), squares=()) -> Polynomial:
 # -- parsing ----------------------------------------------------------
 
 
-# one token: an ASCII number or any single non-space character
-_TOKEN = re.compile(r"\s*([0-9]+|\S)")
+# one token: x and its index, an ASCII number, or any single non-space character
+_TOKEN = re.compile(r"\s*(x\s*[0-9]+|[0-9]+|\S)")
 _DIGITS = frozenset("0123456789")
 
 
-def _parse_error(text: str, message: str, k: int) -> PolyParseError:
-    """Error at the k-th token of text, or at its end if there is none."""
+def _parse_error(text: str, message: str, k: int, at_number: bool = False) -> PolyParseError:
+    """Error at the k-th token of text, or at its end if there is none.
+    With at_number, the error is at the token's number, which for a
+    variable follows its x."""
     for n, match in enumerate(_TOKEN.finditer(text)):
         if n == k:
+            token = match[1]
+            if at_number and token[0] == "x":
+                return PolyParseError(message, match.end(1) - len(token[1:].lstrip()))
             return PolyParseError(message, match.start(1))
     return PolyParseError(message, len(text))
 
@@ -575,11 +595,13 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     factor  := var ['^' nat]         var := 'x' nat
     coeff   := int | int '/' posnat  (reduced mod p over gf(p))
 
-    Numbers are ASCII digits; whitespace may separate any two tokens.
+    Numbers are ASCII digits; whitespace may separate any two tokens.  A
+    variable is one token, x and its index with any whitespace between,
+    so x12*x345 reads as three tokens; error positions are those of the
+    characters, whatever the tokens.
     """
     toks = _TOKEN.findall(text)
     end = len(toks)
-    minus_one = ring.coerce(-1)
     acc: dict = {}  # exponent tuple -> canonical nonzero coefficient, in order of appearance
     negate = end > 0 and toks[0] == "-"
     k = 1 if negate else 0
@@ -587,10 +609,10 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
         while True:
             if k == end:
                 raise _parse_error(text, "expected a term", k)
-            coeff, more = minus_one if negate else 1, True
-            if toks[k][0] in _DIGITS:
+            tok = toks[k]
+            if tok[0] in _DIGITS:
                 start = k
-                coeff = -int(toks[k]) if negate else int(toks[k])
+                coeff = -int(tok) if negate else int(tok)
                 k += 1
                 if k < end and toks[k] == "/":
                     k += 1
@@ -608,14 +630,16 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
                 more = k < end and toks[k] == "*"
                 if more:
                     k += 1
+            else:  # a bare monomial
+                coeff, more = ring.coerce(-1) if negate else 1, True
             key: tuple = ()  # sorted (var, exp > 0) pairs
             while more:
-                if k == end or toks[k] != "x":
+                if k == end or toks[k][0] != "x":
                     raise _parse_error(text, "expected a variable like x1", k)
-                k += 1
-                if k == end or toks[k][0] not in _DIGITS:
-                    raise _parse_error(text, "expected a number", k)
-                var = int(toks[k])
+                tok = toks[k]
+                if len(tok) == 1:  # no number follows the x
+                    raise _parse_error(text, "expected a number", k + 1)
+                var = int(tok[1:].lstrip())  # int() refuses some whitespace that \s takes
                 k += 1
                 exp = 1
                 if k < end and toks[k] == "^":
@@ -652,7 +676,7 @@ def parse_poly(text: str, ring: Ring) -> Polynomial:
     except PolyParseError:
         raise
     except ValueError as exc:  # int() refuses numbers past the interpreter's digit limit
-        raise _parse_error(text, "number too long", k) from exc
+        raise _parse_error(text, "number too long", k, at_number=True) from exc
     return Polynomial._raw(ring, acc)
 
 

@@ -49,6 +49,17 @@ class FamilyError(ValueError):
     pass
 
 
+# Most terms a generated equation set may hold; a larger family is refused
+# before any of it is built.  The largest the tests and the benchmark
+# generate is fPHP(51, 50), 66,351 terms, in acceptance criterion 4.
+MAX_TERMS = 1 << 18
+
+
+def _check_size(family: str, terms: int) -> None:
+    if terms > MAX_TERMS:
+        raise FamilyError(f"{family} would have up to {terms} terms, more than {MAX_TERMS}")
+
+
 @dataclass
 class FamilyInstance:
     name: str
@@ -78,16 +89,20 @@ def gen_fphp(m: int, n: int, ring: Ring = RATIONAL) -> FamilyInstance:
     """
     if m < 1 or n < 1:
         raise FamilyError("fphp needs at least one pigeon and one hole")
+    _check_size("fphp", m * (n + 1) + n * m * (m - 1) // 2)
+    # factor[i][j] is the one (x_pair(i,j), 1) tuple every key shares
+    factor = [[(_pair(i, j), 1) for j in range(n)] for i in range(m)]
+    minus_one = ring.coerce(-1)
     members = []
-    for i in range(m):
-        terms = {((_pair(i, j), 1),): 1 for j in range(n)}
-        terms[()] = ring.coerce(-1)
+    for row in factor:
+        terms = {(f,): 1 for f in row}
+        terms[()] = minus_one
         members.append(Polynomial._raw(ring, terms))
     for j in range(n):
         for i1 in range(m):
-            for i2 in range(i1 + 1, m):
-                v1, v2 = sorted((_pair(i1, j), _pair(i2, j)))
-                members.append(Polynomial._raw(ring, {((v1, 1), (v2, 1)): 1}))
+            f1 = factor[i1][j]
+            # _pair(i, j) increases with i, so the key is sorted as built
+            members.extend([Polynomial._raw(ring, {(f1, factor[i2][j]): 1}) for i2 in range(i1 + 1, m)])
     return FamilyInstance(
         name="fphp",
         params={"pigeons": m, "holes": n},
@@ -256,6 +271,7 @@ def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> F
     """
     if n < 1:
         raise FamilyError("subset sum needs n >= 1")
+    _check_size("subset sum", 2 * n + (n + 1) * (n + 2) // 2)
     equations, ell = _subset_sum_equations(n, ring)
     builder = DerivationBuilder("pc_rad", equations)
     square = builder.axiom(n)
@@ -437,6 +453,7 @@ def gen_chain(n: int, ring: Ring = RATIONAL, with_proofs: bool = True) -> Family
     refutation and the induction-rule sequent proof attached."""
     if n < 1:
         raise FamilyError("chain needs n >= 1")
+    _check_size("chain", 2 * n + 3)
     members = [_x(ring, 0) - _const(ring, 1)]
     for i in range(n):
         members.append(_x(ring, i) * (_const(ring, 1) - _x(ring, i + 1)))

@@ -141,15 +141,6 @@ def _var_from_json(name) -> int:
         raise ProofFormatError(f"bad variable name {name!r:.60}, expected like 'x3'") from None
 
 
-def _poly_from_json(text, ring: Ring) -> Polynomial:
-    if not isinstance(text, str):
-        raise ProofFormatError(f"expected polynomial text, got {text!r}")
-    try:
-        return parse_poly(text, ring)
-    except AlgebraError as exc:
-        raise ProofFormatError(str(exc)) from exc
-
-
 class _Reader:
     """The polynomial decoder of one file: each distinct text is parsed
     once, and its copies share that Polynomial (and its cached degree)."""
@@ -159,9 +150,14 @@ class _Reader:
         self._polys: dict[str, Polynomial] = {}
 
     def poly(self, text) -> Polynomial:
-        poly = self._polys.get(text) if isinstance(text, str) else None
+        if not isinstance(text, str):
+            raise ProofFormatError(f"expected polynomial text, got {text!r}")
+        poly = self._polys.get(text)
         if poly is None:
-            poly = self._polys[text] = _poly_from_json(text, self.ring)
+            try:
+                poly = self._polys[text] = parse_poly(text, self.ring)
+            except AlgebraError as exc:
+                raise ProofFormatError(str(exc)) from exc
         return poly
 
     def polys(self, texts) -> tuple[Polynomial, ...]:
@@ -278,8 +274,8 @@ class Rule:
 
 
 def _bool_poly(ring: Ring, var: int) -> Polynomial:
-    x = Polynomial.variable(ring, var)
-    return x * x - x
+    """x^2 - x, its terms in the order x * x - x gives them."""
+    return Polynomial._raw(ring, {((var, 2),): 1, ((var, 1),): ring.coerce(-1)})
 
 
 def _diff(a: Polynomial, b: Polynomial) -> Polynomial | None:

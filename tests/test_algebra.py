@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from pcsos.algebra import (
     Polynomial,
     eqset,
     expand,
+    merge_exps,
     parse_poly,
 )
 from pcsos.fol import member_products
@@ -120,6 +124,25 @@ class TestParsing:
                 assert isinstance(p, Polynomial)
                 assert parse_poly(p.format(), ring) == p
         assert accepted > 200
+
+    def test_malformed_corpus_is_pinned(self):
+        # (message, position) of 2,000 one-character edits of formatted
+        # text, pinned from the tokenizer that read x and its index apart
+        corpus = _malformed_corpus()
+        assert len(corpus) == 2000
+        digest = hashlib.sha256(json.dumps(corpus).encode()).hexdigest()
+        assert digest == "a0d9ff9e0aa630525f77e3ce4b52d37938ea9d43330d156c0b57c19c61c922bb"
+
+    def test_round_trip_with_whitespace_between_tokens(self):
+        rng = random.Random(28)
+        spaces = ("", "", " ", "\t", "\n ", "\u00a0")
+        for ring in (RATIONAL, GF(7)):
+            for _ in range(500):
+                p = _corpus_poly(rng, ring)
+                # x and its index are two tokens here, so "x 12" is tried too
+                tokens = re.findall(r"[0-9]+|\S", p.format())
+                text = "".join(rng.choice(spaces) + t for t in tokens) + rng.choice(spaces)
+                assert parse_poly(text, ring) == p, text
 
     def test_repeated_factor_merges(self):
         assert P("x1*x1") == P("x1^2")
@@ -392,6 +415,31 @@ class TestArithmeticAgainstDictLoops:
                 for product in (t * a, a * t):
                     self.same(product, want)
 
+    def random_factor(self, rng, ring, constant_term):
+        """A constant, or a polynomial with or without a constant term."""
+        if rng.randrange(4) == 0:
+            return Polynomial.const(ring, rng.choice([1, -1, 2, Fraction(-5, 2)]))
+        p = _random_poly(rng, ring, max_terms=6, max_var=4)
+        return p + Polynomial.const(ring, rng.choice([1, -3, Fraction(2, 3)])) if constant_term else p
+
+    def test_expand_products_match_the_dict_loop(self):
+        # a factor's constant term, on either side, scales the other factor
+        # without a merge; the terms, their order and types do not change
+        for ring, seed in self.RINGS:
+            rng = random.Random(seed + 100)
+            for _ in range(300):
+                products = [
+                    (self.random_factor(rng, ring, rng.randrange(2)), self.random_factor(rng, ring, rng.randrange(2)))
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                acc = {}
+                for a, b in products:
+                    for m1, c1 in a.terms.items():
+                        for m2, c2 in b.terms.items():
+                            m = merge_exps(m1, m2)
+                            acc[m] = acc.get(m, 0) + c1 * c2
+                self.same(expand(ring, products), Polynomial(ring, acc))
+
     def test_scale_by_one_is_the_polynomial(self):
         for ring, _ in self.RINGS:
             p = P("x1 + 2*x2", ring)
@@ -411,3 +459,45 @@ def _random_poly(rng, ring, max_terms=4, max_var=3, max_exp=2):
             coeff = rng.randrange(ring.p)
         terms[mono] = coeff
     return Polynomial(ring, terms)
+
+
+EDIT_ALPHABET = "x0123456789+-*/^ \t@²"
+
+
+def _corpus_poly(rng, ring):
+    """Up to four terms over variables below 400, exponents 1, 2 or 13."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        variables = sorted(rng.sample(range(400), rng.randint(0, 3)))
+        terms[tuple((v, rng.choice((1, 1, 2, 13))) for v in variables)] = Fraction(
+            rng.randint(-150, 150), rng.choice((1, 1, 2, 3, 10))
+        )
+    return Polynomial(ring, terms)
+
+
+def _one_edit(rng, text):
+    """text with one character of EDIT_ALPHABET inserted, one character
+    deleted, or one replaced by a character of EDIT_ALPHABET."""
+    kind, c = rng.randrange(3), rng.choice(EDIT_ALPHABET)
+    if kind == 0:
+        k = rng.randint(0, len(text))
+        return text[:k] + c + text[k:]
+    k = rng.randrange(len(text))
+    return text[:k] + ("" if kind == 1 else c) + text[k + 1 :]
+
+
+def _malformed_corpus():
+    """[str(error), position] of the first 1,000 edits that fail to parse,
+    over Q and then over GF(7)."""
+    rng = random.Random(27)
+    out = []
+    for ring in (RATIONAL, GF(7)):
+        found = 0
+        while found < 1000:
+            text = _one_edit(rng, _corpus_poly(rng, ring).format())
+            try:
+                parse_poly(text, ring)
+            except PolyParseError as exc:
+                out.append([str(exc), exc.position])
+                found += 1
+    return out

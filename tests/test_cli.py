@@ -7,7 +7,7 @@ import time
 import pytest
 
 import pcsos
-from pcsos import fol
+from pcsos import families, fol
 from pcsos.algebra import GF, RATIONAL, eqset, parse_poly
 from pcsos.cli import main
 from pcsos.families import gen_chain, gen_fphp_sos, gen_subset_sum
@@ -515,6 +515,26 @@ class TestInstanceLimit:
         cases = [("(exists i 100000000 (= (X 0) (rat 0)))", 0), ("(forall i 100000000 (= (X 0) (rat 1)))", 1)]
         for formula, code in cases:
             assert main(["fol", "eval", "--formula", formula, "--oracle", oracle]) == code
+
+class TestGenLimit:
+    # each named a huge family in a few bytes, and ran until it was killed
+    # or ended in a MemoryError traceback
+    HUGE = [
+        (["chain", "--n", "100000000"], "chain", 200000003),
+        (["subset-sum", "--n", "100000000"], "subset sum", 5000000350000001),
+        (["fphp", "--pigeons", "100000", "--holes", "99999"], "fphp", 500000000050000),
+    ]
+
+    @pytest.mark.parametrize("args, family, terms", HUGE)
+    def test_huge_family_exits_two_within_two_seconds(self, tmp_path, capsys, args, family, terms):
+        out = tmp_path / "huge.json"
+        t0 = time.perf_counter()
+        assert main(["gen", *args, "--with-cert", "-o", str(out)]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        message = f"{family} would have up to {terms} terms, more than {families.MAX_TERMS}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTranslate:
     def test_pcplus_to_sos_pipeline(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from pcsos.algebra import GF, RATIONAL, parse_poly
 from pcsos.families import (
+    MAX_TERMS,
     FamilyError,
     chain_pc_refutation,
     gen_bphp_graph,
@@ -58,6 +61,32 @@ class TestFphp:
     def test_zero_parameters_rejected(self):
         with pytest.raises(FamilyError):
             gen_fphp(0, 1)
+
+    def test_equations_are_pinned(self):
+        # terms, their order and coefficient types for every m <= 8 and n < m
+        rows = [
+            [repr(list(p.terms.items())) for p in gen_fphp(m, n).equations]
+            for m in range(1, 9)
+            for n in range(1, m)
+        ]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "2e8d93006d0a7eabe4d91b400ade6c4decdbacc15dbbe0b013a3a79641bd8eee"
+
+
+class TestSizeLimit:
+    def test_fphp_at_and_past_the_limit(self):
+        # one pigeon: one equation of n + 1 terms
+        assert len(gen_fphp(1, MAX_TERMS - 1).equations[0].terms) == MAX_TERMS
+        with pytest.raises(FamilyError, match=f"fphp would have up to {MAX_TERMS + 1} terms"):
+            gen_fphp(1, MAX_TERMS)
+
+    def test_chain_and_subset_sum_count_their_terms(self):
+        assert sum(len(p.terms) for p in gen_chain(5).equations) == 2 * 5 + 3
+        assert sum(len(p.terms) for p in gen_subset_sum(5).equations) == 2 * 5 + 6 * 7 // 2
+        with pytest.raises(FamilyError, match="chain would have"):
+            gen_chain(MAX_TERMS // 2)
+        with pytest.raises(FamilyError, match="subset sum would have"):
+            gen_subset_sum(1000)
 
 
 class TestFphpSos:

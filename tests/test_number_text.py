@@ -30,6 +30,15 @@ class TestReaders:
         assert parse_rational(3) == 3 and type(parse_rational(3)) is Fraction
         assert parse_rational("007") == 7
         assert parse_natural("12") == 12 and parse_natural(0) == 0
+        assert parse_natural("007") == 7 and type(parse_natural("007")) is int
+
+    def test_natural_past_the_digit_limit(self):
+        # the same refusal as parse_rational's, which read every natural once
+        with pytest.raises(AlgebraError) as err:
+            parse_natural("1" * 5000)
+        assert str(err.value) == (
+            "bad rational '" + "1" * 59 + "; expected -?D, -?D/D or -?D.D within the digit limit"
+        )
 
     @pytest.mark.parametrize("value", BAD_TEXT + BAD_JSON + [".5", "5.", "1/-2", "1.5/2", "1e5"])
     def test_rational_refusals(self, value):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import random
 import re
@@ -41,6 +42,7 @@ from pcsos.proofcheck import (
     ns_from_json,
     ns_to_json,
     scale_certificate,
+    _bool_poly,
     sos_from_json,
     sos_to_json,
 )
@@ -444,6 +446,53 @@ class TestStaticReportsPinned:
             obj = dict(ns_to_json(cert), multipliers=[{"axiom": axiom, "poly": "1"}])
             code, payload, err = run_check(tmp_path, capsys, "check-ns", obj)
             assert (code, payload) == (1, None) and err.startswith("invalid: multiplier cites axiom")
+
+
+class TestFphpCertificateFiles:
+    """The certify path on fPHP(n+1, n): the bytes it writes, and the
+    failure pairs of files damaged in one place, pinned from the reader
+    and checker that sent every polynomial through the multi-term code."""
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        digest, size = hashlib.sha256(), 0
+        for n in range(1, 25):
+            path = tmp_path / f"fphp-{n + 1}-{n}.json"
+            dump_json(sos_to_json(families.gen_fphp_sos(n + 1, n)), path)
+            data = path.read_bytes()
+            digest.update(data)
+            size += len(data)
+        assert size == 2_023_274
+        assert digest.hexdigest() == "5c1756c40b19f5cd4d8643ae2acdba8a58010f6e40744e5348dcdc61643e373c"
+
+    @pytest.mark.parametrize(
+        "key, position, field, text, mismatch",
+        [
+            ("multipliers", 5, "poly", "-1", "x0*x3"),  # a constant multiplier
+            ("bool_multipliers", 2, "poly", "1", "2*x5^2 - 2*x5"),
+            ("axioms", 4, None, "2*x0*x1", "-2*x0*x1"),  # an injectivity axiom
+            ("constant", None, None, "1/2", "1/2"),
+        ],
+    )
+    def test_damaged_file_is_rejected(self, tmp_path, capsys, key, position, field, text, mismatch):
+        obj = sos_to_json(families.gen_fphp_sos(4, 3))
+        assert run_check(tmp_path, capsys, "check-sos", obj)[0] == 0
+        if position is None:
+            obj[key] = text
+        elif field is None:
+            obj[key][position] = text
+        else:
+            obj[key][position][field] = text
+        code, payload, _ = run_check(tmp_path, capsys, "check-sos", obj)
+        assert (code, payload["failure"]) == (1, {"line": None, "rule": None, "mismatch": mismatch})
+
+    @pytest.mark.parametrize("ring", [RATIONAL, GF(2), GF(7), GF(2**31 - 1)])
+    def test_bool_poly_is_the_product_form(self, ring):
+        for v in (0, 1, 17, 10**6):
+            x = Polynomial.variable(ring, v)
+            want = x * x - x
+            got = _bool_poly(ring, v)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
 
 
 class TestCheckNullstellensatz:
