@@ -595,10 +595,12 @@ class _Compiler:
         self.ring = ring
         self.model = PolyModel(reg, ring)
         self.one = Polynomial.const(ring, 1)
-        # id(formula) -> (the formula, its free index variables, {their
-        # values: its members}); holding the formula keeps its id from being
-        # reused, and the id spares hashing its tree on every lookup
-        self._translations: dict[int, tuple] = {}
+        # formula -> (its free index variables, {their values: its members});
+        # equal formulas share an entry, also when read apart from a file
+        self._translations: dict = {}
+        # id(formula) -> (the formula, its entry above): spares hashing the
+        # tree on every lookup; holding the formula keeps its id from reuse
+        self._by_id: dict[int, tuple] = {}
 
     def emit(self, step: _Step, alpha: dict, w: Polynomial, asm: dict) -> dict:
         if w.is_zero:
@@ -608,16 +610,19 @@ class _Compiler:
     # ---- helpers
 
     def members(self, phi, alpha) -> tuple[Polynomial, ...]:
-        """phi's translation under alpha, classified when the object phi
-        first appears and made once per value of the index variables free
-        in phi: the others do not change it."""
-        entry = self._translations.get(id(phi))
-        if entry is None:
-            ok, why = classify_indpc(phi)
-            if not ok:
-                raise ClassificationError(f"formula is not translatable: {why}")
-            entry = self._translations[id(phi)] = (phi, sorted(free_index_vars(phi)), {})
-        _, free, by_value = entry
+        """phi's translation under alpha, classified when phi first appears
+        and made once per value of the index variables free in phi: the
+        others do not change it.  Each formula object is hashed once."""
+        hit = self._by_id.get(id(phi))
+        if hit is None:
+            entry = self._translations.get(phi)
+            if entry is None:
+                ok, why = classify_indpc(phi)
+                if not ok:
+                    raise ClassificationError(f"formula is not translatable: {why}")
+                entry = self._translations[phi] = (sorted(free_index_vars(phi)), {})
+            hit = self._by_id[id(phi)] = (phi, entry)
+        free, by_value = hit[1]
         values = tuple([alpha.get(v) for v in free])
         out = by_value.get(values)
         if out is None:

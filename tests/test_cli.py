@@ -516,6 +516,7 @@ class TestInstanceLimit:
         for formula, code in cases:
             assert main(["fol", "eval", "--formula", formula, "--oracle", oracle]) == code
 
+
 class TestGenLimit:
     # each named a huge family in a few bytes, and ran until it was killed
     # or ended in a MemoryError traceback

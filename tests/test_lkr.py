@@ -256,6 +256,14 @@ class TestCompileBasics:
             assert members == (P(f"x{i} - 2*x{j}"),)
             assert compiler.members(phi, {"i": i, "j": j, "n": 5}) is members
 
+    def test_translation_memo_shares_equal_formula_objects(self):
+        # a proof read from JSON parses each sequent's formulas apart, so
+        # equal formulas are separate objects; they share one translation
+        phi, twin = F("(= (X i) (rat 0))"), F("(= (X i) (rat 0))")
+        assert phi == twin and phi is not twin
+        compiler = _Compiler(REG, RATIONAL)
+        assert compiler.members(twin, {"i": 1}) is compiler.members(phi, {"i": 1})
+
     def test_target_support_covers_nodes_not_reached(self):
         # at n = 0 forall-idx-r has no instance, so the boolean axiom above
         # it emits nothing; the pc_rad target still refuses the proof
