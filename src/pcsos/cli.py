@@ -260,7 +260,7 @@ def _cmd_gen(args) -> int:
                 )
             certificate_obj = derivation_to_json(instance.certificate)
     else:
-        instance = gen_chain(n)
+        instance = gen_chain(n, with_proofs=args.with_cert)
         if args.with_cert:
             certificate_obj = node_to_json(instance.certificate)
 

@@ -12,12 +12,23 @@ This is the Macaulay-matrix view of degree-bounded PC (Clegg, Edmonds and
 Impagliazzo, STOC 1996) with F4-style sparse rows (Faugere, JPAA 1999).
 The columns are the monomials of degree <= d over the closure's
 variables, numbered once in graded-lex order, so the lead of a row is its
-smallest column.  Each row is a sparse {column: coeff} dict over the
-exact coefficient field (rationals or GF(p)), one pivot map {lead column:
-row id} grows as rows are appended, and multiplying a row by a variable
-is a table lookup per term.  Candidates are inserted breadth-first and
-reduced against the rows before them; rows are never normalised or
-back-substituted.
+smallest column.  Each row is a sparse {column: coeff} dict of integers:
+over Q a primitive vector (content 1, positive lead), over GF(p) a monic
+one.  One pivot map {lead column: row id} grows as rows are appended, and
+multiplying a row by a variable is a table lookup per term.  Candidates
+are inserted breadth-first and top-reduced against the rows before them,
+fraction-free (Bareiss, Math. Comp. 1968): with pivot lead p and current
+lead v, g = gcd(p, v), the vector becomes (p/g) vec - (v/g) row.  Over
+GF(p), and for the +-1 leads of chain and fPHP, p/g is 1 and only the
+pivot row's entries are touched.  The content (over GF(p), the lead) is
+divided out once, when a row is appended; rows are never back-substituted.
+
+Scaling never changes a support, so each integer row is a nonzero
+rational multiple of the row that elimination with field division would
+give, with the same leads in the same order.  The provenance records only
+which rows reduced a row; replay recomputes each field factor from the
+lines it has built (the current line's coefficient at the pivot's lead
+over the pivot line's), so each extracted line is the field row itself.
 
 With Boolean axioms and d >= 2 the columns are the multilinear monomials
 only, and ml(p) (every exponent cut to 1) stands for p.  Two facts make
@@ -44,8 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby
-from math import comb
+from math import comb, gcd, lcm
 
 from .algebra import EquationSet, Polynomial, Ring
 from .proofcheck import Axiom, Derivation, DerivationBuilder, Justification, Mul, relabel
@@ -63,14 +73,16 @@ class BasisRow:
     poly and lead are rebuilt from the basis's columns on each access."""
 
     basis: "ClosureBasis" = field(repr=False, compare=False)
-    vec: dict  # {column: coeff}
+    vec: dict  # {column: int coeff}: primitive with positive lead over Q, monic over GF(p)
     lead_column: int
     source: Justification  # how the raw row arose; a Mul cites its parent's row id
-    # poly = raw - sum coeff*rows[i].poly, with ml(raw) for raw under multilinear columns
-    reductions: tuple[tuple[object, int], ...]
+    # the ids of the rows that top-reduced raw (ml(raw) under multilinear
+    # columns), in order; the factors are recomputed on replay
+    reductions: tuple[int, ...]
 
     @property
     def poly(self) -> Polynomial:
+        """The row as a polynomial: a nonzero scalar multiple of the line replay emits for it."""
         return self.basis._polynomial(self.vec)
 
     @property
@@ -95,15 +107,26 @@ def _times_variable(m: tuple, v: int, multilinear: bool) -> tuple:
 def _graded_lex_monomials(variables: tuple[int, ...], degree_bound: int, multilinear: bool) -> list[tuple]:
     """All monomials (multilinear ones only, if asked) of degree <=
     degree_bound over sorted variables, in graded-lex order (graded_lex_key
-    ascending).  Within one degree, the sorted variable multisets from
-    combinations_with_replacement, and the sets from combinations, come out
-    in exactly that lexicographic order."""
-    pick = combinations if multilinear else combinations_with_replacement
-    out = []
-    for d in range(degree_bound, -1, -1):
-        for combo in pick(variables, d):
-            out.append(tuple((v, len(tuple(g))) for v, g in groupby(combo)))
-    return out
+    ascending).  Each degree extends the one below in order: a monomial m
+    whose last variable is variables[i - 1] first raises that exponent
+    (unless multilinear), then appends each later variable's shared (v, 1)
+    pair, so within a degree the monomials come out lexicographically."""
+    n = len(variables)
+    ones = [(v, 1) for v in variables]
+    layers = [[()]]
+    nexts = [0]  # nexts[k]: the index of the first variable after those of layers[-1][k]
+    for _ in range(degree_bound):
+        layer, after = [], []
+        for m, i in zip(layers[-1], nexts):
+            if m and not multilinear:
+                v, e = m[-1]
+                layer.append(m[:-1] + ((v, e + 1),))
+                after.append(i)
+            layer += [m + (pair,) for pair in ones[i:]]
+            after += range(i + 1, n + 1)
+        layers.append(layer)
+        nexts = after
+    return [m for layer in reversed(layers) for m in layer]
 
 
 @dataclass
@@ -114,7 +137,6 @@ class ClosureBasis:
     columns: tuple[tuple, ...]  # graded-lex; a row's lead is its smallest column
     rows: list[BasisRow] = field(default_factory=list)
     _column_of: dict = field(init=False, repr=False)
-    _lead_inverses: list = field(default_factory=list, repr=False)
     _pivots: dict = field(default_factory=dict, repr=False)  # lead column -> row id
 
     def __post_init__(self):
@@ -135,43 +157,50 @@ class ClosureBasis:
         return len(self.rows) + full - len(self.columns)
 
     def _vector(self, p: Polynomial) -> dict | None:
-        """p (ml(p) under multilinear columns) as {column: coeff}, or None
-        if a monomial lies outside the columns."""
+        """p (ml(p) under multilinear columns), its denominators cleared, as
+        {column: int coeff}, or None if a monomial lies outside the columns."""
         if self.multilinear:
             p = p.multilinearize()
         column_of = self._column_of
+        terms = p._terms
+        denominators = [c.denominator for c in terms.values() if type(c) is Fraction]
+        scale = lcm(*denominators) if denominators else 1
         vec = {}
-        for m, c in p._terms.items():
+        for m, c in terms.items():
             col = column_of.get(m)
             if col is None:
                 return None
-            vec[col] = c
+            vec[col] = c * scale if type(c) is int else c.numerator * (scale // c.denominator)
         return vec
 
-    def _eliminate(self, vec: dict) -> list[tuple[object, int]]:
-        """Top-reduce vec in place; return the (factor, row id) steps."""
-        pivots, rows, inverses = self._pivots, self.rows, self._lead_inverses
-        mod = self.ring.p
-        coerce = self.ring.coerce
+    def _eliminate(self, vec: dict) -> list[int]:
+        """Top-reduce vec in place, fraction-free, so that it ends as a
+        nonzero multiple of its field remainder; return the ids of the rows used."""
+        pivots, rows, mod = self._pivots, self.rows, self.ring.p
         used = []
         while vec:
             lead = min(vec)
             rid = pivots.get(lead)
             if rid is None:
                 break
-            factor = coerce(vec[lead] * inverses[rid])
+            row = rows[rid].vec
+            p, v = row[lead], vec[lead]
+            g = gcd(p, v)
+            if p != g:  # never over GF(p), where p is 1
+                s = p // g
+                for col in vec:
+                    vec[col] *= s
+            factor = v // g
             get = vec.get
-            for col, coeff in rows[rid].vec.items():
+            for col, coeff in row.items():
                 value = get(col, 0) - factor * coeff
                 if mod is not None:
                     value %= mod
-                elif type(value) is Fraction and value.denominator == 1:
-                    value = value.numerator  # integral entries stay on int arithmetic
                 if value:
                     vec[col] = value
                 else:
                     del vec[col]
-            used.append((factor, rid))
+            used.append(rid)
         return used
 
     def _polynomial(self, vec: dict) -> Polynomial:
@@ -179,16 +208,27 @@ class ClosureBasis:
         return Polynomial._raw(self.ring, {columns[c]: v for c, v in vec.items()})
 
     def _append(self, vec: dict, source: Justification, used: list) -> None:
+        """Append vec as a row: divided by its signed content over Q, made monic over GF(p)."""
         lead = min(vec)
+        mod = self.ring.p
+        if mod is None:
+            content = gcd(*vec.values())
+            if vec[lead] < 0:
+                content = -content
+            if content != 1:
+                vec = {c: v // content for c, v in vec.items()}
+        elif vec[lead] != 1:
+            inverse = pow(vec[lead], -1, mod)
+            vec = {c: v * inverse % mod for c, v in vec.items()}
         self._pivots[lead] = len(self.rows)
-        self._lead_inverses.append(self.ring.inv(vec[lead]))
         self.rows.append(BasisRow(self, vec, lead, source, tuple(used)))
 
     def reduce(self, p: Polynomial):
-        """Reduce p against the basis; returns (remainder, eliminations).
-        Under multilinear columns the remainder is that of ml(p).  A p of
-        degree above d, or with a variable outside the closure, is
-        returned unreduced."""
+        """Reduce p against the basis; returns (remainder, ids of the rows
+        used).  The remainder is exact up to a nonzero scalar: zero exactly
+        when p is in the closure.  Under multilinear columns it is that of
+        ml(p).  A p of degree above d, or with a variable outside the
+        closure, is returned unreduced."""
         vec = self._vector(p) if p.degree <= self.degree_bound else None
         if vec is None:
             return p, ()
@@ -213,7 +253,7 @@ def pc_closure(
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be nonnegative, got {degree_bound}")
-    coerce = axioms.ring.coerce
+    mod = axioms.ring.p
     variables = tuple(sorted(axioms.variables() | set(extra_variables)))
     multilinear = _multilinear(axioms, degree_bound)
     n = len(variables)
@@ -256,7 +296,9 @@ def pc_closure(
                 for c, coeff in vec.items():
                     t = table[c - low]
                     if t in product:  # x*m and x*(m/x) share a multilinear column
-                        coeff = coerce(product[t] + coeff)
+                        coeff += product[t]
+                        if mod is not None:
+                            coeff %= mod
                         if not coeff:
                             del product[t]
                             continue
@@ -290,20 +332,34 @@ def extract_derivation(basis: ClosureBasis, target: Polynomial) -> Derivation | 
             return line
         return builder.boolean_reduce(line, builder.poly(line).multilinearize())
 
+    def factor(current: Polynomial, rid: int):
+        """The field factor that cancels current's term at row rid's lead
+        against rid's line; the builder coerces it."""
+        lead = basis.rows[rid].lead
+        return current._terms[lead] * ring.inv(builder.poly(emitted[rid])._terms[lead])
+
     def emit_row(rid: int) -> int:
         if rid in emitted:
             return emitted[rid]
         row = basis.rows[rid]
         line = normal(builder.derive(relabel(row.source, ring, emit_row)))
-        for coeff, other in row.reductions:
-            line = builder.add(line, emit_row(other), 1, -coeff)
+        for other in row.reductions:
+            pivot = emit_row(other)
+            line = builder.add(line, pivot, 1, -factor(builder.poly(line), other))
         emitted[rid] = line
         return line
 
     if target.is_zero:
         builder.zero()
     else:
-        final = builder.combination([(emit_row(rid), coeff) for coeff, rid in used])
+        rest = target.multilinearize() if basis.multilinear else target
+        parts = []
+        for rid in used:
+            pivot = emit_row(rid)
+            coeff = factor(rest, rid)
+            rest = rest - builder.poly(pivot).scale(coeff)
+            parts.append((pivot, coeff))
+        final = builder.combination(parts)
         if builder.poly(final) != target:  # a non-multilinear target
             final = builder.boolean_reduce(final, target)
         assert builder.poly(final) == target

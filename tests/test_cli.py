@@ -630,6 +630,18 @@ class TestGen:
         assert main(["lkr", "compile", cert_path, "--assign", "n=3", "-o", compiled]) == 0
         assert main(["check", compiled]) == 0
 
+    def test_gen_chain_without_cert_builds_no_proofs(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain refutation is built only for --with-cert")
+
+        with_cert = tmp_path / "with.json"
+        assert main(["gen", "chain", "--n", "5", "--with-cert", "-o", str(with_cert)]) == 0
+        monkeypatch.setattr(families, "chain_pc_refutation", refuse)
+        without = tmp_path / "without.json"
+        assert main(["gen", "chain", "--n", "5", "-o", str(without)]) == 0
+        assert without.read_bytes() == with_cert.read_bytes()
+        assert not (tmp_path / "without.cert.json").exists()
+
     def test_lkr_compile_without_assignment_exit_two(self, tmp_path, capsys):
         out = str(tmp_path / "chain.json")
         assert main(["gen", "chain", "--n", "3", "--with-cert", "-o", out]) == 0
@@ -746,6 +758,18 @@ class TestFolAndSearch:
         assert check_derivation(derivation).valid
         assert derivation.final_polynomial() == P("x1*x2")
         assert main(["check", out]) == 0
+
+    def test_search_fractional_query(self, tmp_path, capsys):
+        # x2 = 2 and x1*x2 = -3 give x1 = -3/2, at degree 2
+        eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("1/2*x1*x2 + 3/2"), P("x2 - 2")])))
+        out = str(tmp_path / "derivation.json")
+        args = ["search", "closure", eqs, "--degree", "2", "--query", "1/2 + 1/3*x1", "-o", out, "--json"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["derivable"] and payload["valid"]
+        derivation = derivation_from_json(load_json(out))
+        assert check_derivation(derivation).valid
+        assert derivation.lines[-1][0] == P("1/2 + 1/3*x1")
 
     def test_search_bad_degree_exit_two(self, tmp_path, capsys):
         eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("x1^2")])))

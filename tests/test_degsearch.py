@@ -1,13 +1,17 @@
+import hashlib
+import json
 import random
 from collections import deque
+from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 
 from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, graded_lex_key, merge_exps, parse_poly
 from pcsos.degsearch import ClosureTooLarge, extract_derivation, pc_closure
 from pcsos.families import gen_chain, gen_fphp, gen_subset_sum
-from pcsos.proofcheck import DerivationBuilder, check_derivation
+from pcsos.proofcheck import DerivationBuilder, check_derivation, derivation_to_json
 
 
 def P(text, ring=RATIONAL):
@@ -65,6 +69,14 @@ class TestClosure:
         basis = pc_closure(eqset(g, [P("x1 + 1", g), P("x1 + 2", g)]), 1)
         assert basis.contains(P("1", g))
 
+    def test_subset_sum_eleven_at_degree_five(self):
+        # integer rows stay small: the growth bound observed at larger scale is 16 bits
+        basis = pc_closure(gen_subset_sum(11, refutation_cap=0).equations, 5)
+        assert (basis.span_dimension(), len(basis.rows)) == (3576, 232)
+        assert not basis.contains(sum_plus_one(11))
+        _assert_normalised(basis)
+        assert max(abs(c).bit_length() for row in basis.rows for c in row.vec.values()) <= 16
+
     def test_memory_guard(self):
         eqs = eqset(RATIONAL, [sum_plus_one(40)])
         with pytest.raises(ClosureTooLarge):
@@ -92,6 +104,55 @@ class TestSpanDimension:
     def test_subset_sum(self, n, d, dim):
         eqs = gen_subset_sum(n, refutation_cap=0).equations
         assert pc_closure(eqs, d).span_dimension() == dim
+
+
+def _fractional_system(boolean_axioms):
+    texts = ["1/2*x1 - 1/3", "2/3*x1*x2 - 1/5*x2 + 1/7", "3/4*x2*x3 - 2/9*x3", "5/6*x3 - 1/2"]
+    return eqset(RATIONAL, [P(t) for t in texts], boolean_axioms)
+
+
+class TestExtractionBytes:
+    """sha256 of the compact JSON of extract_derivation(pc_closure(eqs, d), 1),
+    with the closure's row count and dimension, captured while rows were
+    still kept over the coefficient field: how rows are scaled must not
+    reach a single extracted byte."""
+
+    CASES = [
+        pytest.param(partial(gen_chain, n, with_proofs=False), 2, rows, rows, digest, id=f"chain-{n}")
+        for n, rows, digest in (
+            (10, 78, "31f58e5f7390cc20c21820abd7c1c234b0b9ea2351af358bc42b84b2142c7f20"),
+            (20, 253, "8a9d2b803c8aedbf4305afe8b38ff2263724c6c9b103813c3f0b165bddb1d743"),
+            (30, 528, "c63120b0991f35bba50e07ddef222efb18efbf071ca0e6df75093ff2134f7c88"),
+            (40, 903, "2bb7d90abeb1190e5d33b785f4a13f9512abbf161e265f6a147585667d6dcf72"),
+            (50, 1378, "286b4d3a2fa7c802bda3006639366f192edf1925f5a616b4d35a5e6b4b6b0c23"),
+            (60, 1953, "7810bf9140cad1448490eba395818c78739a202006f76b6e15733e3c7818e438"),
+        )
+    ] + [
+        pytest.param(family, d, rows, dim, digest, id=name)
+        for name, family, d, rows, dim, digest in (
+            ("fphp-3-2", partial(gen_fphp, 3, 2), 2, 22, 28,
+             "32e85762ec5923817f2b5a4b879f61808ef6c2deb7ada2adf6e69a5f8a060602"),
+            ("fphp-4-3", partial(gen_fphp, 4, 3), 3, 299, 455,
+             "3b5607c74d71d2ac27a020249798273f4d0f84b5c3588f19ad87395b724a9ac0"),
+            ("fphp-4-3-gf101", partial(gen_fphp, 4, 3, GF(101)), 3, 299, 455,
+             "cd828d784b8d82ad175cc40cf8da1493af3a7870cc2fa98a2a0e2cfac3c34c66"),
+            ("fractional", partial(_fractional_system, False), 2, 10, 10,
+             "5200ab836bd396d72b3fe1df6226b40047f6788a8ecd8084c275faaeea2f0833"),
+            ("fractional-boolean", partial(_fractional_system, True), 3, 8, 20,
+             "fd28c34c036c5b10ca22b197cbdc922d628ade34942c26a9acf90f52ac2d7512"),
+        )
+    ]
+
+    @pytest.mark.parametrize("system, d, rows, dim, digest", CASES)
+    def test_refutation_bytes(self, system, d, rows, dim, digest):
+        instance = system()
+        eqs = getattr(instance, "equations", instance)
+        basis = pc_closure(eqs, d)
+        assert (len(basis.rows), basis.span_dimension()) == (rows, dim)
+        derivation = extract_derivation(basis, Polynomial.const(eqs.ring, 1))
+        assert check_derivation(derivation).refutation
+        text = json.dumps(derivation_to_json(derivation), separators=(",", ":"), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class DenseClosure:
@@ -230,20 +291,16 @@ class TestMultilinearColumns:
             assert rep.valid and rep.degree <= 3 and d.final_polynomial() == target
 
 
+FRACTIONS = tuple(Fraction(a, b) for a, b in ((1, 2), (-1, 2), (2, 3), (-2, 3), (3, 1), (-3, 1)))
+
+
 class TestClosureInvariants:
     def test_random_systems(self):
-        rng = random.Random(29)
-        for trial in range(60):
-            ring = GF(5) if trial % 3 == 0 else RATIONAL
-            polys = [_random_poly(rng, ring) for _ in range(rng.randrange(1, 4))]
-            polys = [p for p in polys if not p.is_zero] or [Polynomial.variable(ring, 1)]
-            eqs = eqset(ring, polys, boolean_axioms=trial % 2 == 1)
-            d = rng.randrange(0, 4)
-            basis = pc_closure(eqs, d)
-            _assert_closed(basis, eqs, d)
-            for row in basis.rows:
-                rep = check_derivation(extract_derivation(basis, row.poly))
-                assert rep.valid and rep.degree <= d
+        _check_random_systems(random.Random(29), range(-3, 4))
+
+    def test_random_fractional_systems(self):
+        # axioms with denominators, cleared when a row is first built
+        _check_random_systems(random.Random(31), FRACTIONS)
 
     def test_degree_zero(self):
         basis = pc_closure(eqset(RATIONAL, [P("x1 + 1"), P("2")]), 0)
@@ -257,8 +314,36 @@ class TestClosureInvariants:
         assert list(basis.columns) == sorted(basis.columns, key=graded_lex_key)
 
 
+def _check_random_systems(rng, coefficients):
+    for trial in range(60):
+        ring = GF(5) if trial % 3 == 0 else RATIONAL
+        polys = [_random_poly(rng, ring, coefficients) for _ in range(rng.randrange(1, 4))]
+        polys = [p for p in polys if not p.is_zero] or [Polynomial.variable(ring, 1)]
+        eqs = eqset(ring, polys, boolean_axioms=trial % 2 == 1)
+        d = rng.randrange(0, 4)
+        basis = pc_closure(eqs, d)
+        _assert_closed(basis, eqs, d)
+        for row in basis.rows:
+            rep = check_derivation(extract_derivation(basis, row.poly))
+            assert rep.valid and rep.degree <= d
+
+
+def _assert_normalised(basis):
+    """Rows over Q are primitive integer vectors with a positive lead; rows
+    over GF(p) are monic, with entries in 1..p-1."""
+    for row in basis.rows:
+        values = list(row.vec.values())
+        assert all(type(c) is int for c in values)
+        lead = row.vec[row.lead_column]
+        if basis.ring.is_rational:
+            assert gcd(*values) == 1 and lead > 0
+        else:
+            assert lead == 1 and all(0 < c < basis.ring.p for c in values)
+
+
 def _assert_closed(basis, eqs, d):
     ring = basis.ring
+    _assert_normalised(basis)
     leads = [row.lead for row in basis.rows]
     assert len(set(leads)) == len(leads)
     for row in basis.rows:
@@ -357,9 +442,9 @@ class TestSubsetSumLowerBoundProperty:
             assert rep.valid and rep.uses_radical and rep.degree <= n + 2
 
 
-def _random_poly(rng, ring=RATIONAL):
+def _random_poly(rng, ring=RATIONAL, coefficients=range(-3, 4)):
     terms = {}
     for _ in range(rng.randrange(1, 4)):
         mono = tuple(sorted({rng.randrange(3): rng.randrange(1, 3) for _ in range(rng.randrange(0, 2))}.items()))
-        terms[mono] = rng.randrange(-3, 4)
+        terms[mono] = rng.choice(coefficients)
     return Polynomial(ring, terms)
