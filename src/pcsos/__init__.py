@@ -27,7 +27,6 @@ from .proofcheck import (
     CheckReport,
     Derivation,
     DerivationBuilder,
-    NsCertificate,
     SosCertificate,
     check_derivation,
     check_nullstellensatz,

@@ -45,7 +45,6 @@ from .proofcheck import (
     eqset_to_json,
     load_json,
     normalize_refutation,
-    ns_from_json,
     rule_of,
     sos_from_json,
     sos_to_json,
@@ -181,7 +180,7 @@ def _cmd_check_sos(args) -> int:
 
 
 def _cmd_check_ns(args) -> int:
-    return _verdict(args, check_nullstellensatz(ns_from_json(load_json(args.input))))
+    return _verdict(args, check_nullstellensatz(sos_from_json(load_json(args.input))))
 
 
 def _cmd_translate(args) -> int:

@@ -8,6 +8,11 @@ recomposition that a PC+ sum-of-squares step checks.  Degree accounting is
 exact: the degree of a derivation is the maximum degree of any line, and
 the degree of a certificate is the maximum degree of any summand.
 
+Both static systems share one certificate type, SosCertificate, with one
+file form read under the file's ring.  A Nullstellensatz certificate is one
+without squares, weights or a constant, over any ring; check_sos admits
+only the rationals.
+
 The three systems share one line format and differ only in the rules they
 admit, so each justification kind is defined once, in RULES, for the
 checker, the builder, the JSON codecs and the replays in degsearch and
@@ -41,7 +46,6 @@ from typing import Callable
 
 from .algebra import (
     MINUS_INF,
-    RATIONAL,
     AlgebraError,
     EquationSet,
     Polynomial,
@@ -383,23 +387,17 @@ class SosCertificate(_WeightedSquares):
     """Static witness for  sum_i r_i p_i + sum_v b_v (x_v^2-x_v) + sum_j w_j s_j^2 + const == target.
 
     The weighted squares sum_j w_j s_j^2 are the weighted form of a Gram
-    matrix.
+    matrix.  A Nullstellensatz certificate is one without squares, weights
+    or a constant: SosCertificate(axioms, multipliers, target).
     """
 
-    axioms: EquationSet  # its boolean_axioms admits the bool multipliers
+    axioms: EquationSet  # its ring, and its boolean_axioms admits the bool multipliers
     multipliers: tuple[tuple[int, Polynomial], ...]
-    squares: tuple[Polynomial, ...]
     target: Polynomial
+    squares: tuple[Polynomial, ...] = ()
     bool_multipliers: tuple[tuple[int, Polynomial], ...] = ()
-    constant: Fraction = Fraction(0)
+    constant: Fraction | int = 0
     weights: tuple[Fraction, ...] = ()
-
-
-@dataclass(frozen=True)
-class NsCertificate:
-    axioms: EquationSet
-    multipliers: tuple[tuple[int, Polynomial], ...]
-    target: Polynomial
 
 
 @dataclass
@@ -413,10 +411,6 @@ class CheckReport:
 
     def degree_or_none(self):
         return None if self.degree == MINUS_INF else self.degree
-
-
-def _is_negative_constant(p: Polynomial) -> bool:
-    return p.ring.is_rational and p.is_constant and not p.is_zero and p.constant_value() < 0
 
 
 # -- dynamic checker ---------------------------------------------------
@@ -461,18 +455,17 @@ def _check_line(d: Derivation, idx: int, poly: Polynomial, just) -> Polynomial |
 # -- static checkers ---------------------------------------------------
 
 
-# Each static checker checks one identity: the multipliers times their
-# axioms, the Boolean multipliers times x^2 - x, the weighted squares, the
-# constant and minus the target go to one algebra.expand call, whose result
-# is the mismatch.  A certificate's degree is the largest degree of its
+# Both static checkers refuse what their system does not admit and then
+# check one identity in _check_static: the multipliers times their axioms,
+# the Boolean multipliers times x^2 - x, the weighted squares, the constant
+# and minus the target go to one algebra.expand call, whose result is the
+# mismatch.  A certificate's degree is the largest degree of its
 # summands (2 deg s for each nonzero square), not read off the expansion.
 
 
 def check_sos(c: SosCertificate) -> CheckReport:
     if not c.axioms.ring.is_rational:
         raise ProofStructureError("sum-of-squares certificates require the rational ring")
-    if c.bool_multipliers and not c.axioms.boolean_axioms:
-        raise ProofStructureError("bool multipliers present but boolean flag is false")
     if c.constant < 0:
         raise ProofStructureError(f"negative certificate constant {c.constant}")
     if c.weights and len(c.weights) != len(c.squares):
@@ -480,30 +473,34 @@ def check_sos(c: SosCertificate) -> CheckReport:
     for w in c.weights:
         if w <= 0:
             raise ProofStructureError(f"non-positive square weight {w}")
+    return _check_static(c, c.target.is_constant and c.target.constant_value() < 0)
+
+
+def check_nullstellensatz(c: SosCertificate) -> CheckReport:
+    extra = [key for key in ("squares", "weights", "constant") if getattr(c, key)]
+    if extra:
+        raise ProofStructureError(f"Nullstellensatz certificates admit no {', '.join(extra)}")
+    return _check_static(c, c.target == Polynomial.const(c.axioms.ring, 1))
+
+
+def _check_static(c: SosCertificate, refutes: bool) -> CheckReport:
+    """Report on c's identity; valid means it sums to c.target."""
     ring = c.axioms.ring
-    bools = [(r, _bool_poly(ring, v)) for v, r in c.bool_multipliers]
-    return _check_static(c, bools, tuple(c.weighted_squares()), c.constant, _is_negative_constant(c.target))
-
-
-def check_nullstellensatz(c: NsCertificate) -> CheckReport:
-    return _check_static(c, [], (), 0, c.target == Polynomial.const(c.axioms.ring, 1))
-
-
-def _check_static(c, products: list, squares, constant, refutes: bool) -> CheckReport:
-    """Report on the identity of c's multipliers with the further products,
-    squares and constant given; valid means it sums to c.target."""
-    ring = c.axioms.ring
+    if c.bool_multipliers and not c.axioms.boolean_axioms:
+        raise ProofStructureError("bool multipliers present but boolean flag is false")
+    products = [(r, _bool_poly(ring, v)) for v, r in c.bool_multipliers]
     for k, r in c.multipliers:
         if not (0 <= k < len(c.axioms)):
             raise ProofStructureError(f"multiplier cites axiom {k} out of range")
         products.append((r, c.axioms[k]))
+    squares = tuple(c.weighted_squares())
     degree = max(
-        [0 if constant else MINUS_INF]
+        [0 if c.constant else MINUS_INF]
         + [2 * s.degree for s, _ in squares]
         + [r.degree + p.degree for r, p in products]
     )
     one = Polynomial.const(ring, 1)
-    products += [(Polynomial.const(ring, constant), one), (Polynomial.const(ring, -1), c.target)]
+    products += [(Polynomial.const(ring, c.constant), one), (Polynomial.const(ring, -1), c.target)]
     mismatch = expand(ring, products, squares)
     if mismatch.is_zero:
         return CheckReport(True, degree, refutation=refutes)
@@ -766,6 +763,7 @@ def derivation_from_json(obj: dict) -> Derivation:
 
 
 def sos_to_json(c: SosCertificate) -> dict:
+    """The ring is written only when it is not Q, as weights only when not all one."""
     out = _Writer()
     obj = {
         "boolean": c.axioms.boolean_axioms,
@@ -776,6 +774,8 @@ def sos_to_json(c: SosCertificate) -> dict:
         "squares": out.polys(c.squares),
         "constant": format_rational(c.constant),
     }
+    if not c.axioms.ring.is_rational:
+        obj["ring"] = c.axioms.ring.to_json()
     weights = _weights_to_json(out, c.weights)
     if weights is not None:
         obj["weights"] = weights
@@ -792,12 +792,13 @@ def _certificate_weights(obj: dict, squares: int) -> tuple[Fraction, ...]:
 
 
 def sos_from_json(obj: dict) -> SosCertificate:
+    """An SoS or Nullstellensatz certificate, every key read under its ring (Q when absent)."""
     _require_object(obj, "certificate")
-    ring = RATIONAL
-    src = _Reader(ring)
     try:
+        ring = Ring.from_json(obj.get("ring", {"kind": "rational"}))
+        src = _Reader(ring)
         axioms = EquationSet(ring, src.polys(obj["axioms"]), _flag_from_json(obj, "boolean"))
-        constant = parse_rational(obj.get("constant", 0))
+        constant = ring.coerce(parse_rational(obj.get("constant", 0)))
         squares = src.polys(obj.get("squares", []))
         return SosCertificate(
             axioms=axioms,
@@ -816,34 +817,6 @@ def sos_from_json(obj: dict) -> SosCertificate:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProofFormatError(f"malformed certificate file: {exc}") from exc
-
-
-def ns_to_json(c: NsCertificate) -> dict:
-    out = _Writer()
-    return {
-        "ring": c.axioms.ring.to_json(),
-        "axioms": out.polys(c.axioms),
-        "target": out.poly(c.target),
-        "multipliers": [{"axiom": k, "poly": out.poly(r)} for k, r in c.multipliers],
-    }
-
-
-def ns_from_json(obj: dict) -> NsCertificate:
-    _require_object(obj, "certificate")
-    try:
-        ring = Ring.from_json(obj.get("ring", {"kind": "rational"}))
-        src = _Reader(ring)
-        cert = NsCertificate(
-            axioms=EquationSet(ring, src.polys(obj["axioms"])),
-            multipliers=tuple(
-                (_index_from_json(m["axiom"]), src.poly(m["poly"]))
-                for m in obj.get("multipliers", [])
-            ),
-            target=src.poly(obj["target"]),
-        )
-    except (KeyError, TypeError, AlgebraError) as exc:
-        raise ProofFormatError(f"malformed certificate file: {exc}") from exc
-    return cert
 
 
 def eqset_to_json(eqs: EquationSet) -> dict:

@@ -8,7 +8,7 @@ import pytest
 
 import pcsos
 from pcsos import families, fol
-from pcsos.algebra import GF, RATIONAL, eqset, parse_poly
+from pcsos.algebra import GF, RATIONAL, Ring, eqset, parse_poly
 from pcsos.cli import main
 from pcsos.families import gen_chain, gen_fphp_sos, gen_subset_sum
 from pcsos.lkr import MAX_PROOF_DEPTH, node_to_json
@@ -246,6 +246,85 @@ class TestWeightedCertificates:
         assert time.perf_counter() - t0 < 1.0
         rep = check_derivation(derivation_from_json(load_json(out)))
         assert rep.valid and rep.refutation
+
+
+# 1 from x1 - 2 over GF(7): (3*x1 + 3)(x1 - 2) + 4*(x1^2 - x1) = 7*x1^2 - 7*x1 - 6
+GF7_NS_CERT = {
+    "ring": {"kind": "gf", "p": 7},
+    "boolean": True,
+    "axioms": ["x1 - 2"],
+    "multipliers": [{"axiom": 0, "poly": "3*x1 + 3"}],
+    "bool_multipliers": [{"var": "x1", "poly": "4"}],
+    "target": "1",
+}
+
+# a false identity once its squares, constant and bool multipliers count:
+# check-ns must refuse those keys, not drop them
+STRAY_KEYS_NS_CERT = {
+    "axioms": ["x1 - 1", "x1"],
+    "target": "1",
+    "multipliers": [{"axiom": 1, "poly": "1"}, {"axiom": 0, "poly": "-1"}],
+    "boolean": True,
+    "bool_multipliers": [{"var": "x1", "poly": "5"}],
+    "squares": ["x1"],
+    "constant": "3",
+}
+
+
+class TestStaticCertificateFiles:
+    """check-ns and check-sos read one certificate form, with its ring."""
+
+    def check(self, tmp_path, capsys, command, obj):
+        code = main([command, write(tmp_path, "cert.json", obj), "--json"])
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if out else None, err
+
+    @pytest.mark.parametrize(
+        "keys, named",
+        [
+            ({}, "squares, constant"),
+            ({"constant": "0", "weights": ["2"]}, "squares, weights"),
+        ],
+        ids=["squares-constant", "squares-weights"],
+    )
+    def test_check_ns_refuses_squares_weights_and_constant(self, tmp_path, capsys, keys, named):
+        code, payload, err = self.check(tmp_path, capsys, "check-ns", {**STRAY_KEYS_NS_CERT, **keys})
+        assert (code, payload) == (1, None)
+        assert err == f"invalid: Nullstellensatz certificates admit no {named}\n"
+
+    def test_weights_without_squares_exit_two(self, tmp_path, capsys):
+        obj = {**STRAY_KEYS_NS_CERT, "squares": [], "constant": "0", "weights": ["2"]}
+        code, payload, err = self.check(tmp_path, capsys, "check-ns", obj)
+        assert (code, payload) == (2, None) and err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_gf7_boolean_ns_certificate(self, tmp_path, capsys):
+        code, payload, _ = self.check(tmp_path, capsys, "check-ns", GF7_NS_CERT)
+        assert code == 0 and payload["refutation"] and payload["degree"] == 2
+        # the constant is read in GF(7) too: 7 is 0 there, and 1/7 has no value
+        code, payload, _ = self.check(tmp_path, capsys, "check-ns", {**GF7_NS_CERT, "constant": "7"})
+        assert code == 0 and payload["refutation"]
+        assert self.check(tmp_path, capsys, "check-ns", {**GF7_NS_CERT, "constant": "1/7"})[0] == 2
+        code, payload, err = self.check(tmp_path, capsys, "check-ns", {**GF7_NS_CERT, "boolean": False})
+        assert (code, payload) == (1, None)
+        assert err == "invalid: bool multipliers present but boolean flag is false\n"
+        code, payload, err = self.check(tmp_path, capsys, "check-sos", GF7_NS_CERT)
+        assert (code, payload) == (1, None)
+        assert err == "invalid: sum-of-squares certificates require the rational ring\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            GF7_NS_CERT,
+            {"ring": {"kind": "gf", "p": 5}, "axioms": ["x1"], "multipliers": [{"axiom": 0, "poly": "2"}],
+             "target": "2*x1"},
+        ],
+        ids=["gf7-boolean", "gf5"],
+    )
+    def test_round_trip(self, obj):
+        cert = sos_from_json(obj)
+        assert cert.axioms.ring == Ring.from_json(obj["ring"])
+        assert sos_to_json(cert)["ring"] == obj["ring"]
+        assert sos_from_json(sos_to_json(cert)) == cert
 
 
 def assert_format_errors(capsys, count):
@@ -546,6 +625,18 @@ class TestTranslate:
         assert payload["valid"] and payload["degree"] <= 2
         cert = sos_from_json(load_json(cert_path))
         assert check_sos(cert).valid
+
+    def test_pcplus_to_sos_normalize(self, tmp_path, capsys):
+        # the eps-translation ends at target -eps; --normalize rescales it to -1
+        proof = write(tmp_path, "proof.json", derivation_to_json(refutation_proof()))
+        out = str(tmp_path / "cert.json")
+        assert main(["translate", "pcplus-to-sos", proof, "--eps", "1/2", "-o", out]) == 0
+        assert load_json(out)["target"] == "-1/2"
+        assert main(["translate", "pcplus-to-sos", proof, "--eps", "1/2", "--normalize", "-o", out]) == 0
+        assert load_json(out)["target"] == "-1"
+        capsys.readouterr()
+        assert main(["check-sos", out, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["refutation"]
 
     def test_refutation_translation_default(self, tmp_path):
         proof = write(tmp_path, "proof.json", derivation_to_json(refutation_proof()))

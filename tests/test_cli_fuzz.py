@@ -1,19 +1,20 @@
 """Seeded fuzz test of the CLI's exit-code contract.
 
 Files written by ``gen`` and ``translate`` (among them a PC+ derivation
-whose sum-of-squares step carries weights), a Nullstellensatz certificate
-and the formula, registry and oracle files of ``fol`` are damaged at random
-(a byte replaced, the tail cut, a span deleted or duplicated) and fed to
-every command that reads that kind of file.  Each case must exit 0, 1, 2 or 3,
+whose sum-of-squares step carries weights), two Nullstellensatz
+certificates (one over GF(7) with a Boolean multiplier) and the formula,
+registry and oracle files of ``fol`` are damaged at random (a byte
+replaced, the tail cut, a span deleted or duplicated) and fed to every
+command that reads that kind of file.  Each case must exit 0, 1, 2 or 3,
 print no traceback and stay within a CPU-time limit.
 """
 
 import random
 import time
 
-from pcsos.algebra import RATIONAL, eqset, parse_poly
+from pcsos.algebra import GF, RATIONAL, eqset, parse_poly
 from pcsos.cli import main
-from pcsos.proofcheck import NsCertificate, dump_json, ns_to_json
+from pcsos.proofcheck import SosCertificate, dump_json, sos_to_json
 
 SEED = 20261019
 FILES = 300
@@ -40,6 +41,7 @@ READERS = {
     "fphp.json": [["search", "closure", "{f}", "--degree", "2", "--query", "1"]],
     "chain.cert.json": [["lkr", "check", "{f}"], ["lkr", "compile", "{f}", "--assign", "n=2"]],
     "ns.json": [["check-ns", "{f}"]],
+    "ns7.json": [["check-ns", "{f}"], ["check-sos", "{f}"]],
     "formula.txt": [
         ["fol", "translate", "--formula-file", "{f}", "--assign", "n=3"],
         ["fol", "classify", "--formula-file", "{f}", "--assign", "n=3"],
@@ -53,6 +55,15 @@ READERS = {
     ],
 }
 
+# the exit codes of each reader of the files write_inputs makes, before the
+# damage: check-sos refuses the GF(7) certificate, whose ring is not Q
+UNDAMAGED = {
+    "ns.json": [0],
+    "ns7.json": [0, 1],
+    "formula.txt": [0, 0],
+    "registry.json": [0, 0],
+    "oracle.json": [0],
+}
 
 FORMULA = (
     "(forall i n (or (= (* (X i) (- (rat 1) (X i))) (rat 0))"
@@ -62,10 +73,15 @@ FORMULA = (
 
 def write_inputs(d) -> None:
     """The files no CLI command writes: an NS certificate of 1 from
-    x1 - 1, x1*x2, x2 - 1, a formula, a registry and an oracle."""
+    x1 - 1, x1*x2, x2 - 1, one over GF(7) from x1 - 2 and x1^2 - x1, a
+    formula, a registry and an oracle."""
     one, x2 = (parse_poly(text, RATIONAL) for text in ("1", "x2"))
     axioms = eqset(RATIONAL, [parse_poly(text, RATIONAL) for text in ("x1 - 1", "x1*x2", "x2 - 1")])
-    dump_json(ns_to_json(NsCertificate(axioms, ((1, one), (0, -x2), (2, -one)), one)), d / "ns.json")
+    dump_json(sos_to_json(SosCertificate(axioms, ((1, one), (0, -x2), (2, -one)), one)), d / "ns.json")
+    axiom, multiplier, one, four = (parse_poly(text, GF(7)) for text in ("x1 - 2", "3*x1 + 3", "1", "4"))
+    axioms = eqset(GF(7), [axiom], boolean_axioms=True)
+    cert = SosCertificate(axioms, ((0, multiplier),), one, bool_multipliers=((1, four),))
+    dump_json(sos_to_json(cert), d / "ns7.json")
     tables = {
         "index_tables": {"f": {"arity": 1, "entries": [[[1], 2]], "default": 0}},
         "ring_tables": {"r": {"arity": 2, "entries": [[[0, 1], "1/2"]], "default": "-3"}},
@@ -90,9 +106,8 @@ def test_damaged_files_keep_the_exit_code_contract(tmp_path, capsys):
     for argv in WRITE:
         assert main([a.format(d=tmp_path) for a in argv]) == 0, argv
     write_inputs(tmp_path)
-    for name in ("ns.json", "formula.txt", "registry.json", "oracle.json"):  # valid before the damage
-        for argv in READERS[name]:
-            assert main([a.format(f=tmp_path / name) for a in argv]) == 0, argv
+    for name, codes in UNDAMAGED.items():
+        assert [main([a.format(f=tmp_path / name) for a in argv]) for argv in READERS[name]] == codes, name
     capsys.readouterr()
     sources = {name: (tmp_path / name).read_bytes() for name in READERS}
     rng = random.Random(SEED)

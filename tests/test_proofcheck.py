@@ -22,7 +22,6 @@ from pcsos.proofcheck import (
     DerivationBuilder,
     Justification,
     Mul,
-    NsCertificate,
     RULES,
     ProofFormatError,
     ProofStructureError,
@@ -39,8 +38,6 @@ from pcsos.proofcheck import (
     eqset_from_json,
     eqset_to_json,
     normalize_refutation,
-    ns_from_json,
-    ns_to_json,
     scale_certificate,
     _bool_poly,
     sos_from_json,
@@ -375,10 +372,11 @@ class TestCertificateRefusals:
         )
         with pytest.raises(ProofStructureError, match="rational ring"):
             check_sos(cert)
-        # a certificate file has no ring: it is read over Q, where 1 + 4 is not 0
+        # the file's ring is honoured, and over GF(5) 1 + 4 is 0: refused before any check
         obj = {"axioms": [], "target": "0", "squares": ["1", "2"], "ring": {"kind": "gf", "p": 5}}
-        code, payload, _ = run_check(tmp_path, capsys, "check-sos", obj)
-        assert code == 1 and payload["failure"]["mismatch"] == "5"
+        code, payload, err = run_check(tmp_path, capsys, "check-sos", obj)
+        assert (code, payload) == (1, None)
+        assert err == "invalid: sum-of-squares certificates require the rational ring\n"
 
     def test_multiplier_axiom_out_of_range(self, tmp_path, capsys):
         cert = replace(TestCheckSos().fphp21(), multipliers=((3, P("1")),))
@@ -429,7 +427,7 @@ class TestStaticReportsPinned:
         ],
     )
     def test_wrong_ns_certificate(self, ring, mismatch):
-        cert = NsCertificate(
+        cert = SosCertificate(
             axioms=eqset(ring, [P("x1^2 + 3*x2", ring), P("x1*x2 - 1", ring)]),
             multipliers=((0, P("x2 + 2", ring)), (1, P("3*x1 - x2 + 1", ring))),
             target=P("1", ring),
@@ -439,11 +437,11 @@ class TestStaticReportsPinned:
         assert rep.failure == (-1, P(mismatch, ring))
 
     def test_ns_multiplier_axiom_out_of_range(self, tmp_path, capsys):
-        cert = NsCertificate(axioms=eqset(RATIONAL, [P("x1")]), multipliers=((1, P("1")),), target=P("x1"))
+        cert = SosCertificate(axioms=eqset(RATIONAL, [P("x1")]), multipliers=((1, P("1")),), target=P("x1"))
         with pytest.raises(ProofStructureError, match="out of range"):
             check_nullstellensatz(cert)
         for axiom in (1, -1):
-            obj = dict(ns_to_json(cert), multipliers=[{"axiom": axiom, "poly": "1"}])
+            obj = dict(sos_to_json(cert), multipliers=[{"axiom": axiom, "poly": "1"}])
             code, payload, err = run_check(tmp_path, capsys, "check-ns", obj)
             assert (code, payload) == (1, None) and err.startswith("invalid: multiplier cites axiom")
 
@@ -497,7 +495,7 @@ class TestFphpCertificateFiles:
 
 class TestCheckNullstellensatz:
     def test_basic_refutation(self):
-        cert = NsCertificate(
+        cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1"), P("1 - x1")]),
             multipliers=((0, P("1")), (1, P("1"))),
             target=P("1"),
@@ -507,7 +505,7 @@ class TestCheckNullstellensatz:
 
     def test_x_not_in_ideal_of_x_squared(self):
         # no multiplier choice can work; a submitted one is invalid
-        cert = NsCertificate(
+        cert = SosCertificate(
             axioms=eqset(RATIONAL, [P("x1^2")]),
             multipliers=((0, P("1")),),
             target=P("x1"),
@@ -515,7 +513,7 @@ class TestCheckNullstellensatz:
         assert not check_nullstellensatz(cert).valid
 
     def test_empty_certificate_for_zero(self):
-        cert = NsCertificate(axioms=eqset(RATIONAL, []), multipliers=(), target=P("0"))
+        cert = SosCertificate(axioms=eqset(RATIONAL, []), multipliers=(), target=P("0"))
         rep = check_nullstellensatz(cert)
         assert rep.valid and rep.degree == MINUS_INF
 
@@ -529,9 +527,9 @@ class TestCheckNullstellensatz:
     }
 
     def test_gf_sums_reduce_mod_p(self):
-        rep = check_nullstellensatz(ns_from_json(self.GF5_CERT))
+        rep = check_nullstellensatz(sos_from_json(self.GF5_CERT))
         assert rep.valid and rep.refutation and rep.degree == 1
-        rep = check_nullstellensatz(ns_from_json({**self.GF5_CERT, "target": "2"}))
+        rep = check_nullstellensatz(sos_from_json({**self.GF5_CERT, "target": "2"}))
         assert not rep.valid and rep.failure == (-1, P("4", GF(5)))
 
     def test_gf_sums_reduce_mod_p_in_the_cli(self, tmp_path, capsys):
@@ -614,6 +612,19 @@ class TestBuilder:
         m2 = b.mul_var(a2, 2)
         assert a1 == a2 and m1 == m2 and len(b) == 2
 
+    def test_ensure_last_restates_a_cached_line(self):
+        # add returns the cached earlier line, so ensure_last restates it
+        b = DerivationBuilder("pc", eqset(RATIONAL, [P("x1"), P("x2")]))
+        s = b.add(b.axiom(0), b.axiom(1), 1, 1)
+        b.mul_var(s, 1)
+        again = b.add(0, 1, 1, 1)
+        assert again == s and b.ensure_last(len(b) - 1) == len(b) - 1
+        last = b.ensure_last(again)
+        assert last == len(b) - 1 == 4 and b.poly(last) == P("x1 + x2")
+        d = b.build()
+        assert d.final_polynomial() == P("x1 + x2") and d.lines[last][1] == Add(s, s, 1, 0)
+        assert check_derivation(d).valid
+
     def test_boolean_reduce_and_the_flag_it_turns_on(self):
         axioms = eqset(RATIONAL, [P("x1^3*x2^2 + x2")])
         b = DerivationBuilder("pc", axioms)
@@ -690,14 +701,6 @@ class TestJsonRoundTrips:
         cert = TestCheckSos().fphp21()
         again = sos_from_json(sos_to_json(cert))
         assert again == cert
-
-    def test_ns_round_trip(self):
-        cert = NsCertificate(
-            axioms=eqset(GF(5), [P("x1", GF(5))]),
-            multipliers=((0, P("2", GF(5))),),
-            target=P("2*x1", GF(5)),
-        )
-        assert ns_from_json(ns_to_json(cert)) == cert
 
 
 def _polys_of(cert: SosCertificate) -> list:
