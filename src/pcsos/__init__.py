@@ -34,7 +34,6 @@ from .proofcheck import (
     normalize_refutation,
 )
 from .simulate import (
-    EpsDerivation,
     eliminate_radical_char_p,
     pcplus_refutation_to_sos,
     pcplus_to_sos_eps,

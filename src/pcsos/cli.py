@@ -68,12 +68,15 @@ class CliFormatError(ValueError):
 
 
 def _ring_arg(text: str) -> Ring:
-    """An argparse type: its ValueError, AlgebraError included, exits 2."""
+    """An argparse type: its error exits 2, with the reason."""
     if text == "rational":
         return RATIONAL
-    if text.startswith("gf:"):
+    if not text.startswith("gf:"):
+        raise argparse.ArgumentTypeError(f"bad ring {text!r}; expected rational or gf:P")
+    try:
         return Ring("gf", parse_natural(text[3:]))
-    raise CliFormatError(f"bad ring {text!r}; expected rational or gf:P")
+    except AlgebraError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _assignment(pairs) -> dict[str, int]:
@@ -189,7 +192,7 @@ def _cmd_translate(args) -> int:
         if args.eps is not None:
             if args.eps <= 0:
                 raise CliFormatError(f"--eps must be positive, got {args.eps}")
-            cert = pcplus_to_sos_eps(derivation, args.eps).certificate
+            cert = pcplus_to_sos_eps(derivation, args.eps)
         else:
             cert = pcplus_refutation_to_sos(derivation)
         if args.normalize:
@@ -206,7 +209,7 @@ def _cmd_translate(args) -> int:
 def _instance_payload(instance) -> dict:
     payload = {
         "family": instance.name,
-        "params": {k: v for k, v in instance.params.items() if not isinstance(v, list)},
+        "params": instance.params,
     }
     payload.update(eqset_to_json(instance.equations))
     if instance.formula is not None:
@@ -251,7 +254,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "bphp-graph":
         instance = gen_bphp_graph(*_graph_spec(load_json(args.graph)))
     elif args.family == "subset-sum":
-        instance = gen_subset_sum(n)
+        instance = gen_subset_sum(n) if args.with_cert else gen_subset_sum(n, refutation_cap=0)
         if args.with_cert:
             if instance.certificate is None:
                 raise UnsupportedConstruct(

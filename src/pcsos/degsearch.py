@@ -338,16 +338,28 @@ def extract_derivation(basis: ClosureBasis, target: Polynomial) -> Derivation | 
         lead = basis.rows[rid].lead
         return current._terms[lead] * ring.inv(builder.poly(emitted[rid])._terms[lead])
 
-    def emit_row(rid: int) -> int:
-        if rid in emitted:
-            return emitted[rid]
+    def replay(rid: int):
+        """Emit row rid's lines, yielding first each row id whose line it cites next."""
         row = basis.rows[rid]
-        line = normal(builder.derive(relabel(row.source, ring, emit_row)))
+        if isinstance(row.source, Mul):
+            yield row.source.i
+        line = normal(builder.derive(relabel(row.source, ring, emitted.__getitem__)))
         for other in row.reductions:
-            pivot = emit_row(other)
-            line = builder.add(line, pivot, 1, -factor(builder.poly(line), other))
+            yield other
+            line = builder.add(line, emitted[other], 1, -factor(builder.poly(line), other))
         emitted[rid] = line
-        return line
+
+    def emit_row(rid: int) -> int:
+        """Row rid's line, the rows it needs replayed depth first from an
+        explicit stack: they can depend on each other hundreds deep."""
+        stack = [iter((rid,))]
+        while stack:
+            need = next(stack[-1], None)
+            if need is None:
+                stack.pop()
+            elif need not in emitted:
+                stack.append(replay(need))
+        return emitted[rid]
 
     if target.is_zero:
         builder.zero()

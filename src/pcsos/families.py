@@ -7,12 +7,12 @@ refutation read off the hole-counting identity
     (sum_i x_ij - 1)^2 = 1 - sum_i x_ij + sum_i (x_ij^2 - x_ij)
                            + 2 sum_{i<i'} x_ij x_i'j,
 
-the chain family carries both a direct degree-2 refutation and a sequent
-proof whose single induction node compiles to a constant-degree
-refutation for every instance size, and the subset-sum family carries a
-radical-using refutation built by multiplying the falling product
-(l - 1)(l - 2)...(l - n - 1) out one factor at a time, Boolean-reducing
-along the way.
+the chain family carries a sequent proof whose single induction node
+compiles to a constant-degree refutation for every instance size (a
+direct degree-2 refutation comes from chain_pc_refutation), and the
+subset-sum family carries a radical-using refutation built by
+multiplying the falling product (l - 1)(l - 2)...(l - n - 1) out one
+factor at a time, Boolean-reducing along the way.
 
 Variables are addressed through the registry's pairing function, so the
 oracle can be read as a two-place table.
@@ -20,7 +20,7 @@ oracle can be read as a two-place table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import RATIONAL, EquationSet, Polynomial, Ring
@@ -67,7 +67,6 @@ class FamilyInstance:
     equations: EquationSet
     formula: Formula | None = None
     certificate: object | None = None
-    attachments: dict = field(default_factory=dict)
     registry: FunctionRegistry | None = None
 
 
@@ -220,7 +219,7 @@ def gen_bphp_graph(holes_of, pigeons_of, m: int, n: int, ring: Ring = RATIONAL) 
     equations = EquationSet(ring, equations.members, boolean_axioms=True)
     return FamilyInstance(
         name="bphp_graph",
-        params={"pigeons": m, "holes": n, "degree": d, "h": list(holes_of), "p": list(pigeons_of)},
+        params={"pigeons": m, "holes": n, "degree": d},
         equations=equations,
         formula=formula,
         registry=reg,
@@ -264,20 +263,14 @@ def _subset_sum_equations(n: int, ring: Ring) -> tuple[EquationSet, Polynomial]:
 def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> FamilyInstance:
     """Boolean axioms plus the squared shifted sum (x1+...+xn+1)^2.
 
-    Bundles a radical-using refutation for n up to the cap, plus the
-    two-line radical derivation of the linear target used by the
-    degree-closure regression checks.  Over GF(p) with p <= n + 1 the
-    instance is satisfiable and comes without a refutation.
+    Bundles a radical-using refutation for n up to the cap.  Over GF(p)
+    with p <= n + 1 the instance is satisfiable and comes without a
+    refutation.
     """
     if n < 1:
         raise FamilyError("subset sum needs n >= 1")
     _check_size("subset sum", 2 * n + (n + 1) * (n + 2) // 2)
-    equations, ell = _subset_sum_equations(n, ring)
-    builder = DerivationBuilder("pc_rad", equations)
-    square = builder.axiom(n)
-    builder.radical_of(square, ell)
-    target_derivation = builder.build()
-
+    equations, _ = _subset_sum_equations(n, ring)
     refutable = n <= refutation_cap and _subset_sum_unsatisfiable(n, ring)
     certificate = subset_sum_refutation(n, ring) if refutable else None
     return FamilyInstance(
@@ -285,7 +278,6 @@ def gen_subset_sum(n: int, ring: Ring = RATIONAL, refutation_cap: int = 12) -> F
         params={"n": n},
         equations=equations,
         certificate=certificate,
-        attachments={"target_derivation": target_derivation},
     )
 
 
@@ -449,8 +441,8 @@ def chain_pc_refutation(n: int, ring: Ring = RATIONAL) -> Derivation:
 
 
 def gen_chain(n: int, ring: Ring = RATIONAL, with_proofs: bool = True) -> FamilyInstance:
-    """Equations {x0 - 1} + {x_i (1 - x_{i+1})} + {x_n}, with a direct
-    refutation and the induction-rule sequent proof attached."""
+    """Equations {x0 - 1} + {x_i (1 - x_{i+1})} + {x_n}, with the
+    induction-rule sequent proof attached when asked for."""
     if n < 1:
         raise FamilyError("chain needs n >= 1")
     _check_size("chain", 2 * n + 3)
@@ -466,5 +458,4 @@ def gen_chain(n: int, ring: Ring = RATIONAL, with_proofs: bool = True) -> Family
     )
     if with_proofs:
         instance.certificate = _chain_lkr_proof()
-        instance.attachments["pc_refutation"] = chain_pc_refutation(n, ring)
     return instance

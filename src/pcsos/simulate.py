@@ -37,7 +37,7 @@ kernel branch on one of its callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import EquationSet, Polynomial, expand
@@ -115,13 +115,6 @@ class _Parts:
         )
 
 
-@dataclass(frozen=True)
-class EpsDerivation:
-    epsilon: Fraction
-    target: Polynomial  # the final derived polynomial r
-    certificate: SosCertificate  # proves eps - r^2 >= 0
-
-
 # -- SoS -> PC+ ---------------------------------------------------------
 
 
@@ -157,9 +150,9 @@ def sos_to_pcplus(cert: SosCertificate) -> Derivation:
 # -- PC+ -> SoS+Bool ----------------------------------------------------
 
 
-def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
-    """Approximate simulation: from a derivation of r = 0, a certificate of
-    eps - r^2 >= 0 at degree at most twice the derivation degree.
+def pcplus_to_sos_eps(d: Derivation, epsilon) -> SosCertificate:
+    """Approximate simulation: from a derivation of r = 0, a certificate
+    with target eps - r^2 at degree at most twice the derivation degree.
 
     Follows the structural recursion case by case; the eps budget is split
     as eps/4a^2 and eps/4b^2 at additions and becomes eps^2 at radicals,
@@ -195,13 +188,11 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
     for idx in range(last, -1, -1):
         poly, just = d.lines[idx]
         for eps, f in factors[idx].items():  # this node's summands, times f
-            if isinstance(just, Axiom):
-                out.add_multiplier(just.index, poly.scale(-f))
-                out.constant += f * eps
-            elif isinstance(just, ZeroIntro):
-                out.constant += f * eps
-            elif isinstance(just, BoolAxiom):
-                out.add_bool(just.var, poly.scale(-f))
+            if isinstance(just, (Axiom, BoolAxiom, ZeroIntro)):  # eps - r^2 = eps + (-r) r
+                if isinstance(just, Axiom):
+                    out.add_multiplier(just.index, poly.scale(-f))
+                elif isinstance(just, BoolAxiom):
+                    out.add_bool(just.var, poly.scale(-f))
                 out.constant += f * eps
             elif isinstance(just, Mul):
                 src = d.lines[just.i][0]
@@ -211,22 +202,13 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
                 out.add_bool(just.var, (src * src).scale(-2 * f))
             elif isinstance(just, Add):
                 a, b = Fraction(just.a), Fraction(just.b)
-                ri = d.lines[just.i][0]
-                rj = d.lines[just.j][0]
-                if a == 0 and b == 0:
-                    out.constant += f * eps
-                elif b == 0:
-                    cite(just.i, eps / (4 * a * a), f * 2 * a * a)
-                    out.add_square(ri.scale(a), f)
-                    out.constant += f * eps / 2
-                elif a == 0:
-                    cite(just.j, eps / (4 * b * b), f * 2 * b * b)
-                    out.add_square(rj.scale(b), f)
-                    out.constant += f * eps / 2
-                else:
-                    cite(just.i, eps / (4 * a * a), f * 2 * a * a)
-                    cite(just.j, eps / (4 * b * b), f * 2 * b * b)
-                    out.add_square(ri.scale(a) - rj.scale(b), f)
+                for k, c in ((just.i, a), (just.j, b)):
+                    if c:
+                        cite(k, eps / (4 * c * c), f * 2 * c * c)
+                    else:
+                        out.constant += f * eps / 2
+                ri, rj = d.lines[just.i][0].scale(a), d.lines[just.j][0].scale(b)
+                out.add_square(ri - rj if a else rj, f)  # b*r_j, not -b*r_j, when a = 0
             elif isinstance(just, Radical):
                 src = d.lines[just.i][0]  # src == poly^2
                 g = f / (2 * eps)
@@ -242,8 +224,7 @@ def pcplus_to_sos_eps(d: Derivation, epsilon) -> EpsDerivation:
                 raise SimulationError(f"line {idx}: unsupported justification {just!r}")
 
     r = d.lines[last][0]
-    target = Polynomial.const(ring, epsilon) - r * r
-    return EpsDerivation(epsilon, r, out.certificate(d.axioms, target))
+    return out.certificate(d.axioms, Polynomial.const(ring, epsilon) - r * r)
 
 
 def pcplus_refutation_to_sos(d: Derivation) -> SosCertificate:
@@ -256,7 +237,7 @@ def pcplus_refutation_to_sos(d: Derivation) -> SosCertificate:
     if not d.lines or d.final_polynomial() != Polynomial.const(d.ring, 1):
         raise SimulationError("input is not a refutation (final line must be 1)")
     approx = pcplus_to_sos_eps(d, Fraction(1, 2))
-    return scale_certificate(approx.certificate, Fraction(2), Polynomial.const(d.ring, -1))
+    return scale_certificate(approx, Fraction(2), Polynomial.const(d.ring, -1))
 
 
 # -- radical elimination in positive characteristic ---------------------

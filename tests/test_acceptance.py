@@ -15,6 +15,7 @@ from fractions import Fraction
 from pcsos.algebra import GF, RATIONAL, Polynomial, eqset, parse_poly
 from pcsos.degsearch import pc_closure
 from pcsos.families import (
+    chain_pc_refutation,
     gen_bphp_graph,
     gen_chain,
     gen_fphp_sos,
@@ -28,6 +29,7 @@ from pcsos.proofcheck import (
     Axiom,
     BoolAxiom,
     Derivation,
+    DerivationBuilder,
     Mul,
     Radical,
     Sos,
@@ -220,10 +222,10 @@ def test_criterion_04_eps_independence():
     derivation = mixed_rule_refutation()
     degrees = set()
     for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 7), Fraction(1, 100)):
-        out = pcplus_to_sos_eps(derivation, eps)
-        rep = check_sos(out.certificate)
+        cert = pcplus_to_sos_eps(derivation, eps)
+        rep = check_sos(cert)
         assert rep.valid
-        assert out.certificate.target == Polynomial.const(RATIONAL, eps - 1)
+        assert cert.target == Polynomial.const(RATIONAL, eps - 1)
         degrees.add(rep.degree)
     assert len(degrees) == 1
     report(4, f"certificate degree {degrees.pop()} is identical for eps in {{1, 1/2, 1/7, 1/100}}")
@@ -256,7 +258,9 @@ def test_criterion_06_subset_sum_lower_bound_property():
         for d in range(0, n // 2):
             basis = pc_closure(instance.equations, d)
             assert not basis.contains(target), (n, d)
-        witness = instance.attachments["target_derivation"]
+        builder = DerivationBuilder("pc_rad", instance.equations)
+        builder.radical_of(builder.axiom(n), target)  # axiom n is target^2
+        witness = builder.build()
         rep = check_derivation(witness)
         assert rep.valid and rep.uses_radical
         assert witness.final_polynomial() == target
@@ -366,7 +370,7 @@ def test_criterion_10_checker_integrity():
         mixed_rule_refutation(),
         product_refutation(3),
         gen_subset_sum(3).certificate,
-        gen_chain(3).attachments["pc_refutation"],
+        chain_pc_refutation(3),
         compile_lkr(gen_chain(2).certificate, {"n": 2}, "pc_rad", REG),
         _boolean_flag_fixture(),
     ]

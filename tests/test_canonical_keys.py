@@ -18,6 +18,7 @@ import pytest
 from pcsos.algebra import GF, RATIONAL, parse_poly
 from pcsos.degsearch import pc_closure
 from pcsos.families import (
+    chain_pc_refutation,
     gen_bphp_graph,
     gen_chain,
     gen_fphp,
@@ -89,7 +90,7 @@ def test_subset_sum_with_certificate(ring):
 def test_chain_and_its_compiled_refutation():
     instance = gen_chain(4)
     assert_canonical(instance.equations, RATIONAL)
-    assert_canonical(derivation_polys(instance.attachments["pc_refutation"]), RATIONAL)
+    assert_canonical(derivation_polys(chain_pc_refutation(4)), RATIONAL)
     compiled = compile_lkr(instance.certificate, {"n": 4}, "pc_plus", FunctionRegistry.standard())
     assert_canonical(derivation_polys(compiled), RATIONAL)
 
@@ -128,4 +129,4 @@ def test_simulation_outputs():
     d = sos_to_pcplus(cert)
     assert_canonical(derivation_polys(d), RATIONAL)
     assert_canonical(certificate_polys(pcplus_refutation_to_sos(d)), RATIONAL)
-    assert_canonical(certificate_polys(pcplus_to_sos_eps(d, Fraction(1, 3)).certificate), RATIONAL)
+    assert_canonical(certificate_polys(pcplus_to_sos_eps(d, Fraction(1, 3))), RATIONAL)

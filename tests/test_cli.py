@@ -723,11 +723,11 @@ class TestGen:
 
     def test_gen_chain_without_cert_builds_no_proofs(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the chain refutation is built only for --with-cert")
+            raise AssertionError("the chain proof is built only for --with-cert")
 
         with_cert = tmp_path / "with.json"
         assert main(["gen", "chain", "--n", "5", "--with-cert", "-o", str(with_cert)]) == 0
-        monkeypatch.setattr(families, "chain_pc_refutation", refuse)
+        monkeypatch.setattr(families, "_chain_lkr_proof", refuse)
         without = tmp_path / "without.json"
         assert main(["gen", "chain", "--n", "5", "-o", str(without)]) == 0
         assert without.read_bytes() == with_cert.read_bytes()
@@ -742,10 +742,29 @@ class TestGen:
         assert main(["lkr", "compile", cert_path]) == 2
         assert_format_errors(capsys, 1)
 
-    def test_gen_subset_sum(self, tmp_path):
+    def test_gen_subset_sum(self, tmp_path, capsys):
         out = str(tmp_path / "ss.json")
         assert main(["gen", "subset-sum", "--n", "3", "--with-cert", "-o", out]) == 0
         assert main(["check", str(tmp_path / "ss.cert.json")]) == 0
+        # past the cap there is no refutation to write, and no file is written
+        past = tmp_path / "past" / "ss.json"
+        past.parent.mkdir()
+        capsys.readouterr()
+        assert main(["gen", "subset-sum", "--n", "13", "--with-cert", "-o", str(past)]) == 3
+        assert capsys.readouterr().err == "unsupported: subset-sum refutations are emitted only for n <= 12\n"
+        assert list(past.parent.iterdir()) == []
+
+    def test_gen_subset_sum_without_cert_builds_no_refutation(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the subset-sum refutation is built only for --with-cert")
+
+        with_cert = tmp_path / "with.json"
+        assert main(["gen", "subset-sum", "--n", "5", "--with-cert", "-o", str(with_cert)]) == 0
+        monkeypatch.setattr(families, "subset_sum_refutation", refuse)
+        without = tmp_path / "without.json"
+        assert main(["gen", "subset-sum", "--n", "5", "-o", str(without)]) == 0
+        assert without.read_bytes() == with_cert.read_bytes()
+        assert not (tmp_path / "without.cert.json").exists()
 
     def test_gen_bphp_graph(self, tmp_path):
         graph = write(
@@ -807,9 +826,34 @@ def test_elim_radical_output_ignores_hash_seed(tmp_path):
 
 
 class TestFolAndSearch:
-    def test_fol_classify(self):
+    def test_fol_classify(self, capsys):
         assert main(["fol", "classify", "--formula", "(= (X 0) (rat 1))"]) == 0
         assert main(["fol", "classify", "--formula", "(not (= (X 0) (rat 1)))"]) == 1
+        # a conjunct's reason is the conjunction's
+        formula = "(and (= (X 0) (rat 0)) (not (= (X 1) (rat 0))))"
+        capsys.readouterr()
+        assert main(["fol", "classify", "--formula", formula, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"valid": False, "reason": "Not over an oracle-mentioning subformula"}
+
+    def test_fol_ring_option(self, tmp_path, capsys):
+        formula = "(= (X 0) (rat 3))"
+        out = str(tmp_path / "eqs.json")
+        assert main(["fol", "translate", "--formula", formula, "--ring", "rational", "-o", out]) == 0
+        assert load_json(out)["equations"] == ["x0 - 3"]
+        assert main(["fol", "translate", "--formula", formula, "--ring", "gf:7", "-o", out]) == 0
+        assert load_json(out)["equations"] == ["x0 + 4"]
+        capsys.readouterr()
+        # 4 and 1022117 = 1009 * 1013 are composite
+        reasons = {
+            "gf:4": "gf modulus must be a prime <= 2**31, got 4",
+            "gf:1022117": "gf modulus must be a prime <= 2**31, got 1022117",
+            "bogus": "bad ring 'bogus'; expected rational or gf:P",
+        }
+        for ring, reason in reasons.items():
+            assert main(["fol", "translate", "--formula", formula, "--ring", ring]) == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == f"pcsos fol: error: argument --ring: {reason}"
 
     def test_fol_translate(self, tmp_path):
         out = str(tmp_path / "eqs.json")
@@ -832,6 +876,15 @@ class TestFolAndSearch:
         payload = json.loads(capsys.readouterr().out)
         assert payload["derivable"] and payload["valid"]
         assert main(["check", out]) == 0
+
+    def test_search_closure_replays_a_deep_chain(self, tmp_path):
+        # the replayed rows depend on each other 302 deep here, too deep for
+        # a replay that recurses through a few stack frames per row
+        instance, out = str(tmp_path / "chain.json"), str(tmp_path / "derivation.json")
+        assert main(["gen", "chain", "--n", "600", "-o", instance]) == 0
+        assert main(["search", "closure", instance, "--degree", "2", "--query", "1", "-o", out]) == 0
+        report = check_derivation(derivation_from_json(load_json(out)))
+        assert report.valid and report.refutation and report.degree == 2
 
     def test_search_not_derivable(self, tmp_path):
         eqs = write(tmp_path, "eqs.json", eqset_to_json(eqset(RATIONAL, [P("x1^2")])))

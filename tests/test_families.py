@@ -19,7 +19,7 @@ from pcsos.families import (
 )
 from pcsos.fol import FunctionRegistry, eval_formula, translate_formula
 from pcsos.lkr import check_lkr, compile_lkr
-from pcsos.proofcheck import check_derivation, check_sos
+from pcsos.proofcheck import DerivationBuilder, check_derivation, check_sos
 
 REG = FunctionRegistry.standard()
 
@@ -164,8 +164,10 @@ class TestSubsetSum:
         ]
 
     def test_target_derivation(self):
-        inst = gen_subset_sum(6)
-        d = inst.attachments["target_derivation"]
+        inst = gen_subset_sum(6, refutation_cap=0)
+        builder = DerivationBuilder("pc_rad", inst.equations)
+        builder.radical_of(builder.axiom(6), P("x1 + x2 + x3 + x4 + x5 + x6 + 1"))
+        d = builder.build()
         rep = check_derivation(d)
         assert rep.valid and rep.uses_radical and rep.degree == 2
         assert d.final_polynomial() == P("x1 + x2 + x3 + x4 + x5 + x6 + 1")

@@ -26,6 +26,7 @@ from pcsos.fol import (
 )
 from pcsos.lkr import (
     MAX_PROOF_DEPTH,
+    CompileError,
     RULES,
     LkrError,
     LkrNode,
@@ -157,6 +158,18 @@ class TestCheckLkr:
         assert not check_lkr(false, REG).valid
         oracle = LkrNode("background-truth", Sequent((), (F("(= (X 0) (rat 0))", scope=()),)))
         assert not check_lkr(oracle, REG).valid
+
+    def test_background_truth_false_in_the_target_field_does_not_compile(self):
+        # check_lkr accepts 5 != 0, and it compiles over Q and GF(7); over
+        # GF(5) it is false, translates to a nonzero constant, and the
+        # compile step's identity guard refuses it
+        node = LkrNode("background-truth", Sequent((), (F("(not (= (rat 5) (rat 0)))", scope=()),)))
+        assert check_lkr(node, REG).valid
+        for ring in (RATIONAL, GF(7)):
+            d = compile_lkr(node, {}, "pc_rad", REG, ring)
+            assert check_derivation(d).valid
+        with pytest.raises(CompileError, match="does not translate to an identity"):
+            compile_lkr(node, {}, "pc_rad", REG, GF(5))
 
     def test_boolean_axiom_shape(self):
         good = F("(= (* (X i) (- (rat 1) (X i))) (rat 0))")

@@ -172,8 +172,7 @@ class TestPcplusToSosEps:
             axioms,
             ((P("x2"), Axiom(0)), (P("x1*x2"), Mul(0, 1))),
         )
-        out = pcplus_to_sos_eps(d, 1)
-        cert = out.certificate
+        cert = pcplus_to_sos_eps(d, 1)
         rep = check_sos(cert)
         assert rep.valid
         assert cert.target == P("1 - x1^2*x2^2")
@@ -185,10 +184,10 @@ class TestPcplusToSosEps:
     def test_base_case(self):
         axioms = eqset(RATIONAL, [P("x1 + x2")])
         d = Derivation("pc_plus", axioms, ((P("x1 + x2"), Axiom(0)),))
-        out = pcplus_to_sos_eps(d, 1)
-        assert dict(out.certificate.multipliers)[0] == P("-x1 - x2")
-        assert out.certificate.constant == 1
-        assert check_sos(out.certificate).valid
+        cert = pcplus_to_sos_eps(d, 1)
+        assert dict(cert.multipliers)[0] == P("-x1 - x2")
+        assert cert.constant == 1
+        assert check_sos(cert).valid
 
     def test_addition_case(self):
         axioms = eqset(RATIONAL, [P("x1"), P("x2")])
@@ -197,8 +196,7 @@ class TestPcplusToSosEps:
             axioms,
             ((P("x1"), Axiom(0)), (P("x2"), Axiom(1)), (P("x1 + x2"), Add(0, 1, 1, 1))),
         )
-        out = pcplus_to_sos_eps(d, 1)
-        cert = out.certificate
+        cert = pcplus_to_sos_eps(d, 1)
         assert check_sos(cert).valid
         assert cert.target == P("1 - x1^2 - 2*x1*x2 - x2^2")
         assert P("x1 - x2") in cert.squares
@@ -210,9 +208,9 @@ class TestPcplusToSosEps:
             axioms,
             ((P("x1"), Axiom(0)), (P("3*x1"), Add(0, 0, 3, 0))),
         )
-        out = pcplus_to_sos_eps(d, Fraction(1, 2))
-        assert check_sos(out.certificate).valid
-        assert out.certificate.target == P("1/2 - 9*x1^2")
+        cert = pcplus_to_sos_eps(d, Fraction(1, 2))
+        assert check_sos(cert).valid
+        assert cert.target == P("1/2 - 9*x1^2")
 
     def test_zero_line_and_zero_coefficient_additions(self):
         axioms = eqset(RATIONAL, [P("x1"), P("x2")])
@@ -224,24 +222,24 @@ class TestPcplusToSosEps:
         ]:
             d = Derivation("pc_plus", axioms, lines + (last,))
             for eps in (1, Fraction(1, 3)):
-                cert = pcplus_to_sos_eps(d, eps).certificate
+                cert = pcplus_to_sos_eps(d, eps)
                 assert check_sos(cert).valid
                 assert cert.target == Polynomial.const(RATIONAL, eps) - last[0] * last[0]
 
     def test_radical_and_sos_cases(self):
         d = radical_sos_refutation()
         for eps in (1, Fraction(1, 2), Fraction(1, 7)):
-            out = pcplus_to_sos_eps(d, eps)
-            rep = check_sos(out.certificate)
+            cert = pcplus_to_sos_eps(d, eps)
+            rep = check_sos(cert)
             assert rep.valid
-            assert out.certificate.target == Polynomial.const(RATIONAL, Fraction(eps) - 1)
+            assert cert.target == Polynomial.const(RATIONAL, Fraction(eps) - 1)
 
     def test_degree_independent_of_eps_and_at_most_doubled(self):
         d = radical_sos_refutation()
         in_degree = check_derivation(d).degree
         degrees = set()
         for eps in (1, Fraction(1, 2), Fraction(1, 7), Fraction(1, 100)):
-            rep = check_sos(pcplus_to_sos_eps(d, eps).certificate)
+            rep = check_sos(pcplus_to_sos_eps(d, eps))
             assert rep.valid
             degrees.add(rep.degree)
         assert len(degrees) == 1
@@ -251,7 +249,7 @@ class TestPcplusToSosEps:
         # the sum-of-squares step emits 2 (p*q)^2 as one square of weight 2
         for d in (radical_sos_refutation(), sos_to_pcplus(gen_fphp_sos(4, 3))):
             for eps in (Fraction(1, 2), Fraction(1, 7)):
-                cert = pcplus_to_sos_eps(d, eps).certificate
+                cert = pcplus_to_sos_eps(d, eps)
                 assert check_sos(cert).valid
                 assert len(cert.weights) == len(cert.squares)
                 assert all(w > 0 for w in cert.weights)
